@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -28,10 +29,18 @@ from .slicer import SlicerConfig, build_plan, extract_slices, plan_from_json, pl
 from .synthetic import KINDS, SEEDED_KINDS, gen_synthetic
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+
 def _add_plan_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--theta", type=int, default=64, help="max slice width (voxels)")
     parser.add_argument(
         "--threshold",
+        type=_fraction,
         default="0.05",
         help="min slice size as a fraction of the original point count",
     )
@@ -164,16 +173,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     cloud = _load_cloud(args.input)
     stats = compute_psi(cloud)
+    areas = {axis: projected_area(cloud, axis) for axis in (Axis.X, Axis.Y, Axis.Z)}
     doc = {
         "points": len(cloud),
         "bit_depth": cloud.bit_depth,
         "components": stats.component_count,
         "per_axis": {
-            axis.name: {
-                "projected_area": projected_area(cloud, axis),
-                "occluded": len(cloud) - projected_area(cloud, axis),
-            }
-            for axis in (Axis.X, Axis.Y, Axis.Z)
+            axis.name: {"projected_area": area, "occluded": len(cloud) - area}
+            for axis, area in areas.items()
         },
         "loss": {"phi": stats.phi, "lost": stats.lost, "psi": stats.psi},
     }

@@ -1,17 +1,20 @@
 """Variable-width slicing planner.
 
-Each round evaluates candidate slabs from all six bounding-box faces at
+Each round considers candidate slabs from all six bounding-box faces at
 every width up to the configured maximum, scores each candidate by the
 fraction of points a single-layer projection would lose, takes the best
-one as the next slice, and recurses on the remainder. Slices below the
-point-count threshold are never emitted; whatever remains at the end
-becomes one terminal segment so no point is ever dropped at planning
-stage. Extracted slices can be widened inward by a small overlap margin.
+one as the next slice, and recurses on the remainder. The width search is
+exact but pruned: loss is monotone in slab width, so most widths are
+bounded out without being labeled. Slices below the point-count threshold
+are never emitted; whatever remains at the end becomes one terminal
+segment so no point is ever dropped at planning stage. Extracted slices
+can be widened inward by a small overlap margin.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
@@ -19,7 +22,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .cloud import Axis, AxisRange, PointCloud, Side, SIDES, axis_from_name, extract_range, remove_range
-from .projection import ProjectionStats, compute_psi
+from .projection import compute_psi
 
 PLANE_RULES = ("best-plane", "fixed-plane")
 
@@ -101,16 +104,23 @@ class Candidate(NamedTuple):
     core: AxisRange
     count: int
     lost: int
-    stats: ProjectionStats
 
     @property
     def psi(self) -> float:
         return self.lost / self.count
 
 
-def _loss_lt(lost_a: int, count_a: int, lost_b: int, count_b: int) -> bool:
-    """Exact fraction compare: lost_a/count_a < lost_b/count_b."""
-    return lost_a * count_b < lost_b * count_a
+def _beats(lost: int, count: int, width: int, best: Optional[Candidate]) -> bool:
+    """Whether a slab of `width` with lost/count wins over `best`.
+
+    Less loss wins (exact fraction compare), then the larger width. Side
+    order needs no term: sides are searched in order, so an equal-width tie
+    from a later side keeps the earlier one.
+    """
+    if best is None:
+        return True
+    ours, theirs = lost * best.count, best.lost * count
+    return ours < theirs or (ours == theirs and width > best.width)
 
 
 def _core_range(side: Side, mins: np.ndarray, maxs: np.ndarray, width: int) -> AxisRange:
@@ -122,66 +132,88 @@ def _core_range(side: Side, mins: np.ndarray, maxs: np.ndarray, width: int) -> A
     return AxisRange(axis, lo, lo + width)
 
 
-def candidate_psi(
-    cloud: PointCloud, side: Side, width: int, plane_rule: str = "best-plane"
-) -> tuple[int, Optional[float]]:
-    """Point count and loss fraction of the width-`width` slab on `side`.
-
-    The slab runs inward from the cloud's bounding-box face. Returns
-    (0, None) when the slab is empty.
-    """
-    if len(cloud) == 0:
-        raise ValueError("cannot slice an empty cloud")
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    mins, maxs = cloud.bbox
-    core = _core_range(side, mins, maxs, min(width, cloud.extent(side.axis)))
-    sub = extract_range(cloud, core)
-    if len(sub) == 0:
-        return 0, None
-    axis = side.axis if plane_rule == "fixed-plane" else None
-    return len(sub), compute_psi(sub, axis=axis).psi
+# Lost-point counts of slabs already evaluated: core range -> (count, lost).
+# Sound only across calls on one working cloud that shrinks between them
+# under one config: a range holding as many points as when it was stored
+# still holds the same points, so its loss is unchanged. Only build_plan
+# shares one across calls; every other caller gets a fresh one.
+_LossCache = dict[AxisRange, tuple[int, int]]
 
 
 def best_width(
-    cloud: PointCloud, side: Side, config: SlicerConfig, original_size: int
+    cloud: PointCloud,
+    side: Side,
+    config: SlicerConfig,
+    original_size: int,
+    incumbent: Optional[Candidate] = None,
+    *,
+    _cache: Optional[_LossCache] = None,
 ) -> Optional[Candidate]:
     """Best slab width on one side: least loss, ties to the larger width.
 
     Only widths holding at least the threshold point count compete; returns
-    None (side exhausted) when none does. Widths are capped at the cloud's
-    extent along the axis, so degenerate duplicates of the full slab never
-    enter the tie-break.
+    None (side exhausted) when none does, and also when none beats
+    `incumbent`, the best candidate of the sides searched before this one.
+    Widths are capped at the cloud's extent along the axis, so degenerate
+    duplicates of the full slab never enter the tie-break.
+
+    The search is exact without evaluating every width. Slabs from one face
+    are nested, so both the point count and the lost-point count are
+    non-decreasing in width: each component of the wider slab is a union of
+    components of the narrower one plus the added points, and its projected
+    area exceeds theirs by at most the number of added points. Between two
+    evaluated widths a < b every width w thus has lost(w) >= lost(a) and
+    count(w) <= count(b - 1). The search bisects and skips the interval
+    when lost(a) == lost(b) (b is at least as good and wider) or when even
+    lost(a) / count(b - 1) at width b - 1 cannot beat the best so far.
     """
     mins, maxs = cloud.bbox
     axis = side.axis
     w_max = min(config.theta, cloud.extent(axis))
-    min_points = config.min_points(original_size)
-
     column = np.sort(cloud.coords[:, axis])
-    fixed_axis = axis if config.plane_rule == "fixed-plane" else None
+    widths = np.arange(1, w_max + 1)
+    if side.positive:
+        counts = len(column) - np.searchsorted(column, int(maxs[axis]) + 1 - widths, side="left")
+    else:
+        counts = np.searchsorted(column, int(mins[axis]) + widths, side="left")
+    # counts[w - 1] is the point count at width w; eligible widths form a suffix
+    first = int(np.searchsorted(counts, math.ceil(config.min_points(original_size)))) + 1
+    if first > w_max:
+        return None
+    counts = counts.tolist()
 
-    best: Optional[Candidate] = None
-    prev: Optional[Candidate] = None
-    for width in range(1, w_max + 1):
+    cache = {} if _cache is None else _cache
+    fixed_axis = axis if config.plane_rule == "fixed-plane" else None
+    lost: dict[int, int] = {}  # width -> lost points
+    by_count: dict[int, int] = {}  # equal counts on one side are one point set
+    best = incumbent
+
+    def evaluate(width: int) -> None:
+        nonlocal best
+        count = counts[width - 1]
         core = _core_range(side, mins, maxs, width)
-        if side.positive:
-            count = len(column) - int(np.searchsorted(column, core.lo, side="left"))
-        else:
-            count = int(np.searchsorted(column, core.hi, side="left"))
-        if count < min_points:
+        if count not in by_count:
+            hit = cache.get(core)
+            if hit is not None and hit[0] == count:
+                by_count[count] = hit[1]
+            else:
+                by_count[count] = compute_psi(extract_range(cloud, core), axis=fixed_axis).lost
+                cache[core] = (count, by_count[count])
+        lost[width] = by_count[count]
+        if _beats(lost[width], count, width, best):
+            best = Candidate(side, width, core, count, lost[width])
+
+    evaluate(first)
+    evaluate(w_max)
+    pending = [(first, w_max)]
+    while pending:
+        a, b = pending.pop()
+        if b - a < 2 or lost[a] == lost[b] or not _beats(lost[a], counts[b - 2], b - 1, best):
             continue
-        if prev is not None and count == prev.count:
-            # Nested ranges with equal counts select the same point set.
-            cand = Candidate(side, width, core, count, prev.lost, prev.stats)
-        else:
-            sub = extract_range(cloud, core)
-            stats = compute_psi(sub, axis=fixed_axis)
-            cand = Candidate(side, width, core, count, stats.lost, stats)
-        prev = cand
-        if best is None or not _loss_lt(best.lost, best.count, cand.lost, cand.count):
-            best = cand
-    return best
+        mid = (a + b) // 2
+        evaluate(mid)
+        pending += [(a, mid), (mid, b)]
+    return best if best is not incumbent else None
 
 
 def _extend_inward(
@@ -196,28 +228,26 @@ def _extend_inward(
 
 
 def select_slice(
-    cloud: PointCloud, config: SlicerConfig, original_size: int, index: int = 0
+    cloud: PointCloud,
+    config: SlicerConfig,
+    original_size: int,
+    index: int = 0,
+    *,
+    _cache: Optional[_LossCache] = None,
 ) -> Optional[SliceSpec]:
     """Best candidate over all six sides, or None when every side is exhausted.
 
     Ties break toward the larger width, then toward the fixed side order
-    +X, -X, +Y, -Y, +Z, -Z.
+    +X, -X, +Y, -Y, +Z, -Z. Each side's search is bounded by the best
+    candidate of the sides before it.
     """
     if len(cloud) == 0:
         raise ValueError("cannot slice an empty cloud")
     best: Optional[Candidate] = None
     for side in SIDES:
-        cand = best_width(cloud, side, config, original_size)
-        if cand is None:
-            continue
-        if best is None:
+        cand = best_width(cloud, side, config, original_size, best, _cache=_cache)
+        if cand is not None:
             best = cand
-            continue
-        if _loss_lt(cand.lost, cand.count, best.lost, best.count):
-            best = cand
-        elif not _loss_lt(best.lost, best.count, cand.lost, cand.count):
-            if cand.width > best.width:
-                best = cand
     if best is None:
         return None
     mins, maxs = cloud.bbox
@@ -264,11 +294,12 @@ def build_plan(cloud: PointCloud, config: SlicerConfig = SlicerConfig()) -> Slic
 
     slices: list[SliceSpec] = []
     working = cloud
+    cache: _LossCache = {}
     while len(working) > 0:
         if len(working) < min_points:
             slices.append(_terminal_spec(working, config, len(slices)))
             break
-        spec = select_slice(working, config, original_size, index=len(slices))
+        spec = select_slice(working, config, original_size, index=len(slices), _cache=cache)
         if spec is None:
             slices.append(_terminal_spec(working, config, len(slices)))
             break
@@ -312,6 +343,7 @@ def plan_to_json(plan: SlicePlan) -> str:
         "theta": plan.config.theta,
         "threshold_frac": float(plan.config.threshold_frac),
         "overlap": plan.config.overlap,
+        "plane_rule": plan.config.plane_rule,
         "original_size": plan.original_size,
         "slices": [
             {
@@ -339,6 +371,8 @@ def plan_from_json(text: str) -> SlicePlan:
             theta=int(doc["theta"]),
             threshold_frac=doc["threshold_frac"],
             overlap=int(doc["overlap"]),
+            # plans written before the key existed were all best-plane
+            plane_rule=doc.get("plane_rule", "best-plane"),
         )
         slices = []
         for s in doc["slices"]:

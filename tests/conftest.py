@@ -2,16 +2,21 @@
 
 The oracles here deliberately avoid the library's vectorized paths: pixel
 sets via Python sets, components via pairwise union-find, capture via a
-per-pixel depth dict. Tests freeze expectations against these.
+per-pixel depth dict. Tests freeze expectations against these. The width
+search oracle labels every eligible width on every side, which the
+library's pruned search must match exactly.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from sliceseg import PointCloud
-from sliceseg.cloud import Axis
+from sliceseg import PointCloud, SliceSpec, compute_psi, slicer
+from sliceseg.cloud import SIDES, Axis, AxisRange, Side, extract_range
+from sliceseg.slicer import Candidate
 
 PLANE_COLS = {Axis.X: (1, 2), Axis.Y: (0, 2), Axis.Z: (0, 1)}
 
@@ -98,6 +103,69 @@ def random_cloud(rng: np.random.Generator, max_points: int = 400, extent_range=(
     count = int(rng.integers(2, max_points + 1))
     coords = rng.integers(0, extent, size=(count, 3), dtype=np.int64)
     return PointCloud(coords)
+
+
+def slab(cloud: PointCloud, side: Side, width: int) -> tuple[AxisRange, PointCloud]:
+    """Core range and points of the width-`width` slab inward from `side`'s face."""
+    mins, maxs = cloud.bbox
+    axis = side.axis
+    width = min(width, cloud.extent(axis))
+    if side.positive:
+        core = AxisRange(axis, int(maxs[axis]) + 1 - width, int(maxs[axis]) + 1)
+    else:
+        core = AxisRange(axis, int(mins[axis]), int(mins[axis]) + width)
+    return core, extract_range(cloud, core)
+
+
+def slab_lost(sub: PointCloud, side: Side, plane_rule: str) -> int:
+    return compute_psi(sub, axis=side.axis if plane_rule == "fixed-plane" else None).lost
+
+
+def candidate_psi(cloud: PointCloud, side: Side, width: int, plane_rule: str = "best-plane"):
+    """(point count, loss fraction) of one slab; (0, None) when it is empty."""
+    _, sub = slab(cloud, side, width)
+    if len(sub) == 0:
+        return 0, None
+    return len(sub), slab_lost(sub, side, plane_rule) / len(sub)
+
+
+def _rank(cand: Candidate):
+    """Planner preference, smallest first: least loss, then larger width, then side order."""
+    return Fraction(cand.lost, cand.count), -cand.width, SIDES.index(cand.side)
+
+
+def brute_best_width(cloud: PointCloud, side: Side, config, original_size: int):
+    """Exhaustive width loop: every eligible width is labeled and ranked."""
+    floor = config.min_points(original_size)
+    cands = []
+    for width in range(1, min(config.theta, cloud.extent(side.axis)) + 1):
+        core, sub = slab(cloud, side, width)
+        if len(sub) >= floor:
+            lost = slab_lost(sub, side, config.plane_rule)
+            cands.append(Candidate(side, width, core, len(sub), lost))
+    return min(cands, key=_rank, default=None)
+
+
+def brute_select_slice(cloud: PointCloud, config, original_size: int, index: int = 0, **_):
+    """Drop-in for `slicer.select_slice` that runs the exhaustive loop on every side."""
+    cands = [brute_best_width(cloud, side, config, original_size) for side in SIDES]
+    best = min((c for c in cands if c is not None), key=_rank, default=None)
+    if best is None:
+        return None
+    core, axis = best.core, best.core.axis
+    mins, maxs = cloud.bbox
+    if best.side.positive:
+        extended = AxisRange(axis, max(core.lo - config.overlap, int(mins[axis])), core.hi)
+    else:
+        extended = AxisRange(axis, core.lo, min(core.hi + config.overlap, int(maxs[axis]) + 1))
+    return SliceSpec(index, best.side, core, extended, best.count, best.psi)
+
+
+def oracle_plan(monkeypatch, cloud: PointCloud, config):
+    """`build_plan` with its width search replaced by the exhaustive oracle."""
+    with monkeypatch.context() as m:
+        m.setattr(slicer, "select_slice", brute_select_slice)
+        return slicer.build_plan(cloud, config)
 
 
 @pytest.fixture

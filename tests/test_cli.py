@@ -83,6 +83,21 @@ class TestSlice:
         run_cli("slice", "--input", sheet_ply, "--plan", tmp_path / "p.json")
         assert sheet_ply.read_bytes() == before
 
+    @pytest.mark.parametrize("value", ["abc", "1/0"])
+    def test_bad_threshold_is_usage_error(self, sheet_ply, tmp_path, capsys, value):
+        code = run_cli(
+            "slice", "--input", sheet_ply, "--plan", tmp_path / "p.json", "--threshold", value
+        )
+        assert code == 2
+        assert "--threshold" in capsys.readouterr().err
+
+    def test_plane_rule_written(self, sheet_ply, tmp_path):
+        plan_path = tmp_path / "plan.json"
+        assert run_cli(
+            "slice", "--input", sheet_ply, "--plan", plan_path, "--plane-rule", "fixed-plane"
+        ) == 0
+        assert json.loads(plan_path.read_text())["plane_rule"] == "fixed-plane"
+
     def test_missing_input_is_runtime_error(self, tmp_path, capsys):
         code = run_cli("slice", "--input", tmp_path / "nope.ply", "--plan", tmp_path / "p.json")
         assert code == 1
@@ -134,6 +149,16 @@ class TestAnalyze:
         assert run_cli("analyze", "--input", sheet_ply, "--plan", plan, "--out", out) == 0
         doc = json.loads(out.read_text())
         assert len(doc["slices"]) == len(json.loads(plan.read_text())["slices"])
+
+
+    def test_unknown_plane_rule_in_plan_is_runtime_error(self, sheet_ply, tmp_path, capsys):
+        plan, out = tmp_path / "p.json", tmp_path / "a.json"
+        run_cli("slice", "--input", sheet_ply, "--plan", plan)
+        doc = json.loads(plan.read_text())
+        doc["plane_rule"] = "diagonal"
+        plan.write_text(json.dumps(doc))
+        assert run_cli("analyze", "--input", sheet_ply, "--plan", plan, "--out", out) == 1
+        assert "plane_rule" in capsys.readouterr().err
 
 
 class TestCompare:

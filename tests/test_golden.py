@@ -19,6 +19,7 @@ GOLDEN_CUBE_PLAN = """\
   "theta": 64,
   "threshold_frac": 0.05,
   "overlap": 0,
+  "plane_rule": "best-plane",
   "original_size": 8,
   "slices": [
     {

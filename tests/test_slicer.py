@@ -1,23 +1,36 @@
+import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceseg import (
     PlanMismatchError,
+    PointCloud,
     SlicerConfig,
     best_width,
     build_plan,
-    candidate_psi,
     compute_psi,
     extract_slices,
     plan_from_json,
     plan_to_json,
     select_slice,
 )
-from sliceseg.cloud import Axis, AxisRange, Side, extract_range, remove_range
+from sliceseg.cloud import SIDES, Axis, AxisRange, Side, extract_range, remove_range
 from sliceseg.synthetic import gen_synthetic
 
-from conftest import cube_cloud, make_cloud, random_cloud
+from conftest import (
+    brute_best_width,
+    candidate_psi,
+    cube_cloud,
+    make_cloud,
+    oracle_plan,
+    random_cloud,
+    slab,
+    slab_lost,
+)
 
 
 def cfg(theta=64, threshold="0.05", overlap=0, plane_rule="best-plane"):
@@ -99,6 +112,65 @@ class TestBestWidth:
         cloud = make_cloud([(x, 0, 0) for x in range(5)])
         cand = best_width(cloud, Side(Axis.X, -1), cfg(theta=64), 5)
         assert cand.width <= 5
+
+    @pytest.mark.parametrize("plane_rule", ["best-plane", "fixed-plane"])
+    def test_matches_exhaustive_loop_every_side(self, rng, plane_rule):
+        for _ in range(8):
+            cloud = random_cloud(rng, max_points=300, extent_range=(4, 20))
+            for theta in (3, 64):
+                config = cfg(theta=theta, threshold="0.05", plane_rule=plane_rule)
+                for side in SIDES:
+                    expect = brute_best_width(cloud, side, config, len(cloud))
+                    assert best_width(cloud, side, config, len(cloud)) == expect
+
+    def test_incumbent_that_cannot_be_beaten_returns_none(self):
+        pts = [(x, y, 0) for x in range(10) for y in range(10)]
+        pts += [(x, y, 9) for x in range(10) for y in range(10)]
+        cloud = make_cloud(pts)
+        # +Z's best (width 10, psi 0) is matched but not beaten by -Z's best
+        incumbent = best_width(cloud, Side(Axis.Z, +1), cfg(), len(cloud))
+        assert (incumbent.width, incumbent.lost) == (10, 0)
+        assert best_width(cloud, Side(Axis.Z, -1), cfg(), len(cloud), incumbent) is None
+
+
+@given(
+    st.lists(
+        st.tuples(*[st.integers(0, 7)] * 3), min_size=1, max_size=80, unique=True
+    ),
+    st.sampled_from(["best-plane", "fixed-plane"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_lost_points_non_decreasing_in_width(points, plane_rule):
+    """The lemma the pruned width search rests on: nested slabs never lose fewer points."""
+    cloud = make_cloud(points)
+    for side in SIDES:
+        losses = [
+            slab_lost(slab(cloud, side, w)[1], side, plane_rule)
+            for w in range(1, cloud.extent(side.axis) + 1)
+        ]
+        assert losses == sorted(losses)
+
+
+PINNED_CLOUDS = {
+    "cube": lambda: gen_synthetic("cube", {"extent": 4}),
+    "folded-sheet": lambda: gen_synthetic(
+        "folded-sheet", {"extent": 12, "amplitude": 4, "period": 6}, seed=3
+    ),
+    "sphere-shell": lambda: gen_synthetic("sphere-shell", {"extent": 10}),
+    "random": lambda: PointCloud(np.random.default_rng(5).integers(0, 10, size=(250, 3))),
+}
+
+
+@pytest.mark.parametrize("plane_rule", ["best-plane", "fixed-plane"])
+@pytest.mark.parametrize("kind", sorted(PINNED_CLOUDS))
+def test_pruned_plans_match_exhaustive_oracle(monkeypatch, kind, plane_rule):
+    cloud = PINNED_CLOUDS[kind]()
+    for overlap in (0, 2):
+        for theta in (3, 8, 64):
+            for threshold in ("0", "0.05", "0.2"):
+                config = cfg(theta=theta, threshold=threshold, overlap=overlap, plane_rule=plane_rule)
+                expect = plan_to_json(oracle_plan(monkeypatch, cloud, config))
+                assert plan_to_json(build_plan(cloud, config)) == expect
 
 
 class TestSelectSlice:
@@ -275,7 +347,8 @@ class TestPlanJson:
         text = plan_to_json(plan)
         head = text.index('"theta"')
         assert head < text.index('"threshold_frac"') < text.index('"overlap"')
-        assert text.index('"overlap"') < text.index('"original_size"') < text.index('"slices"')
+        assert text.index('"overlap"') < text.index('"plane_rule"') < text.index('"original_size"')
+        assert text.index('"original_size"') < text.index('"slices"')
         first_slice = text.index('"index"')
         for key in ('"axis"', '"sign"', '"core_lo"', '"core_hi"', '"ext_lo"', '"ext_hi"', '"points"', '"psi"', '"terminal"'):
             nxt = text.index(key)
@@ -285,3 +358,20 @@ class TestPlanJson:
     def test_malformed_json_rejected(self):
         with pytest.raises(ValueError, match="malformed plan JSON"):
             plan_from_json('{"theta": 64}')
+
+    def test_plane_rule_round_trips(self):
+        plan = build_plan(cube_cloud(), cfg(plane_rule="fixed-plane"))
+        text = plan_to_json(plan)
+        assert json.loads(text)["plane_rule"] == "fixed-plane"
+        assert plan_from_json(text).config == plan.config
+
+    def test_unknown_plane_rule_rejected(self):
+        doc = json.loads(plan_to_json(build_plan(cube_cloud(), cfg())))
+        doc["plane_rule"] = "diagonal"
+        with pytest.raises(ValueError, match="plane_rule"):
+            plan_from_json(json.dumps(doc))
+
+    def test_plan_without_plane_rule_loads_as_best_plane(self):
+        doc = json.loads(plan_to_json(build_plan(cube_cloud(), cfg())))
+        del doc["plane_rule"]
+        assert plan_from_json(json.dumps(doc)).config.plane_rule == "best-plane"
