@@ -186,6 +186,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     }
     if args.plan:
         plan = plan_from_json(Path(args.plan).read_text())
+        extract_slices(cloud, plan)  # replay: PlanMismatchError unless the plan fits
         doc["slices"] = [
             {"index": s.index, "points": s.point_count, "psi": s.psi, "terminal": s.terminal}
             for s in plan.slices

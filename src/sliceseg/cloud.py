@@ -27,6 +27,11 @@ class Axis(IntEnum):
         return self.name
 
 
+# (u, v) columns of the projection that drops each axis; row = Axis value.
+PLANE_COLS = np.array([(1, 2), (0, 2), (0, 1)], dtype=np.int64)
+PLANE_COLS.setflags(write=False)
+
+
 def axis_from_name(name: str) -> Axis:
     try:
         return Axis[name.upper()]

@@ -29,13 +29,12 @@ from typing import Optional
 
 import numpy as np
 
-from .cloud import Axis, PointCloud, Side
+from .cloud import PLANE_COLS, Axis, PointCloud, Side
 from .slicer import SlicePlan, SliceSpec, extract_slices
 
 MAGIC = b"SWSG"
 VERSION = 1
 STREAM_HEADER_BYTES = 13
-_PLANE_COLS = {Axis.X: (1, 2), Axis.Y: (0, 2), Axis.Z: (0, 1)}
 _MAX_NARROW_WIDTH = 127
 
 
@@ -188,7 +187,7 @@ class DecodedRecord:
     def coords(self) -> np.ndarray:
         """(N, 3) global coordinates in stored order."""
         out = np.empty((self.point_count, 3), dtype=np.int64)
-        u_col, v_col = _PLANE_COLS[self.axis]
+        u_col, v_col = PLANE_COLS[self.axis]
         out[:, self.axis] = self.base + self.offsets
         out[:, u_col] = self.us
         out[:, v_col] = self.vs
@@ -243,7 +242,7 @@ def _record_fields(spec: SliceSpec, slice_cloud: PointCloud, bit_depth: int):
     offsets = c[:, spec.side.axis] - base
     if offsets.size and (offsets.min() < 0 or offsets.max() >= width):
         raise EncodeError(f"slice {spec.index}: point outside its extended range")
-    u_col, v_col = _PLANE_COLS[spec.side.axis]
+    u_col, v_col = PLANE_COLS[spec.side.axis]
     order = np.lexsort((c[:, v_col], c[:, u_col], offsets))
     return base, width, d, offsets[order], c[order][:, u_col], c[order][:, v_col], order
 

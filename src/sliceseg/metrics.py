@@ -17,7 +17,8 @@ import numpy as np
 
 from .cloud import PointCloud
 from .codec import bit_budget
-from .projection import CaptureConfig, best_plane, label_components, simulate_capture
+# best_plane is unused here but stays bound: the benchmark's tracer wraps metrics.best_plane
+from .projection import CaptureConfig, best_plane, label_components, simulate_capture  # noqa: F401
 from .slicer import SlicePlan, SlicerConfig, build_plan, extract_slices
 
 BASELINES = ("single-layer", "dual-layer")
@@ -65,14 +66,7 @@ class CompareConfig:
 
 def _captured_keys(cloud: PointCloud, config: CaptureConfig) -> np.ndarray:
     """Coordinate keys captured by per-component best-plane projection."""
-    labeling = label_components(cloud)
-    captured = []
-    for k in range(labeling.count):
-        component = cloud.subset(labeling.labels == k)
-        axis, _ = best_plane(component)
-        kept = simulate_capture(component, axis, config)
-        captured.append(kept.coordinate_keys())
-    return np.unique(np.concatenate(captured))
+    return simulate_capture(cloud, None, config, labeling=label_components(cloud)).coordinate_keys()
 
 
 def baseline_loss(cloud: PointCloud, capture: CaptureConfig) -> LossReport:

@@ -9,6 +9,7 @@ merge count is available as `cloud.duplicates_merged`.
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 import numpy as np
@@ -39,6 +40,8 @@ _SCALAR_DTYPES = {
     "float64": "<f8",
 }
 
+# the first whole line reading end_header (blanks aside); a comment may mention it
+_HEADER_END = re.compile(rb"^[ \t\r]*end_header[ \t\r]*\n", re.MULTILINE)
 _COORD_NAMES = ("x", "y", "z")
 _COLOR_NAMES = ("red", "green", "blue")
 
@@ -82,9 +85,11 @@ def read_ply(data: bytes, bit_depth: Optional[int] = None) -> PointCloud:
 
     colors = None
     if has_color:
-        colors = np.stack(
-            [raw[c].astype(np.uint8) for c in _COLOR_NAMES], axis=1
-        )
+        colors = np.stack([raw[c] for c in _COLOR_NAMES], axis=1)
+        bad = ~((colors >= 0) & (colors <= 255)).all(axis=1)
+        if bad.any():
+            raise PlyParseError(f"color outside 0..255 at vertex {int(np.argmax(bad))}")
+        colors = colors.astype(np.uint8)
     return PointCloud(coords, colors, bit_depth=bit_depth)
 
 
@@ -134,15 +139,12 @@ def write_ply(cloud: PointCloud, fmt: str = "ascii") -> bytes:
 
 def _split_header(data: bytes):
     """Return (header lines, body offset, header line count)."""
-    end = data.find(b"end_header")
-    if not data.startswith(b"ply") or end < 0:
-        raise PlyParseError("missing 'ply' magic or 'end_header' (byte 0)")
-    nl = data.find(b"\n", end)
-    if nl < 0:
-        raise PlyParseError(f"no newline after end_header (byte {end})")
-    header_text = data[:nl].decode("ascii", errors="replace")
+    match = _HEADER_END.search(data)
+    if not data.startswith(b"ply") or match is None:
+        raise PlyParseError("missing 'ply' magic or 'end_header' line (byte 0)")
+    header_text = data[: match.end() - 1].decode("ascii", errors="replace")
     lines = [ln.strip("\r") for ln in header_text.split("\n")]
-    return lines, nl + 1, len(lines)
+    return lines, match.end(), len(lines)
 
 
 def _parse_header(lines: list[str]):

@@ -17,7 +17,7 @@ from scipy import ndimage
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _graph_components
 
-from .cloud import Axis, PointCloud
+from .cloud import PLANE_COLS, Axis, PointCloud
 
 # Dense labeling scans every grid cell; the sparse path scales with point
 # count instead. Crossover measured around 60 cells per point; the absolute
@@ -25,10 +25,8 @@ from .cloud import Axis, PointCloud
 _DENSE_CELL_LIMIT = 16_000_000
 _DENSE_CELLS_PER_POINT = 60
 
-# (u, v) columns used when projecting along each axis.
-_PLANE_COLS = {Axis.X: (1, 2), Axis.Y: (0, 2), Axis.Z: (0, 1)}
-
 _STRUCTURE_26 = np.ones((3, 3, 3), dtype=np.int8)
+_AXES = tuple(Axis)
 
 # Offsets covering half the 26-neighborhood (the other half is symmetric).
 _HALF_OFFSETS = np.array(
@@ -159,7 +157,7 @@ def projected_area(cloud: PointCloud, axis: Axis) -> int:
     """Distinct pixels of the orthographic projection dropping `axis`."""
     if len(cloud) == 0:
         raise ValueError("projected_area of an empty cloud")
-    u, v = _PLANE_COLS[axis]
+    u, v = PLANE_COLS[axis]
     c = cloud.coords.astype(np.int64)
     keys = (c[:, u] << 16) | c[:, v]
     return int(np.unique(keys).shape[0])
@@ -182,28 +180,24 @@ def component_areas(
     axis: Optional[Axis] = None,
 ) -> tuple[tuple[Axis, int], ...]:
     """Per-component projection area, on the best plane or a fixed one."""
+    axes, areas = _plane_areas(cloud, labeling, axis)
+    return tuple(zip([_AXES[a] for a in axes.tolist()], areas.tolist()))
+
+
+def _plane_areas(
+    cloud: PointCloud, labeling: ComponentLabeling, axis: Optional[Axis]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-component (axis, area) arrays: the fixed axis, or each best plane."""
     labels = labeling.labels.astype(np.int64)
-    n = labeling.count
     c = cloud.coords.astype(np.int64)
-
-    per_axis = {}
-    axes = (axis,) if axis is not None else (Axis.X, Axis.Y, Axis.Z)
-    for a in axes:
-        u, v = _PLANE_COLS[a]
+    axes = np.array([axis] if axis is not None else _AXES)
+    per_axis = []
+    for u, v in PLANE_COLS[axes]:
         keys = (labels << 34) | (c[:, u] << 17) | c[:, v]
-        uniq = np.unique(keys)
-        per_axis[a] = np.bincount(uniq >> 34, minlength=n)
-
-    if axis is not None:
-        counts = per_axis[axis]
-        return tuple((axis, int(counts[k])) for k in range(n))
-
-    stacked = np.stack([per_axis[Axis.X], per_axis[Axis.Y], per_axis[Axis.Z]])
-    best_idx = np.argmax(stacked, axis=0)  # first max wins: ties go X < Y < Z
-    best_area = stacked[best_idx, np.arange(n)]
-    return tuple(
-        (Axis(int(i)), int(a)) for i, a in zip(best_idx, best_area)
-    )
+        per_axis.append(np.bincount(np.unique(keys) >> 34, minlength=labeling.count))
+    stacked = np.stack(per_axis)
+    best = np.argmax(stacked, axis=0)  # first max wins: ties go X < Y < Z
+    return axes[best], stacked[best, np.arange(labeling.count)]
 
 
 def compute_psi(cloud: PointCloud, axis: Optional[Axis] = None) -> ProjectionStats:
@@ -221,47 +215,49 @@ def compute_psi(cloud: PointCloud, axis: Optional[Axis] = None) -> ProjectionSta
 
 def simulate_capture(
     cloud: PointCloud,
-    axis: Axis,
+    axis: Optional[Axis],
     config: CaptureConfig = CaptureConfig(),
     sign: int = -1,
+    labeling: Optional[ComponentLabeling] = None,
 ) -> PointCloud:
     """Points a projection along `axis` can represent.
 
     Depth runs with increasing coordinate by default (`sign=-1`, the
     negative-side view); `sign=+1` views from the positive side instead.
     Single mode keeps the nearest point per pixel; dual mode adds the
-    farthest point within `surface_thickness` of the nearest.
+    farthest point within `surface_thickness` of the nearest. With a
+    `labeling`, each component is captured on its own, so components never
+    share a pixel; `axis=None` then projects each on its best plane.
     """
     if len(cloud) == 0:
         raise ValueError("cannot capture an empty cloud")
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
+    if axis is None and labeling is None:
+        raise ValueError("axis=None needs a component labeling")
 
     c = cloud.coords.astype(np.int64)
-    u, v = _PLANE_COLS[axis]
-    pix = (c[:, u] << 16) | c[:, v]
+    label = 0 if labeling is None else labeling.labels.astype(np.int64)
+    if axis is None:  # per point: its component's best plane
+        axis = _plane_areas(cloud, labeling, None)[0][labeling.labels]
+    rows = np.arange(len(cloud))
+    u, v = PLANE_COLS[axis].T
+    pix = (label << 34) | (c[rows, u] << 17) | c[rows, v]
     # voxels are unique, so points sharing a pixel always differ in depth;
     # nearest/farthest per pixel need no tie-breaking
-    depth = c[:, axis] if sign < 0 else -c[:, axis]
+    depth = -sign * c[rows, axis]
 
     order = np.lexsort((depth, pix))
-    pix_sorted = pix[order]
     depth_sorted = depth[order]
-
-    starts = np.flatnonzero(np.concatenate(([True], pix_sorted[1:] != pix_sorted[:-1])))
-    captured_sorted = [starts]
+    new_pixel = np.concatenate(([True], np.diff(pix[order]) != 0))
+    starts = np.flatnonzero(new_pixel)
+    keep = np.zeros(len(cloud), dtype=bool)
+    keep[order[starts]] = True
 
     if config.layer_mode == "dual":
-        group_id = np.cumsum(
-            np.concatenate(([0], (pix_sorted[1:] != pix_sorted[:-1]).astype(np.int64)))
-        )
-        near = depth_sorted[starts][group_id]
+        near = depth_sorted[starts][np.cumsum(new_pixel) - 1]
         in_window = depth_sorted <= near + config.surface_thickness
-        pos = np.where(in_window, np.arange(order.shape[0]), -1)
-        far = np.maximum.reduceat(pos, starts)
-        captured_sorted.append(far[far >= 0])
-
-    idx = np.unique(np.concatenate(captured_sorted))
-    mask = np.zeros(len(cloud), dtype=bool)
-    mask[order[idx]] = True
-    return cloud.subset(mask)
+        # the nearest point is always in its window, so every pixel has a far one
+        far = np.maximum.reduceat(np.where(in_window, np.arange(order.shape[0]), -1), starts)
+        keep[order[far]] = True
+    return cloud.subset(keep)

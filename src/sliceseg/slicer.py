@@ -339,9 +339,11 @@ def extract_slices(
 
 def plan_to_json(plan: SlicePlan) -> str:
     """Fixed-schema JSON; field names and order are part of the contract."""
+    t = plan.config.threshold_frac
     doc = {
         "theta": plan.config.theta,
-        "threshold_frac": float(plan.config.threshold_frac),
+        # a number where its float reloads exactly, else the exact "p/q" string
+        "threshold_frac": float(t) if Fraction(str(float(t))) == t else str(t),
         "overlap": plan.config.overlap,
         "plane_rule": plan.config.plane_rule,
         "original_size": plan.original_size,

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's vectorized paths: pixel
 sets via Python sets, components via pairwise union-find, capture via a
 per-pixel depth dict. Tests freeze expectations against these. The width
 search oracle labels every eligible width on every side, which the
-library's pruned search must match exactly.
+library's pruned search must match exactly. The capture oracle projects
+one component at a time, which the library's one-pass capture must match.
 """
 
 from __future__ import annotations
@@ -14,12 +15,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sliceseg import PointCloud, SliceSpec, compute_psi, slicer
-from sliceseg.cloud import SIDES, Axis, AxisRange, Side, extract_range
+from sliceseg import (
+    CaptureConfig,
+    PointCloud,
+    SlicePlan,
+    SliceSpec,
+    best_plane,
+    compute_psi,
+    extract_slices,
+    label_components,
+    simulate_capture,
+    slicer,
+)
+from sliceseg.cloud import PLANE_COLS, SIDES, Axis, AxisRange, Side, extract_range
 from sliceseg.slicer import Candidate
-
-PLANE_COLS = {Axis.X: (1, 2), Axis.Y: (0, 2), Axis.Z: (0, 1)}
-
 
 def make_cloud(points, colors=None, bit_depth=None) -> PointCloud:
     return PointCloud(np.asarray(list(points), dtype=np.int64).reshape(-1, 3),
@@ -166,6 +175,46 @@ def oracle_plan(monkeypatch, cloud: PointCloud, config):
     with monkeypatch.context() as m:
         m.setattr(slicer, "select_slice", brute_select_slice)
         return slicer.build_plan(cloud, config)
+
+
+def oracle_captured_keys(cloud: PointCloud, config: CaptureConfig) -> np.ndarray:
+    """Sorted coordinate keys captured component by component on each best plane."""
+    labeling = label_components(cloud)
+    captured = []
+    for k in range(labeling.count):
+        component = cloud.subset(labeling.labels == k)
+        axis, _ = best_plane(component)
+        kept = simulate_capture(component, axis, config)
+        captured.append(kept.coordinate_keys())
+    return np.unique(np.concatenate(captured))
+
+
+def oracle_plan_captured(cloud: PointCloud, plan: SlicePlan) -> tuple[int, list[int]]:
+    """(union captured, per-slice captured) of single-layer capture per slice."""
+    single = CaptureConfig("single")
+    per_slice = [oracle_captured_keys(sub, single) for _, sub in extract_slices(cloud, plan)]
+    return int(np.unique(np.concatenate(per_slice)).shape[0]), [k.shape[0] for k in per_slice]
+
+
+def slab_plan(cloud: PointCloud, axis: Axis, width: int, overlap: int) -> SlicePlan:
+    """Fixed `width`-voxel slabs from the low face of `axis` (empty ones skipped), no planner."""
+    col = cloud.coords[:, axis]
+    lo, hi = int(col.min()), int(col.max()) + 1
+    specs = []
+    for start in range(lo, hi, width):
+        end = min(start + width, hi)
+        count = int(np.count_nonzero((col >= start) & (col < end)))
+        if count:  # an empty core removes nothing, and its band may be empty
+            specs.append(SliceSpec(
+                index=len(specs),
+                side=Side(axis, -1),
+                core=AxisRange(axis, start, end),
+                extended=AxisRange(axis, start, min(end + overlap, hi)),
+                point_count=count,
+                psi=0.0,
+            ))
+    return SlicePlan(config=slicer.SlicerConfig(overlap=overlap), original_size=len(cloud),
+                     slices=tuple(specs))
 
 
 @pytest.fixture

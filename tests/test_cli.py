@@ -150,6 +150,15 @@ class TestAnalyze:
         doc = json.loads(out.read_text())
         assert len(doc["slices"]) == len(json.loads(plan.read_text())["slices"])
 
+    def test_plan_of_another_cloud_is_runtime_error(self, tmp_path, capsys):
+        small, large = tmp_path / "small.ply", tmp_path / "large.ply"
+        plan, out = tmp_path / "p.json", tmp_path / "a.json"
+        assert run_cli("gen", "--kind", "cube", "--extent", "2", "--out", small) == 0
+        assert run_cli("gen", "--kind", "cube", "--extent", "4", "--out", large) == 0
+        assert run_cli("slice", "--input", small, "--plan", plan) == 0
+        assert run_cli("analyze", "--input", large, "--plan", plan, "--out", out) == 1
+        assert "plan was built for 8 points, cloud has 64" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_plane_rule_in_plan_is_runtime_error(self, sheet_ply, tmp_path, capsys):
         plan, out = tmp_path / "p.json", tmp_path / "a.json"

@@ -1,6 +1,9 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceseg import (
     CaptureConfig,
@@ -14,11 +17,32 @@ from sliceseg import (
     plan_loss,
     render_csv,
     render_json,
+    simulate_capture,
 )
+from sliceseg.cloud import Axis
 from sliceseg.metrics import CSV_HEADER
 from sliceseg.synthetic import gen_synthetic
 
-from conftest import cube_cloud, make_cloud, random_cloud
+from conftest import (
+    cube_cloud,
+    make_cloud,
+    oracle_captured_keys,
+    oracle_plan_captured,
+    random_cloud,
+    slab_plan,
+)
+
+ORACLE_CLOUDS = {
+    "cube": cube_cloud,
+    "folded-sheet": lambda: gen_synthetic(
+        "folded-sheet", {"extent": 20, "amplitude": 6, "period": 10}, seed=4
+    ),
+    "sphere-shell": lambda: gen_synthetic("sphere-shell", {"extent": 12}),
+    "uniform-random": lambda: gen_synthetic(
+        "uniform-random", {"extent": 24, "count": 1500}, seed=9
+    ),
+}
+ORACLE_CAPTURES = [CaptureConfig("single")] + [CaptureConfig("dual", t) for t in (1, 4, 9)]
 
 
 def test_baseline_cube_single_half_lost():
@@ -144,3 +168,46 @@ def test_json_mirror_matches_csv_rows():
     rows = compare(cube_cloud(), CompareConfig(slicer=SlicerConfig(overlap=0)))
     doc = json.loads(render_json(rows))
     assert doc == rows
+
+
+@pytest.mark.parametrize("capture", ORACLE_CAPTURES, ids=lambda c: f"{c.layer_mode}{c.surface_thickness}")
+@pytest.mark.parametrize("kind", sorted(ORACLE_CLOUDS))
+def test_baseline_matches_per_component_oracle(kind, capture):
+    cloud = ORACLE_CLOUDS[kind]()
+    want = oracle_captured_keys(cloud, capture)
+    got = simulate_capture(cloud, None, capture, labeling=label_components(cloud))
+    assert np.array_equal(np.sort(got.coordinate_keys()), want)
+    assert baseline_loss(cloud, capture).captured == want.shape[0]
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_CLOUDS))
+def test_plan_loss_on_slab_plans_matches_per_component_oracle(kind):
+    cloud = ORACLE_CLOUDS[kind]()
+    for axis, width, overlap in ((Axis.Z, 1, 0), (Axis.Z, 3, 2), (Axis.X, 4, 1), (Axis.Y, 16, 0)):
+        plan = slab_plan(cloud, axis, width, overlap)
+        report = plan_loss(cloud, plan)
+        union, per_slice = oracle_plan_captured(cloud, plan)
+        assert report.captured == union
+        assert [s.captured for s in report.per_slice] == per_slice
+
+
+def test_components_sharing_a_pixel_are_captured_apart():
+    """Two flat squares stacked on Z share every pixel of their best plane."""
+    squares = [(x, y, z) for z in (0, 5) for x in (0, 1) for y in (0, 1)]
+    cloud = make_cloud(squares)
+    assert label_components(cloud).count == 2
+    for capture in (CaptureConfig("single"), CaptureConfig("dual", 9)):
+        assert baseline_loss(cloud, capture).captured == 8
+        assert oracle_captured_keys(cloud, capture).shape[0] == 8
+
+
+@given(
+    st.lists(
+        st.tuples(*[st.integers(0, 9)] * 3), min_size=1, max_size=120, unique=True
+    ),
+    st.sampled_from(ORACLE_CAPTURES),
+)
+@settings(max_examples=80, deadline=None)
+def test_baseline_matches_oracle_on_small_clouds(points, capture):
+    cloud = make_cloud(points)
+    assert baseline_loss(cloud, capture).captured == oracle_captured_keys(cloud, capture).shape[0]

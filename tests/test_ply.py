@@ -125,3 +125,40 @@ def test_error_names_line_number():
     data = ascii_ply([(0, 0, 0), ("oops", 1, 1)])
     with pytest.raises(PlyParseError, match="line 9"):
         read_ply(data)
+
+
+COLOR_PROPS = ("x", "y", "z", "red", "green", "blue")
+
+
+@pytest.mark.parametrize("bad", [300, -1, 256, "nan"])
+def test_ascii_color_out_of_range_rejected(bad):
+    data = ascii_ply([(0, 0, 0, 1, 2, 3), (1, 1, 1, 10, bad, 20)], props=COLOR_PROPS,
+                     types=["float"] * 3 + ["uchar"] * 3)
+    with pytest.raises(PlyParseError, match="color outside 0..255 at vertex 1"):
+        read_ply(data)
+
+
+def test_binary_color_out_of_range_rejected():
+    header = ascii_ply([], props=COLOR_PROPS, types=["float"] * 3 + ["int"] * 3, count=2)
+    header = header.replace(b"format ascii 1.0", b"format binary_little_endian 1.0")
+    rec = np.array([(0, 0, 0, 0, 255, 7), (1, 1, 1, 300, 0, 0)],
+                   dtype=[(n, "<f4") for n in "xyz"] + [(n, "<i4") for n in COLOR_PROPS[3:]])
+    with pytest.raises(PlyParseError, match="at vertex 1"):
+        read_ply(header + rec.tobytes())
+
+
+def test_colors_at_range_ends_accepted():
+    data = ascii_ply([(0, 0, 0, 0, 255, 0)], props=COLOR_PROPS,
+                     types=["float"] * 3 + ["uchar"] * 3)
+    assert read_ply(data).colors[0].tolist() == [0, 255, 0]
+
+
+def test_comment_mentioning_end_header_does_not_end_it():
+    data = ascii_ply([(1, 2, 3)]).replace(
+        b"ply\n", b"ply\ncomment see end_header below\n", 1
+    )
+    assert read_ply(data).point_set() == {(1, 2, 3)}
+    binary = write_ply(cube_cloud(), "binary").replace(
+        b"ply\n", b"ply\ncomment end_header\n", 1
+    )
+    assert read_ply(binary).same_points(cube_cloud())

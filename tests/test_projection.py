@@ -209,6 +209,34 @@ class TestSimulateCapture:
                     want = brute_capture(cloud.coords.tolist(), axis, mode, 4)
                     assert got == want
 
+    def test_best_plane_needs_a_labeling(self):
+        with pytest.raises(ValueError, match="labeling"):
+            simulate_capture(cube_cloud(), None)
+
+    def test_labeled_capture_matches_per_component_bruteforce(self, rng):
+        """With a labeling, each component is captured on its own plane."""
+        for _ in range(10):
+            cloud = random_cloud(rng, max_points=250)
+            labeling = label_components(cloud)
+            components = [cloud.subset(labeling.labels == k).coords.tolist()
+                          for k in range(labeling.count)]
+            for axis in (None, *Axis):
+                for mode, thickness in (("single", 4), ("dual", 1), ("dual", 4)):
+                    config = CaptureConfig(mode, thickness)
+                    got = simulate_capture(cloud, axis, config, labeling=labeling)
+                    want = set()
+                    for points in components:
+                        plane = brute_best_plane(points)[0] if axis is None else axis
+                        want |= brute_capture(points, plane, mode, thickness)
+                    assert got.point_set() == want
+
+    def test_labeled_positive_side_view(self):
+        cloud = make_cloud([(0, 0, 0), (0, 0, 9), (0, 0, 5)])
+        labeling = label_components(cloud)
+        got = simulate_capture(cloud, Axis.Z, CaptureConfig(), sign=+1, labeling=labeling)
+        assert got.point_set() == {(0, 0, 0), (0, 0, 9), (0, 0, 5)}
+        assert simulate_capture(cloud, Axis.Z, CaptureConfig(), sign=+1).point_set() == {(0, 0, 9)}
+
     def test_layer_monotonicity(self, rng):
         for _ in range(10):
             cloud = random_cloud(rng, max_points=250)

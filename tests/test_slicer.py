@@ -365,6 +365,20 @@ class TestPlanJson:
         assert json.loads(text)["plane_rule"] == "fixed-plane"
         assert plan_from_json(text).config == plan.config
 
+    def test_non_decimal_threshold_round_trips_exactly(self):
+        plan = build_plan(cube_cloud(), cfg(threshold=Fraction(1, 3)))
+        text = plan_to_json(plan)
+        assert json.loads(text)["threshold_frac"] == "1/3"
+        assert plan_from_json(text).config == plan.config
+        assert plan_to_json(plan_from_json(text)) == text
+
+    def test_decimal_threshold_stays_a_number(self):
+        for threshold in (Fraction(1, 20), Fraction(0), Fraction(1, 8)):
+            plan = build_plan(cube_cloud(), cfg(threshold=threshold))
+            text = plan_to_json(plan)
+            assert json.loads(text)["threshold_frac"] == float(threshold)
+            assert plan_from_json(text).config == plan.config
+
     def test_unknown_plane_rule_rejected(self):
         doc = json.loads(plan_to_json(build_plan(cube_cloud(), cfg())))
         doc["plane_rule"] = "diagonal"
