@@ -124,21 +124,10 @@ def offset_bits_for(width: int) -> int:
     return max(1, (width - 1).bit_length())
 
 
-def _field_bits(values: np.ndarray, width: int) -> np.ndarray:
-    """(n, width) uint8 bit matrix of fixed-width values, MSB first."""
+def _field_bits(values: np.ndarray | int, width: int) -> np.ndarray:
+    """(..., width) uint8 bit array of fixed-width values, MSB first."""
     shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    return ((values.astype(np.uint64)[:, None] >> shifts) & 1).astype(np.uint8)
-
-
-def _scalar_bits(fields: list[tuple[int, int]]) -> np.ndarray:
-    """Flat uint8 bit vector for a sequence of (value, width) fields."""
-    parts = [
-        ((np.uint64(value) >> np.arange(width - 1, -1, -1, dtype=np.uint64)) & 1).astype(
-            np.uint8
-        )
-        for value, width in fields
-    ]
-    return np.concatenate(parts)
+    return ((np.asarray(values, dtype=np.uint64)[..., None] >> shifts) & 1).astype(np.uint8)
 
 
 def _bits_to_values(bits: np.ndarray) -> np.ndarray:
@@ -261,8 +250,9 @@ def _serialize_record(
     vs: np.ndarray,
     colors: Optional[np.ndarray],
 ) -> bytes:
-    header = _scalar_bits(
-        [
+    header = [
+        _field_bits(value, width)
+        for value, width in (
             (int(axis), 2),
             (1 if sign > 0 else 0, 1),
             (1 if terminal else 0, 1),
@@ -271,15 +261,15 @@ def _serialize_record(
             (d - 1, 4),
             (offsets.shape[0], 32),
             (1 if color_flag else 0, 1),
-        ]
-    )
+        )
+    ]
     columns = [_field_bits(offsets, d), _field_bits(us, bit_depth), _field_bits(vs, bit_depth)]
     if color_flag:
         for channel in range(3):
             columns.append(_field_bits(colors[:, channel], 8))
     payload = np.concatenate(columns, axis=1).ravel()
     # packbits zero-pads the final partial byte, which is the record padding
-    return np.packbits(np.concatenate([header, payload])).tobytes()
+    return np.packbits(np.concatenate(header + [payload])).tobytes()
 
 
 def encode(cloud: PointCloud, plan: SlicePlan) -> bytes:
@@ -450,7 +440,7 @@ def _parse_record(
     return record, start + record_bytes
 
 
-def reencode(stream: DecodedStream, theta: Optional[int] = None) -> bytes:
+def reencode(stream: DecodedStream) -> bytes:
     """Serialize a decoded stream back to bytes (identity on valid input)."""
     out = bytearray()
     out += struct.pack(
@@ -458,7 +448,7 @@ def reencode(stream: DecodedStream, theta: Optional[int] = None) -> bytes:
         MAGIC,
         VERSION,
         stream.bit_depth,
-        stream.theta if theta is None else theta,
+        stream.theta,
         stream.overlap,
         len(stream.records),
     )

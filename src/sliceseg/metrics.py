@@ -66,6 +66,8 @@ class CompareConfig:
 
 def _captured_keys(cloud: PointCloud, config: CaptureConfig) -> np.ndarray:
     """Coordinate keys captured by per-component best-plane projection."""
+    if len(cloud) == 0:  # an empty slice band: nothing to label or capture
+        return cloud.coordinate_keys()
     return simulate_capture(cloud, None, config, labeling=label_components(cloud)).coordinate_keys()
 
 

@@ -44,6 +44,10 @@ _SCALAR_DTYPES = {
 _HEADER_END = re.compile(rb"^[ \t\r]*end_header[ \t\r]*\n", re.MULTILINE)
 _COORD_NAMES = ("x", "y", "z")
 _COLOR_NAMES = ("red", "green", "blue")
+# str.split() also splits on the separators \x1c-\x1f, which bytes.split() keeps
+_ASCII_WS = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
+_IS_WS = np.zeros(256, dtype=bool)
+_IS_WS[list(b" \t\n\r\x0b\x0c")] = True
 
 
 def read_ply(data: bytes, bit_depth: Optional[int] = None) -> PointCloud:
@@ -113,17 +117,9 @@ def write_ply(cloud: PointCloud, fmt: str = "ascii") -> bytes:
     header = ("\n".join(lines) + "\n").encode("ascii")
 
     if fmt == "ascii":
-        out = [header]
-        coords = cloud.coords
-        colors = cloud.colors
-        for i in range(len(cloud)):
-            x, y, z = coords[i]
-            if has_color:
-                r, g, b = colors[i]
-                out.append(f"{x} {y} {z} {r} {g} {b}\n".encode("ascii"))
-            else:
-                out.append(f"{x} {y} {z}\n".encode("ascii"))
-        return b"".join(out)
+        table = cloud.coords if not has_color else np.hstack([cloud.coords, cloud.colors])
+        row = "%d %d %d %d %d %d\n" if has_color else "%d %d %d\n"
+        return header + ((row * len(cloud)) % tuple(table.ravel().tolist())).encode("ascii")
 
     fields = [(n, "<f4") for n in _COORD_NAMES]
     if has_color:
@@ -217,38 +213,50 @@ def _parse_header(lines: list[str]):
 
 
 def _read_ascii_body(body: bytes, count: int, props, header_lines: int):
-    text = body.decode("ascii", errors="replace")
-    lines = text.split("\n")
-    rows = []
-    consumed = 0
-    for offset, line in enumerate(lines):
-        if consumed == count:
-            rest = "".join(lines[offset:]).strip()
-            if rest:
-                raise PlyParseError(
-                    f"trailing data after {count} vertices "
-                    f"(line {header_lines + offset + 1})"
-                )
-            break
-        tokens = line.split()
-        if not tokens:
-            continue
-        lineno = header_lines + offset + 1
-        if len(tokens) != len(props):
-            raise PlyParseError(
-                f"expected {len(props)} values, got {len(tokens)} (line {lineno})"
-            )
-        try:
-            rows.append([float(t) for t in tokens])
-        except ValueError:
-            raise PlyParseError(f"non-numeric vertex value (line {lineno})") from None
-        consumed += 1
-    if consumed < count:
+    """Vertex values of an ASCII body, one line per vertex; blank lines skipped.
+
+    Whitespace and line breaks are those of str.split() and str.split("\\n") on
+    the ASCII-decoded text; values are whatever float() accepts.
+    """
+    body = body.translate(_ASCII_WS)
+    raw = np.frombuffer(body, dtype=np.uint8)
+    ws = np.concatenate(([True], _IS_WS[raw]))
+    starts = np.flatnonzero(ws[:-1] & ~ws[1:])
+    newlines = np.flatnonzero(raw == ord("\n"))
+    per_line = np.bincount(np.searchsorted(newlines, starts), minlength=len(newlines) + 1)
+    filled = np.flatnonzero(per_line)  # body line index of each non-blank line
+    lineno = filled + header_lines + 1  # and its line number in the file
+    widths = per_line[filled[:count]]  # values on each vertex line
+    wrong = np.flatnonzero(widths != len(props))
+    good = int(wrong[0]) if wrong.size else len(widths)
+    tokens = body.split()
+    del tokens[good * len(props) :]
+    try:
+        values = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+    except ValueError:
+        bad = next(i for i, t in enumerate(tokens) if not _is_float(t)) // len(props)
+        raise PlyParseError(f"non-numeric vertex value (line {lineno[bad]})") from None
+    if wrong.size:
         raise PlyParseError(
-            f"truncated body: header declares {count} vertices, found {consumed}"
+            f"expected {len(props)} values, got {widths[good]} (line {lineno[good]})"
         )
-    table = np.asarray(rows, dtype=np.float64).reshape(count, len(props))
+    if len(widths) < count:
+        raise PlyParseError(
+            f"truncated body: header declares {count} vertices, found {len(widths)}"
+        )
+    if len(filled) > count:
+        after = lineno[count - 1] + 1 if count else header_lines + 1
+        raise PlyParseError(f"trailing data after {count} vertices (line {after})")
+    table = values.reshape(count, len(props))
     return {name: table[:, i] for i, (name, _) in enumerate(props)}
+
+
+def _is_float(token: bytes) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 def _read_binary_body(body: bytes, count: int, props, body_start: int):

@@ -6,6 +6,9 @@ per-pixel depth dict. Tests freeze expectations against these. The width
 search oracle labels every eligible width on every side, which the
 library's pruned search must match exactly. The capture oracle projects
 one component at a time, which the library's one-pass capture must match.
+The ASCII PLY oracles read and write one vertex line at a time, which the
+library's whole-body reader and writer must match byte for byte and error
+for error.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from sliceseg import (
     slicer,
 )
 from sliceseg.cloud import PLANE_COLS, SIDES, Axis, AxisRange, Side, extract_range
+from sliceseg.ply import PlyParseError
 from sliceseg.slicer import Candidate
 
 def make_cloud(points, colors=None, bit_depth=None) -> PointCloud:
@@ -194,6 +198,55 @@ def oracle_plan_captured(cloud: PointCloud, plan: SlicePlan) -> tuple[int, list[
     single = CaptureConfig("single")
     per_slice = [oracle_captured_keys(sub, single) for _, sub in extract_slices(cloud, plan)]
     return int(np.unique(np.concatenate(per_slice)).shape[0]), [k.shape[0] for k in per_slice]
+
+
+def oracle_read_ascii_body(body: bytes, count: int, props, header_lines: int):
+    """Line-by-line ASCII vertex body reader (same values and errors as ply's)."""
+    text = body.decode("ascii", errors="replace")
+    lines = text.split("\n")
+    rows = []
+    consumed = 0
+    for offset, line in enumerate(lines):
+        if consumed == count:
+            rest = "".join(lines[offset:]).strip()
+            if rest:
+                raise PlyParseError(
+                    f"trailing data after {count} vertices "
+                    f"(line {header_lines + offset + 1})"
+                )
+            break
+        tokens = line.split()
+        if not tokens:
+            continue
+        lineno = header_lines + offset + 1
+        if len(tokens) != len(props):
+            raise PlyParseError(
+                f"expected {len(props)} values, got {len(tokens)} (line {lineno})"
+            )
+        try:
+            rows.append([float(t) for t in tokens])
+        except ValueError:
+            raise PlyParseError(f"non-numeric vertex value (line {lineno})") from None
+        consumed += 1
+    if consumed < count:
+        raise PlyParseError(
+            f"truncated body: header declares {count} vertices, found {consumed}"
+        )
+    table = np.asarray(rows, dtype=np.float64).reshape(count, len(props))
+    return {name: table[:, i] for i, (name, _) in enumerate(props)}
+
+
+def oracle_ascii_body(cloud: PointCloud) -> bytes:
+    """Per-vertex ASCII PLY body, as write_ply(cloud, "ascii") must emit it."""
+    out = []
+    for i in range(len(cloud)):
+        x, y, z = cloud.coords[i]
+        if cloud.colors is not None:
+            r, g, b = cloud.colors[i]
+            out.append(f"{x} {y} {z} {r} {g} {b}\n".encode("ascii"))
+        else:
+            out.append(f"{x} {y} {z}\n".encode("ascii"))
+    return b"".join(out)
 
 
 def slab_plan(cloud: PointCloud, axis: Axis, width: int, overlap: int) -> SlicePlan:

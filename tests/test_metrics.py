@@ -8,18 +8,22 @@ from hypothesis import strategies as st
 from sliceseg import (
     CaptureConfig,
     CompareConfig,
+    SlicePlan,
     SlicerConfig,
+    SliceSpec,
     baseline_loss,
     build_plan,
     compare,
     compute_psi,
+    decode,
+    encode,
     label_components,
     plan_loss,
     render_csv,
     render_json,
     simulate_capture,
 )
-from sliceseg.cloud import Axis
+from sliceseg.cloud import Axis, AxisRange, Side
 from sliceseg.metrics import CSV_HEADER
 from sliceseg.synthetic import gen_synthetic
 
@@ -73,6 +77,26 @@ def test_plan_loss_single_point_terminal():
     single = make_cloud([(3, 3, 3)])
     plan = build_plan(single, SlicerConfig())
     assert plan_loss(single, plan).loss_fraction == 0.0
+
+
+def test_plan_loss_with_an_empty_slice():
+    """A slice whose band holds no points captures none; the others are unaffected."""
+    cloud = make_cloud([(0, 0, 0), (0, 0, 5)])
+    bands = ((0, 1, 1), (1, 3, 0), (3, 6, 1))
+    plan = SlicePlan(
+        config=SlicerConfig(overlap=0),
+        original_size=2,
+        slices=tuple(
+            SliceSpec(index=i, side=Side(Axis.Z, -1), core=AxisRange(Axis.Z, lo, hi),
+                      extended=AxisRange(Axis.Z, lo, hi), point_count=n, psi=0.0,
+                      terminal=i == 2)
+            for i, (lo, hi, n) in enumerate(bands)
+        ),
+    )
+    assert decode(encode(cloud, plan)).cloud.point_set() == cloud.point_set()
+    report = plan_loss(cloud, plan)
+    assert report.captured == 2
+    assert [(s.points, s.captured) for s in report.per_slice] == [(1, 1), (0, 0), (1, 1)]
 
 
 def test_plan_beats_single_layer_baseline(rng):

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceseg import PlyParseError, read_ply, write_ply
+from sliceseg.ply import _read_ascii_body
 from sliceseg.synthetic import gen_synthetic
 
-from conftest import cube_cloud, make_cloud, random_cloud
+from conftest import (
+    cube_cloud,
+    make_cloud,
+    oracle_ascii_body,
+    oracle_read_ascii_body,
+    random_cloud,
+)
 
 
 def ascii_ply(vertices, props=("x", "y", "z"), types=None, count=None):
@@ -162,3 +171,55 @@ def test_comment_mentioning_end_header_does_not_end_it():
         b"ply\n", b"ply\ncomment end_header\n", 1
     )
     assert read_ply(binary).same_points(cube_cloud())
+
+
+NUMBERS = [b"0", b"7", b"-3", b"+12", b"2.5", b".5", b"5.", b"1e3", b"1_0", b"nan", b"-inf",
+           b"1e400", b"255"]
+JUNK = [b"abc", b"1__0", b"_1", b"0x1", b"\xff", b"\xc3\xa9", b"1\x00", b"\xa0", b"\x85"]
+SEPARATORS = [b" ", b"  ", b"\t", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f"]
+_SEPARATORS_AS_SPACE = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
+
+
+@st.composite
+def token_soups(draw):
+    """An ASCII body around `width`-value rows, with odd rows, bytes and counts mixed in."""
+    width = draw(st.sampled_from([1, 3, 6]))
+    token = st.sampled_from(NUMBERS * 6 + JUNK)
+    line = st.tuples(
+        st.lists(token, min_size=width, max_size=width)
+        | st.lists(token, max_size=width + 2),
+        st.lists(st.sampled_from(SEPARATORS), min_size=width + 3, max_size=width + 3),
+    ).map(lambda ts: ts[1][-1] + b"".join(t + sep for t, sep in zip(*ts)))
+    lines = draw(st.lists(line | st.sampled_from([b"", b" ", b"\t\r"]), max_size=10))
+    body = b"".join(ln + draw(st.sampled_from([b"\n", b"\r\n"])) for ln in lines)
+    body += draw(st.sampled_from([b"", b"\n", b" ", b"7 7 7", b"\x1c"]))
+    rows = sum(1 for ln in lines if ln.translate(_SEPARATORS_AS_SPACE).split())
+    count = max(0, rows + draw(st.integers(-2, 2)))
+    return body, count, [(f"p{i}", "<f4") for i in range(width)], draw(st.integers(1, 12))
+
+
+def _outcome(read, body, count, props, header_lines):
+    try:
+        table = read(body, count, props, header_lines)
+    except Exception as err:
+        return type(err), str(err)
+    return {name: (col.dtype.str, col.tobytes()) for name, col in table.items()}
+
+
+@given(token_soups())
+@settings(max_examples=600, deadline=None)
+def test_ascii_body_matches_line_by_line_oracle(soup):
+    """Same arrays, or the same exception type and message, as the per-line reader."""
+    assert _outcome(_read_ascii_body, *soup) == _outcome(oracle_read_ascii_body, *soup)
+
+
+@pytest.mark.parametrize("colored", [False, True])
+@pytest.mark.parametrize("points", [0, 1, 300])
+def test_ascii_write_matches_per_vertex_oracle(colored, points):
+    rng = np.random.default_rng(points)
+    coords = rng.integers(0, 1 << 16, size=(points, 3), dtype=np.int64)
+    colors = rng.integers(0, 256, size=(points, 3), dtype=np.uint8) if colored else None
+    cloud = make_cloud(coords, colors=colors)
+    header, body = write_ply(cloud, "ascii").split(b"end_header\n")
+    assert header.startswith(b"ply\nformat ascii 1.0\n")
+    assert body == oracle_ascii_body(cloud)
