@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -37,13 +37,6 @@ def axis_from_name(name: str) -> Axis:
         return Axis[name.upper()]
     except KeyError:
         raise ValueError(f"unknown axis {name!r}") from None
-
-
-class Point(NamedTuple):
-    x: int
-    y: int
-    z: int
-    color: Optional[tuple[int, int, int]] = None
 
 
 @dataclass(frozen=True)
@@ -94,8 +87,19 @@ class AxisRange:
     def width(self) -> int:
         return self.hi - self.lo
 
-    def contains(self, coord: int) -> bool:
-        return self.lo <= coord < self.hi
+
+# One bit more than a grid coordinate needs: the sparse labeler keys
+# neighbors of coordinates shifted by +1, up to 2^16 + 1, without a carry.
+KEY_FIELD_BITS = MAX_BIT_DEPTH + 1
+
+
+def voxel_keys(a, b, c) -> np.ndarray:
+    """int64 key `a << 34 | b << 17 | c` of non-negative int64 columns (or scalars).
+
+    `b` and `c` must fit 17 bits; `a` may use the remaining 29. Keys are
+    equal exactly when all three columns are, and order by (a, b, c).
+    """
+    return (a << (2 * KEY_FIELD_BITS)) | (b << KEY_FIELD_BITS) | c
 
 
 def min_bit_depth_for(max_coord: int) -> int:
@@ -187,14 +191,6 @@ class PointCloud:
     def __len__(self) -> int:
         return self.coords.shape[0]
 
-    def __iter__(self) -> Iterator[Point]:
-        for i in range(len(self)):
-            x, y, z = (int(v) for v in self.coords[i])
-            color = None
-            if self.colors is not None:
-                color = tuple(int(c) for c in self.colors[i])
-            yield Point(x, y, z, color)
-
     @property
     def bbox(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """(mins, maxs) per axis, or None for an empty cloud."""
@@ -214,7 +210,7 @@ class PointCloud:
     def coordinate_keys(self) -> np.ndarray:
         """int64 key per point, unique per voxel; usable for set operations."""
         c = self.coords.astype(np.int64)
-        return (c[:, 0] << 32) | (c[:, 1] << 16) | c[:, 2]
+        return voxel_keys(c[:, 0], c[:, 1], c[:, 2])
 
     def point_set(self) -> set[tuple[int, int, int]]:
         return {(int(x), int(y), int(z)) for x, y, z in self.coords}
@@ -247,7 +243,7 @@ def _dedup_first(coords: np.ndarray, colors):
     n = coords.shape[0]
     if n == 0:
         return coords, colors, 0
-    keys = (coords[:, 0] << 32) | (coords[:, 1] << 16) | coords[:, 2]
+    keys = voxel_keys(coords[:, 0], coords[:, 1], coords[:, 2])
     _, first_idx = np.unique(keys, return_index=True)
     if first_idx.shape[0] == n:
         return coords, colors, 0

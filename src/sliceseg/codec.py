@@ -6,35 +6,37 @@ instead of the full B bits; the in-plane coordinates stay at B bits. With
 the default 64-voxel max width on a 10-bit grid that cuts the depth field
 from 10 to 6 bits.
 
-Container layout (all multi-byte integers little-endian, bit fields packed
-MSB-first):
-
-    stream header: magic "SWSG" | version u8 | B u8 | theta u16 |
-                   overlap u8 | slice_count u32
-    record header: axis(2) sign(1) terminal(1) base(B) width(7)
-                   d-1(4) point_count(32) color_flag(1)
-    payload:       per point: offset(d) u(B) v(B) [r g b (8 each)],
-                   sorted by (offset, u, v); record padded to a byte.
+A stream is the `_STREAM_HEADER` struct (little-endian) followed by one
+record per slice. A record is a header of `_header_widths` bit fields, then
+per point the `_payload_widths` fields, points sorted by (offset, u, v);
+bit fields are packed MSB-first and each record is zero-padded to a byte.
+Those two tables are the whole record layout: the writer, the parser and
+the bit budget all read them.
 
 The 7-bit width field holds the extended width when it fits (1..127);
 value 0 marks a wide record (terminal residues can span the whole grid)
-whose offsets are bounded by 2^d instead.
+whose offsets are bounded by 2^d instead. Only the canonical form that
+`encode` writes decodes: nonzero padding or color flags that differ
+between records raise a "noncanonical" error.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
-from .cloud import PLANE_COLS, Axis, PointCloud, Side
+from .cloud import PLANE_COLS, Axis, PointCloud
 from .slicer import SlicePlan, SliceSpec, extract_slices
 
 MAGIC = b"SWSG"
 VERSION = 1
-STREAM_HEADER_BYTES = 13
+# magic, version, B, theta, overlap, slice count
+_STREAM_HEADER = struct.Struct("<4sBBHBI")
+STREAM_HEADER_BYTES = _STREAM_HEADER.size
 _MAX_NARROW_WIDTH = 127
 
 
@@ -53,75 +55,29 @@ class EncodeError(ValueError):
     """Slice plan cannot be represented in the container."""
 
 
-class BitWriter:
-    def __init__(self) -> None:
-        self._buf = bytearray()
-        self._acc = 0
-        self._nbits = 0
-
-    def write(self, value: int, nbits: int) -> None:
-        """Append the low `nbits` of value, MSB-first."""
-        if value < 0 or value >> nbits:
-            raise ValueError(f"value {value} does not fit in {nbits} bits")
-        self._acc = (self._acc << nbits) | value
-        self._nbits += nbits
-        while self._nbits >= 8:
-            self._nbits -= 8
-            self._buf.append((self._acc >> self._nbits) & 0xFF)
-        self._acc &= (1 << self._nbits) - 1
-
-    def pad_to_byte(self) -> None:
-        if self._nbits:
-            self.write(0, 8 - self._nbits)
-
-    def getvalue(self) -> bytes:
-        if self._nbits:
-            raise ValueError("bit writer not byte-aligned")
-        return bytes(self._buf)
-
-
-class BitReader:
-    def __init__(self, data: bytes, offset: int = 0) -> None:
-        self._data = data
-        self._byte = offset
-        self._bit = 0
-
-    def read(self, nbits: int) -> int:
-        value = 0
-        remaining = nbits
-        while remaining:
-            if self._byte >= len(self._data):
-                raise EOFError("bitstream exhausted")
-            avail = 8 - self._bit
-            take = min(avail, remaining)
-            chunk = (self._data[self._byte] >> (avail - take)) & ((1 << take) - 1)
-            value = (value << take) | chunk
-            self._bit += take
-            remaining -= take
-            if self._bit == 8:
-                self._bit = 0
-                self._byte += 1
-        return value
-
-    def align_to_byte(self) -> None:
-        if self._bit:
-            self._bit = 0
-            self._byte += 1
-
-    @property
-    def byte_position(self) -> int:
-        return self._byte + (1 if self._bit else 0)
-
-    @property
-    def bits_remaining(self) -> int:
-        return (len(self._data) - self._byte) * 8 - self._bit
-
-
 def offset_bits_for(width: int) -> int:
     """d = ceil(log2(width)), with d = 1 for width 1."""
     if width < 1:
         raise ValueError("width must be >= 1")
     return max(1, (width - 1).bit_length())
+
+
+def _header_widths(bit_depth: int) -> tuple[int, ...]:
+    """Record header fields: axis, sign, terminal, base, width, d-1, point_count, color_flag."""
+    return (2, 1, 1, bit_depth, 7, 4, 32, 1)
+
+
+def _payload_widths(d: int, bit_depth: int, color: bool) -> tuple[int, ...]:
+    """Per-point fields: offset, u, v, then r, g, b with color."""
+    return (d, bit_depth, bit_depth) + ((8, 8, 8) if color else ())
+
+
+def record_header_bits(bit_depth: int) -> int:
+    return sum(_header_widths(bit_depth))
+
+
+def payload_bits_per_point(d: int, bit_depth: int, color: bool) -> int:
+    return sum(_payload_widths(d, bit_depth, color))
 
 
 def _field_bits(values: np.ndarray | int, width: int) -> np.ndarray:
@@ -130,19 +86,13 @@ def _field_bits(values: np.ndarray | int, width: int) -> np.ndarray:
     return ((np.asarray(values, dtype=np.uint64)[..., None] >> shifts) & 1).astype(np.uint8)
 
 
-def _bits_to_values(bits: np.ndarray) -> np.ndarray:
-    """Inverse of _field_bits along the last axis."""
-    width = bits.shape[-1]
-    weights = np.int64(1) << np.arange(width - 1, -1, -1, dtype=np.int64)
-    return bits.astype(np.int64) @ weights
-
-
-def record_header_bits(bit_depth: int) -> int:
-    return 2 + 1 + 1 + bit_depth + 7 + 4 + 32 + 1
-
-
-def payload_bits_per_point(d: int, bit_depth: int, color: bool) -> int:
-    return d + 2 * bit_depth + (24 if color else 0)
+def _split_fields(bits: np.ndarray, widths: tuple[int, ...]) -> list[np.ndarray]:
+    """Values of consecutive fixed-width fields along the last axis; inverse of _field_bits."""
+    values = []
+    for width, end in zip(widths, accumulate(widths)):
+        weights = np.int64(1) << np.arange(width - 1, -1, -1, dtype=np.int64)
+        values.append(bits[..., end - width : end].astype(np.int64) @ weights)
+    return values
 
 
 @dataclass(frozen=True)
@@ -162,16 +112,8 @@ class DecodedRecord:
     colors: Optional[np.ndarray]
 
     @property
-    def side(self) -> Side:
-        return Side(self.axis, self.sign)
-
-    @property
     def point_count(self) -> int:
         return int(self.offsets.shape[0])
-
-    @property
-    def width_bound(self) -> int:
-        return self.width_field if self.width_field else 1 << self.d
 
     def coords(self) -> np.ndarray:
         """(N, 3) global coordinates in stored order."""
@@ -198,30 +140,15 @@ class DecodedStream:
             return PointCloud(np.empty((0, 3), dtype=np.int64), bit_depth=self.bit_depth)
         coords = np.concatenate([r.coords() for r in self.records], axis=0)
         colors = None
-        if all(r.color_flag for r in self.records):
+        if self.records[0].color_flag:  # decode admits one flag for all records
             colors = np.concatenate([r.colors for r in self.records], axis=0)
         return PointCloud(coords, colors, bit_depth=self.bit_depth)
 
-    def plan_echo(self) -> list[dict]:
-        """Per-record slice metadata recoverable from the stream alone."""
-        return [
-            {
-                "index": i,
-                "axis": r.axis.name,
-                "sign": "+" if r.sign > 0 else "-",
-                "base": r.base,
-                "width": r.width_bound,
-                "points": r.point_count,
-                "terminal": r.terminal,
-            }
-            for i, r in enumerate(self.records)
-        ]
 
-
-def _record_fields(spec: SliceSpec, slice_cloud: PointCloud, bit_depth: int):
+def _record(spec: SliceSpec, slice_cloud: PointCloud, bit_depth: int) -> DecodedRecord:
+    """The record encode() writes for one extracted slice."""
     base = spec.extended.lo
     width = spec.extended.width
-    d = offset_bits_for(width)
     if base >= (1 << bit_depth) or spec.extended.hi > (1 << bit_depth):
         raise EncodeError(
             f"slice {spec.index}: range [{spec.extended.lo}, {spec.extended.hi}) "
@@ -231,90 +158,69 @@ def _record_fields(spec: SliceSpec, slice_cloud: PointCloud, bit_depth: int):
     offsets = c[:, spec.side.axis] - base
     if offsets.size and (offsets.min() < 0 or offsets.max() >= width):
         raise EncodeError(f"slice {spec.index}: point outside its extended range")
+    if len(slice_cloud) > 0xFFFFFFFF:
+        raise EncodeError("slice point count exceeds 32 bits")
     u_col, v_col = PLANE_COLS[spec.side.axis]
     order = np.lexsort((c[:, v_col], c[:, u_col], offsets))
-    return base, width, d, offsets[order], c[order][:, u_col], c[order][:, v_col], order
+    color = slice_cloud.colors is not None
+    return DecodedRecord(
+        axis=spec.side.axis,
+        sign=spec.side.sign,
+        terminal=spec.terminal,
+        base=base,
+        width_field=width if width <= _MAX_NARROW_WIDTH else 0,
+        d=offset_bits_for(width),
+        color_flag=color,
+        offsets=offsets[order],
+        us=c[order, u_col],
+        vs=c[order, v_col],
+        colors=slice_cloud.colors[order] if color else None,
+    )
 
 
-def _serialize_record(
-    bit_depth: int,
-    axis: Axis,
-    sign: int,
-    terminal: bool,
-    base: int,
-    width_field: int,
-    d: int,
-    color_flag: bool,
-    offsets: np.ndarray,
-    us: np.ndarray,
-    vs: np.ndarray,
-    colors: Optional[np.ndarray],
-) -> bytes:
-    header = [
-        _field_bits(value, width)
-        for value, width in (
-            (int(axis), 2),
-            (1 if sign > 0 else 0, 1),
-            (1 if terminal else 0, 1),
-            (base, bit_depth),
-            (width_field, 7),
-            (d - 1, 4),
-            (offsets.shape[0], 32),
-            (1 if color_flag else 0, 1),
-        )
+def _serialize_record(bit_depth: int, record: DecodedRecord) -> bytes:
+    header = (
+        int(record.axis),
+        record.sign > 0,
+        record.terminal,
+        record.base,
+        record.width_field,
+        record.d - 1,
+        record.point_count,
+        record.color_flag,
+    )
+    columns = [record.offsets, record.us, record.vs]
+    if record.color_flag:
+        columns += [record.colors[:, channel] for channel in range(3)]
+    header_fields = [
+        _field_bits(value, width) for value, width in zip(header, _header_widths(bit_depth))
     ]
-    columns = [_field_bits(offsets, d), _field_bits(us, bit_depth), _field_bits(vs, bit_depth)]
-    if color_flag:
-        for channel in range(3):
-            columns.append(_field_bits(colors[:, channel], 8))
-    payload = np.concatenate(columns, axis=1).ravel()
+    payload_widths = _payload_widths(record.d, bit_depth, record.color_flag)
+    payload = np.concatenate(
+        [_field_bits(column, width) for column, width in zip(columns, payload_widths)], axis=1
+    ).ravel()
     # packbits zero-pads the final partial byte, which is the record padding
-    return np.packbits(np.concatenate(header + [payload])).tobytes()
+    return np.packbits(np.concatenate(header_fields + [payload])).tobytes()
 
 
 def encode(cloud: PointCloud, plan: SlicePlan) -> bytes:
     """Serialize the plan's slices; decoding recovers the cloud exactly."""
     slices = extract_slices(cloud, plan)
-    bit_depth = cloud.bit_depth
-    color = cloud.colors is not None
     if plan.config.theta > 0xFFFF:
         raise EncodeError("theta does not fit the 16-bit header field")
     if plan.config.overlap > 0xFF:
         raise EncodeError("overlap does not fit the 8-bit header field")
-
-    out = bytearray()
-    out += struct.pack(
-        "<4sBBHBI",
-        MAGIC,
-        VERSION,
-        bit_depth,
-        plan.config.theta,
-        plan.config.overlap,
-        len(slices),
+    records = tuple(
+        _record(spec, slice_cloud, cloud.bit_depth) for spec, slice_cloud in slices
     )
-    for spec, slice_cloud in slices:
-        base, width, d, offsets, us, vs, order = _record_fields(
-            spec, slice_cloud, bit_depth
+    return reencode(
+        DecodedStream(
+            bit_depth=cloud.bit_depth,
+            theta=plan.config.theta,
+            overlap=plan.config.overlap,
+            records=records,
         )
-        width_field = width if width <= _MAX_NARROW_WIDTH else 0
-        if len(slice_cloud) > 0xFFFFFFFF:
-            raise EncodeError("slice point count exceeds 32 bits")
-        colors = slice_cloud.colors[order] if color else None
-        out += _serialize_record(
-            bit_depth,
-            spec.side.axis,
-            spec.side.sign,
-            spec.terminal,
-            base,
-            width_field,
-            d,
-            color,
-            offsets,
-            us,
-            vs,
-            colors,
-        )
-    return bytes(out)
+    )
 
 
 def decode(data: bytes) -> DecodedStream:
@@ -323,9 +229,7 @@ def decode(data: bytes) -> DecodedStream:
         raise DecodeError("bad magic", "bad magic: not an SWSG stream")
     if len(data) < STREAM_HEADER_BYTES:
         raise DecodeError("truncated", "truncated stream header")
-    _, version, bit_depth, theta, overlap, slice_count = struct.unpack(
-        "<4sBBHBI", data[:STREAM_HEADER_BYTES]
-    )
+    _, version, bit_depth, theta, overlap, slice_count = _STREAM_HEADER.unpack_from(data)
     if version != VERSION:
         raise DecodeError(
             "unsupported version", f"unsupported version {version} (expected {VERSION})"
@@ -335,14 +239,23 @@ def decode(data: bytes) -> DecodedStream:
 
     position = STREAM_HEADER_BYTES
     records = []
+    zero_padded = []
     for index in range(slice_count):
-        record, position = _parse_record(data, position, index, bit_depth)
+        record, position, clean = _parse_record(data, position, index, bit_depth)
         records.append(record)
+        zero_padded.append(clean)
     if position != len(data):
         raise DecodeError(
             "trailing bytes",
             f"{len(data) - position} trailing bytes after {slice_count} records",
         )
+    # canonical form is checked once the stream parses, so a malformed
+    # stream reports its structural error first
+    for index, (record, clean) in enumerate(zip(records, zero_padded)):
+        if record.color_flag != records[0].color_flag:
+            raise DecodeError("noncanonical", "color flag differs from record 0", index)
+        if not clean:
+            raise DecodeError("noncanonical", "nonzero padding bits", index)
     return DecodedStream(
         bit_depth=bit_depth, theta=theta, overlap=overlap, records=tuple(records)
     )
@@ -350,22 +263,23 @@ def decode(data: bytes) -> DecodedStream:
 
 def _parse_record(
     data: bytes, start: int, index: int, bit_depth: int
-) -> tuple[DecodedRecord, int]:
-    reader = BitReader(data, start)
-    try:
-        axis_code = reader.read(2)
-        if axis_code > 2:
-            raise DecodeError("invalid record", "axis code out of range", index)
-        axis = Axis(axis_code)
-        sign = 1 if reader.read(1) else -1
-        terminal = bool(reader.read(1))
-        base = reader.read(bit_depth)
-        width_field = reader.read(7)
-        d = reader.read(4) + 1
-        count = reader.read(32)
-        color_flag = bool(reader.read(1))
-    except EOFError:
-        raise DecodeError("truncated", "stream ends mid-record", index) from None
+) -> tuple[DecodedRecord, int, bool]:
+    """The record at byte `start`, the next record's start, and whether its padding is zero."""
+    header_widths = _header_widths(bit_depth)
+    header_bits = sum(header_widths)
+    head = data[start : start + (header_bits + 7) // 8]
+    # a stream reader meets the 2-bit axis code before the end of the header
+    if head and head[0] >> 6 > 2:
+        raise DecodeError("invalid record", "axis code out of range", index)
+    if len(head) * 8 < header_bits:
+        raise DecodeError("truncated", "stream ends mid-record", index)
+    axis_code, sign, terminal, base, width_field, d_minus_1, count, color_flag = (
+        int(value)
+        for value in _split_fields(
+            np.unpackbits(np.frombuffer(head, dtype=np.uint8))[:header_bits], header_widths
+        )
+    )
+    d = d_minus_1 + 1
 
     if width_field:
         if d != offset_bits_for(width_field):
@@ -379,8 +293,8 @@ def _parse_record(
                 "invalid record", "slice range exceeds the coordinate grid", index
             )
 
-    header_bits = record_header_bits(bit_depth)
-    per_point = payload_bits_per_point(d, bit_depth, color_flag)
+    payload_widths = _payload_widths(d, bit_depth, bool(color_flag))
+    per_point = sum(payload_widths)
     total_bits = header_bits + count * per_point
     record_bytes = (total_bits + 7) // 8
     if start + record_bytes > len(data):
@@ -393,28 +307,14 @@ def _parse_record(
     bits = np.unpackbits(
         np.frombuffer(data, dtype=np.uint8, count=record_bytes, offset=start)
     )
-    payload = bits[header_bits : header_bits + count * per_point].reshape(
-        count, per_point
+    offsets, us, vs, *channels = _split_fields(
+        bits[header_bits:total_bits].reshape(count, per_point), payload_widths
     )
-    pos = 0
-    offsets = _bits_to_values(payload[:, pos : pos + d])
-    pos += d
-    us = _bits_to_values(payload[:, pos : pos + bit_depth])
-    pos += bit_depth
-    vs = _bits_to_values(payload[:, pos : pos + bit_depth])
-    pos += bit_depth
-    colors = None
-    if color_flag:
-        colors = np.empty((count, 3), dtype=np.uint8)
-        for channel in range(3):
-            colors[:, channel] = _bits_to_values(payload[:, pos : pos + 8])
-            pos += 8
 
     if width_field and offsets.size and int(offsets.max()) >= width_field:
-        bad = int(offsets.argmax())
         raise DecodeError(
             "offset out of range",
-            f"offset {int(offsets[bad])} >= slice width {width_field}",
+            f"offset {int(offsets.max())} >= slice width {width_field}",
             index,
         )
     if offsets.size and base + int(offsets.max()) >= (1 << bit_depth):
@@ -425,49 +325,35 @@ def _parse_record(
         )
 
     record = DecodedRecord(
-        axis=axis,
-        sign=sign,
-        terminal=terminal,
+        axis=Axis(axis_code),
+        sign=1 if sign else -1,
+        terminal=bool(terminal),
         base=base,
         width_field=width_field,
         d=d,
-        color_flag=color_flag,
+        color_flag=bool(color_flag),
         offsets=offsets,
         us=us,
         vs=vs,
-        colors=colors,
+        colors=np.stack(channels, axis=1).astype(np.uint8) if color_flag else None,
     )
-    return record, start + record_bytes
+    return record, start + record_bytes, not bits[total_bits:].any()
 
 
 def reencode(stream: DecodedStream) -> bytes:
     """Serialize a decoded stream back to bytes (identity on valid input)."""
-    out = bytearray()
-    out += struct.pack(
-        "<4sBBHBI",
-        MAGIC,
-        VERSION,
-        stream.bit_depth,
-        stream.theta,
-        stream.overlap,
-        len(stream.records),
-    )
-    for rec in stream.records:
-        out += _serialize_record(
+    out = [
+        _STREAM_HEADER.pack(
+            MAGIC,
+            VERSION,
             stream.bit_depth,
-            rec.axis,
-            rec.sign,
-            rec.terminal,
-            rec.base,
-            rec.width_field,
-            rec.d,
-            rec.color_flag,
-            rec.offsets,
-            rec.us,
-            rec.vs,
-            rec.colors,
+            stream.theta,
+            stream.overlap,
+            len(stream.records),
         )
-    return bytes(out)
+    ]
+    out += [_serialize_record(stream.bit_depth, record) for record in stream.records]
+    return b"".join(out)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from scipy import ndimage
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _graph_components
 
-from .cloud import PLANE_COLS, Axis, PointCloud
+from .cloud import KEY_FIELD_BITS, PLANE_COLS, Axis, PointCloud, voxel_keys
 
 # Dense labeling scans every grid cell; the sparse path scales with point
 # count instead. Crossover measured around 60 cells per point; the absolute
@@ -115,7 +115,7 @@ def _label_dense(coords: np.ndarray, mins: np.ndarray, extents: np.ndarray) -> n
 def _label_sparse(coords: np.ndarray) -> np.ndarray:
     n = coords.shape[0]
     c = coords.astype(np.int64) + 1  # guard against -1 underflow in keys
-    keys = (c[:, 0] << 34) | (c[:, 1] << 17) | c[:, 2]
+    keys = voxel_keys(c[:, 0], c[:, 1], c[:, 2])
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
 
@@ -123,7 +123,7 @@ def _label_sparse(coords: np.ndarray) -> np.ndarray:
     dst_list = []
     for off in _HALF_OFFSETS:
         nb = c + off
-        nb_keys = (nb[:, 0] << 34) | (nb[:, 1] << 17) | nb[:, 2]
+        nb_keys = voxel_keys(nb[:, 0], nb[:, 1], nb[:, 2])
         pos = np.searchsorted(sorted_keys, nb_keys)
         pos = np.clip(pos, 0, n - 1)
         hit = sorted_keys[pos] == nb_keys
@@ -159,7 +159,7 @@ def projected_area(cloud: PointCloud, axis: Axis) -> int:
         raise ValueError("projected_area of an empty cloud")
     u, v = PLANE_COLS[axis]
     c = cloud.coords.astype(np.int64)
-    keys = (c[:, u] << 16) | c[:, v]
+    keys = voxel_keys(0, c[:, u], c[:, v])
     return int(np.unique(keys).shape[0])
 
 
@@ -193,8 +193,10 @@ def _plane_areas(
     axes = np.array([axis] if axis is not None else _AXES)
     per_axis = []
     for u, v in PLANE_COLS[axes]:
-        keys = (labels << 34) | (c[:, u] << 17) | c[:, v]
-        per_axis.append(np.bincount(np.unique(keys) >> 34, minlength=labeling.count))
+        keys = voxel_keys(labels, c[:, u], c[:, v])
+        per_axis.append(
+            np.bincount(np.unique(keys) >> (2 * KEY_FIELD_BITS), minlength=labeling.count)
+        )
     stacked = np.stack(per_axis)
     best = np.argmax(stacked, axis=0)  # first max wins: ties go X < Y < Z
     return axes[best], stacked[best, np.arange(labeling.count)]
@@ -242,7 +244,7 @@ def simulate_capture(
         axis = _plane_areas(cloud, labeling, None)[0][labeling.labels]
     rows = np.arange(len(cloud))
     u, v = PLANE_COLS[axis].T
-    pix = (label << 34) | (c[rows, u] << 17) | c[rows, v]
+    pix = voxel_keys(label, c[rows, u], c[rows, v])
     # voxels are unique, so points sharing a pixel always differ in depth;
     # nearest/farthest per pixel need no tie-breaking
     depth = -sign * c[rows, axis]

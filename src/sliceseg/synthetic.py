@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, _dedup_first
 
 KINDS = ("plane", "cube", "sphere-shell", "folded-sheet", "uniform-random")
 
@@ -133,18 +133,11 @@ def _uniform_random(extent: int, count: int, seed: int) -> PointCloud:
     rng = np.random.default_rng(seed)
     # Oversample, then dedup to the requested count; coordinates stay unique.
     coords = rng.integers(0, extent, size=(count * 2 + 16, 3), dtype=np.int64)
-    keys = (coords[:, 0] << 32) | (coords[:, 1] << 16) | coords[:, 2]
-    _, first_idx = np.unique(keys, return_index=True)
-    first_idx.sort()
-    unique = coords[first_idx]
+    unique = _dedup_first(coords, None)[0]
     attempts = 0
     while unique.shape[0] < count and attempts < 32:
         extra = rng.integers(0, extent, size=(count, 3), dtype=np.int64)
-        merged = np.concatenate([unique, extra], axis=0)
-        keys = (merged[:, 0] << 32) | (merged[:, 1] << 16) | merged[:, 2]
-        _, first_idx = np.unique(keys, return_index=True)
-        first_idx.sort()
-        unique = merged[first_idx]
+        unique = _dedup_first(np.concatenate([unique, extra], axis=0), None)[0]
         attempts += 1
     if unique.shape[0] < count:
         raise ValueError(

@@ -8,18 +8,24 @@ library's pruned search must match exactly. The capture oracle projects
 one component at a time, which the library's one-pass capture must match.
 The ASCII PLY oracles read and write one vertex line at a time, which the
 library's whole-body reader and writer must match byte for byte and error
-for error.
+for error. The SWSG oracle reads a stream one field at a time with a
+sequential bit reader, which the library's table-driven decoder must match
+record for record and error for error on every canonical stream.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sliceseg import (
     CaptureConfig,
+    DecodedStream,
+    DecodeError,
     PointCloud,
     SlicePlan,
     SliceSpec,
@@ -31,8 +37,15 @@ from sliceseg import (
     slicer,
 )
 from sliceseg.cloud import PLANE_COLS, SIDES, Axis, AxisRange, Side, extract_range
+from sliceseg.codec import DecodedRecord
 from sliceseg.ply import PlyParseError
 from sliceseg.slicer import Candidate
+
+# Property tests draw the same examples on every run, independent of the
+# local example database; each test keeps its own max_examples.
+settings.register_profile("sliceseg", derandomize=True, deadline=None)
+settings.load_profile("sliceseg")
+
 
 def make_cloud(points, colors=None, bit_depth=None) -> PointCloud:
     return PointCloud(np.asarray(list(points), dtype=np.int64).reshape(-1, 3),
@@ -247,6 +260,114 @@ def oracle_ascii_body(cloud: PointCloud) -> bytes:
         else:
             out.append(f"{x} {y} {z}\n".encode("ascii"))
     return b"".join(out)
+
+
+def read_bits(data: bytes, bit_offset: int, nbits: int) -> int:
+    """The `nbits` bits of `data` from bit `bit_offset` on, MSB first, as an integer."""
+    end = bit_offset + nbits
+    if (end + 7) // 8 > len(data):
+        raise EOFError("bitstream exhausted")
+    chunk = int.from_bytes(data[bit_offset // 8 : (end + 7) // 8], "big")
+    return (chunk >> (-end % 8)) & ((1 << nbits) - 1)
+
+
+class _SequentialBits:
+    def __init__(self, data: bytes, start: int) -> None:
+        self.data = data
+        self.bit = start * 8
+
+    def read(self, nbits: int) -> int:
+        value = read_bits(self.data, self.bit, nbits)
+        self.bit += nbits
+        return value
+
+
+def oracle_decode(data: bytes) -> DecodedStream:
+    """Field-by-field SWSG parser; same records and errors as `decode` on canonical streams.
+
+    It checks no canonical form: nonzero padding and mixed color flags
+    pass here, where `decode` raises a "noncanonical" error.
+    """
+    if len(data) < 4 or data[:4] != b"SWSG":
+        raise DecodeError("bad magic", "bad magic: not an SWSG stream")
+    if len(data) < 13:
+        raise DecodeError("truncated", "truncated stream header")
+    _, version, bit_depth, theta, overlap, slice_count = struct.unpack("<4sBBHBI", data[:13])
+    if version != 1:
+        raise DecodeError("unsupported version", f"unsupported version {version} (expected 1)")
+    if not (8 <= bit_depth <= 16):
+        raise DecodeError("invalid header", f"bit depth {bit_depth} out of range")
+    position = 13
+    records = []
+    for index in range(slice_count):
+        record, position = _oracle_record(data, position, index, bit_depth)
+        records.append(record)
+    if position != len(data):
+        raise DecodeError(
+            "trailing bytes",
+            f"{len(data) - position} trailing bytes after {slice_count} records",
+        )
+    return DecodedStream(bit_depth=bit_depth, theta=theta, overlap=overlap, records=tuple(records))
+
+
+def _oracle_record(data: bytes, start: int, index: int, bit_depth: int):
+    reader = _SequentialBits(data, start)
+    try:
+        axis_code = reader.read(2)
+        if axis_code > 2:
+            raise DecodeError("invalid record", "axis code out of range", index)
+        sign = 1 if reader.read(1) else -1
+        terminal = bool(reader.read(1))
+        base = reader.read(bit_depth)
+        width_field = reader.read(7)
+        d = reader.read(4) + 1
+        count = reader.read(32)
+        color_flag = bool(reader.read(1))
+    except EOFError:
+        raise DecodeError("truncated", "stream ends mid-record", index) from None
+
+    if width_field:
+        if d != max(1, (width_field - 1).bit_length()):
+            raise DecodeError(
+                "invalid record", f"offset bits {d} inconsistent with width {width_field}", index
+            )
+        if base + width_field > (1 << bit_depth):
+            raise DecodeError("invalid record", "slice range exceeds the coordinate grid", index)
+
+    widths = [d, bit_depth, bit_depth] + ([8, 8, 8] if color_flag else [])
+    end = (reader.bit + count * sum(widths) + 7) // 8
+    if end > len(data):
+        raise DecodeError(
+            "truncated", f"record claims {count} points but the stream is shorter", index
+        )
+    rows = np.array([[reader.read(w) for w in widths] for _ in range(count)],
+                    dtype=np.int64).reshape(count, len(widths))
+    offsets, us, vs = rows[:, 0], rows[:, 1], rows[:, 2]
+
+    if width_field and offsets.size and int(offsets.max()) >= width_field:
+        raise DecodeError(
+            "offset out of range", f"offset {int(offsets.max())} >= slice width {width_field}", index
+        )
+    if offsets.size and base + int(offsets.max()) >= (1 << bit_depth):
+        raise DecodeError(
+            "offset out of range",
+            f"offset {int(offsets.max())} pushes coordinate past the grid",
+            index,
+        )
+    record = DecodedRecord(
+        axis=Axis(axis_code),
+        sign=sign,
+        terminal=terminal,
+        base=base,
+        width_field=width_field,
+        d=d,
+        color_flag=color_flag,
+        offsets=offsets,
+        us=us,
+        vs=vs,
+        colors=rows[:, 3:].astype(np.uint8) if color_flag else None,
+    )
+    return record, end
 
 
 def slab_plan(cloud: PointCloud, axis: Axis, width: int, overlap: int) -> SlicePlan:

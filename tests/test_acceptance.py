@@ -39,10 +39,10 @@ from sliceseg import (
 )
 from sliceseg.cli import main as cli_main
 from sliceseg.cloud import Axis, AxisRange, PointCloud, Side, extract_range, remove_range
-from sliceseg.codec import BitReader, STREAM_HEADER_BYTES, offset_bits_for, record_header_bits
+from sliceseg.codec import STREAM_HEADER_BYTES, offset_bits_for, record_header_bits
 from sliceseg.synthetic import gen_synthetic
 
-from conftest import brute_best_plane, brute_capture, make_cloud
+from conftest import brute_best_plane, brute_capture, make_cloud, read_bits
 
 
 def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -159,9 +159,9 @@ def test_c4_delta_example_fidelity():
     plan = SlicePlan(SlicerConfig(theta=64, overlap=0), 1, (spec,))
     stream = encode(cloud, plan)
 
-    reader = BitReader(stream, STREAM_HEADER_BYTES)
-    reader.read(record_header_bits(10))
-    stored_offset = reader.read(offset_bits_for(30))
+    stored_offset = read_bits(
+        stream, STREAM_HEADER_BYTES * 8 + record_header_bits(10), offset_bits_for(30)
+    )
 
     ds = decode(stream)
     ok = (

@@ -1,7 +1,10 @@
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceseg import (
     DecodeError,
@@ -17,16 +20,10 @@ from sliceseg import (
     reencode,
 )
 from sliceseg.cloud import Axis, AxisRange, PointCloud, Side
-from sliceseg.codec import (
-    BitReader,
-    BitWriter,
-    STREAM_HEADER_BYTES,
-    offset_bits_for,
-    record_header_bits,
-)
+from sliceseg.codec import STREAM_HEADER_BYTES, offset_bits_for, record_header_bits
 from sliceseg.synthetic import gen_synthetic
 
-from conftest import cube_cloud, make_cloud, random_cloud
+from conftest import cube_cloud, make_cloud, oracle_decode, random_cloud, read_bits
 
 
 def single_slice_plan(cloud, axis, lo, hi, theta=64, overlap=0):
@@ -46,35 +43,6 @@ def single_slice_plan(cloud, axis, lo, hi, theta=64, overlap=0):
         original_size=len(cloud),
         slices=(spec,),
     )
-
-
-class TestBitIO:
-    def test_round_trip_mixed_widths(self):
-        w = BitWriter()
-        values = [(5, 3), (1, 1), (1023, 10), (0, 7), (77, 12)]
-        for value, nbits in values:
-            w.write(value, nbits)
-        w.pad_to_byte()
-        r = BitReader(w.getvalue())
-        for value, nbits in values:
-            assert r.read(nbits) == value
-
-    def test_msb_first_packing(self):
-        w = BitWriter()
-        w.write(0b1, 1)
-        w.write(0b0000000, 7)
-        assert w.getvalue() == b"\x80"
-
-    def test_overflow_rejected(self):
-        w = BitWriter()
-        with pytest.raises(ValueError):
-            w.write(8, 3)
-
-    def test_reader_exhaustion(self):
-        r = BitReader(b"\xff")
-        r.read(8)
-        with pytest.raises(EOFError):
-            r.read(1)
 
 
 class TestOffsetBits:
@@ -100,10 +68,8 @@ class TestDeltaExample:
         stream = encode(cloud, plan)
 
         # record header then the first payload field is the 5-bit offset
-        r = BitReader(stream, STREAM_HEADER_BYTES)
-        r.read(record_header_bits(10))
         assert offset_bits_for(30) == 5
-        assert r.read(5) == 8
+        assert read_bits(stream, STREAM_HEADER_BYTES * 8 + record_header_bits(10), 5) == 8
 
         ds = decode(stream)
         assert ds.records[0].base == 220
@@ -220,6 +186,17 @@ class TestDecodeErrors:
         assert e.value.kind == "truncated"
         assert e.value.record_index is not None
 
+    def test_axis_code_checked_before_short_record_header(self):
+        stream = self.make_stream()
+        head = STREAM_HEADER_BYTES + 1
+        with pytest.raises(DecodeError, match="mid-record") as e:
+            decode(stream[:head])
+        assert (e.value.kind, e.value.record_index) == ("truncated", 0)
+        bad_axis = stream[:STREAM_HEADER_BYTES] + bytes([stream[STREAM_HEADER_BYTES] | 0xC0])
+        with pytest.raises(DecodeError, match="axis code") as e:
+            decode(bad_axis)
+        assert (e.value.kind, e.value.record_index) == ("invalid record", 0)
+
     def test_truncated_header(self):
         with pytest.raises(DecodeError, match="truncated"):
             decode(b"SWSG\x01")
@@ -255,6 +232,107 @@ class TestDecodeErrors:
         with pytest.raises(DecodeError, match="inconsistent") as e:
             decode(bytes(stream))
         assert e.value.kind == "invalid record"
+
+
+class TestNoncanonicalStreams:
+    def golden_like_stream(self):
+        plan = build_plan(cube_cloud(), SlicerConfig(theta=64, overlap=0))
+        return encode(cube_cloud(), plan)
+
+    def test_nonzero_padding_rejected(self):
+        # record 0 is 58 header bits + 4 points x 21 bits: bytes 13..30, 2 pad bits
+        stream = bytearray(self.golden_like_stream())
+        assert stream[30] & 0b11 == 0
+        stream[30] |= 1
+        assert oracle_decode(bytes(stream)) is not None  # the layout alone admits it
+        with pytest.raises(DecodeError, match="padding") as e:
+            decode(bytes(stream))
+        assert (e.value.kind, e.value.record_index) == ("noncanonical", 0)
+
+    def test_mixed_color_flags_rejected(self):
+        ds = decode(self.golden_like_stream())
+        colored = dataclasses.replace(
+            ds.records[0],
+            color_flag=True,
+            colors=np.full((ds.records[0].point_count, 3), 7, dtype=np.uint8),
+        )
+        mixed = reencode(dataclasses.replace(ds, records=(colored, ds.records[1])))
+        assert [r.color_flag for r in oracle_decode(mixed).records] == [True, False]
+        with pytest.raises(DecodeError, match="color flag") as e:
+            decode(mixed)
+        assert (e.value.kind, e.value.record_index) == ("noncanonical", 1)
+
+    def test_structural_error_reported_before_noncanonical(self):
+        stream = bytearray(self.golden_like_stream())
+        stream[30] |= 1
+        with pytest.raises(DecodeError) as e:
+            decode(bytes(stream) + b"\x00")
+        assert e.value.kind == "trailing bytes"
+
+
+def _record_tuple(rec):
+    colors = None if rec.colors is None else rec.colors.tolist()
+    return (rec.axis, rec.sign, rec.terminal, rec.base, rec.width_field, rec.d,
+            rec.color_flag, rec.offsets.tolist(), rec.us.tolist(), rec.vs.tolist(), colors)
+
+
+def _stream_tuple(ds):
+    return ds.bit_depth, ds.theta, ds.overlap, [_record_tuple(r) for r in ds.records]
+
+
+def _first_noncanonical_record(data, ds):
+    """Index of the first record whose color flag or padding encode would not write."""
+    position = STREAM_HEADER_BYTES
+    for index, rec in enumerate(ds.records):
+        canonical = reencode(dataclasses.replace(ds, records=(rec,)))[STREAM_HEADER_BYTES:]
+        if rec.color_flag != ds.records[0].color_flag:
+            return index
+        if data[position : position + len(canonical)] != canonical:
+            return index
+        position += len(canonical)
+    return None
+
+
+@st.composite
+def mutated_streams(draw):
+    """An encoded stream cut short or with 1-4 bits flipped."""
+    bit_depth = draw(st.sampled_from([10, 12]))
+    extent = draw(st.sampled_from([6, 24, 1 << bit_depth]))
+    count = draw(st.integers(1, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coords = rng.integers(0, extent, size=(count, 3))
+    colors = rng.integers(0, 256, size=(count, 3)) if draw(st.booleans()) else None
+    cloud = PointCloud(coords, colors=colors, bit_depth=bit_depth)
+    plan = build_plan(cloud, SlicerConfig(overlap=draw(st.integers(0, 2))))
+    stream = encode(cloud, plan)
+    if draw(st.booleans()):
+        return stream[: draw(st.integers(0, len(stream) - 1))]
+    data = bytearray(stream)
+    for bit in draw(st.lists(st.integers(0, len(stream) * 8 - 1), min_size=1, max_size=4)):
+        data[bit // 8] ^= 0x80 >> (bit % 8)
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_streams())
+def test_decode_matches_field_by_field_oracle(data):
+    try:
+        want = oracle_decode(data)
+    except DecodeError as expected:
+        with pytest.raises(DecodeError) as e:
+            decode(data)
+        got = (type(e.value), e.value.kind, e.value.record_index, str(e.value))
+        assert got == (type(expected), expected.kind, expected.record_index, str(expected))
+        return
+    bad = _first_noncanonical_record(data, want)
+    if bad is not None:
+        with pytest.raises(DecodeError) as e:
+            decode(data)
+        assert (e.value.kind, e.value.record_index) == ("noncanonical", bad)
+        return
+    got = decode(data)
+    assert _stream_tuple(got) == _stream_tuple(want)
+    assert reencode(got) == data
 
 
 class TestEncodeErrors:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,19 @@ def test_folded_sheet_determinism():
     assert a.same_points(b)
     c = gen_synthetic("folded-sheet", params, seed=8)
     assert not a.same_points(c)
+
+
+@pytest.mark.parametrize(
+    "extent, count, seed, digest",
+    [
+        (48, 1000, 1, "79c9ee77c441edb9a80b072dd8ddf8f687beef9646770d22fdb7483049f2212b"),
+        # 1016 draws over 512 cells leave fewer than 500 unique: runs the retry loop
+        (8, 500, 3, "345c1eeee7a7c81898df5180f7fe6d31c137e3c06745db31dd0a240a73c0cf05"),
+    ],
+)
+def test_uniform_random_points_pinned(extent, count, seed, digest):
+    cloud = gen_synthetic("uniform-random", {"extent": extent, "count": count}, seed=seed)
+    assert hashlib.sha256(cloud.coords.tobytes()).hexdigest() == digest
 
 
 def test_folded_sheet_is_connected_and_multivalued():
