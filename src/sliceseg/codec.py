@@ -16,8 +16,10 @@ the bit budget all read them.
 The 7-bit width field holds the extended width when it fits (1..127);
 value 0 marks a wide record (terminal residues can span the whole grid)
 whose offsets are bounded by 2^d instead. Only the canonical form that
-`encode` writes decodes: nonzero padding or color flags that differ
-between records raise a "noncanonical" error.
+`encode` writes decodes: nonzero padding, color flags that differ between
+records, points out of strictly increasing (offset, u, v) order (so also
+repeated points) and a terminal flag on any record but the last raise a
+"noncanonical" error.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cloud import PLANE_COLS, Axis, PointCloud
+from .cloud import PLANE_COLS, Axis, PointCloud, voxel_keys
 from .slicer import SlicePlan, SliceSpec, extract_slices
 
 MAGIC = b"SWSG"
@@ -205,6 +207,8 @@ def _serialize_record(bit_depth: int, record: DecodedRecord) -> bytes:
 
 def encode(cloud: PointCloud, plan: SlicePlan) -> bytes:
     """Serialize the plan's slices; decoding recovers the cloud exactly."""
+    if any(spec.terminal for spec in plan.slices[:-1]):
+        raise EncodeError("only the last slice may be terminal")
     slices = extract_slices(cloud, plan)
     if plan.config.theta > 0xFFFF:
         raise EncodeError("theta does not fit the 16-bit header field")
@@ -256,6 +260,12 @@ def decode(data: bytes) -> DecodedStream:
             raise DecodeError("noncanonical", "color flag differs from record 0", index)
         if not clean:
             raise DecodeError("noncanonical", "nonzero padding bits", index)
+        if (np.diff(voxel_keys(record.offsets, record.us, record.vs)) <= 0).any():
+            raise DecodeError(
+                "noncanonical", "points not in strictly increasing (offset, u, v) order", index
+            )
+        if record.terminal and index < len(records) - 1:
+            raise DecodeError("noncanonical", "terminal flag on a record before the last", index)
     return DecodedStream(
         bit_depth=bit_depth, theta=theta, overlap=overlap, records=tuple(records)
     )

@@ -13,15 +13,17 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components as _graph_components
 
 from .cloud import KEY_FIELD_BITS, PLANE_COLS, Axis, PointCloud, voxel_keys
 
 # Dense labeling scans every grid cell; the sparse path scales with point
-# count instead. Crossover measured around 60 cells per point; the absolute
-# cap bounds the dense grid's memory. Both produce identical components.
+# count instead. The absolute cap bounds the dense grid's memory. Both
+# produce identical components. Crossover against the union-find sparse
+# path (1k-20k points, 2-core x86): uniform-random clouds label faster
+# sparse from about 30-40 cells per point, while a 50k-point sphere shell
+# at 41 still labels faster dense (31 vs 40 ms). Planning the benchmark's
+# plan-suite took the same time within noise for every value from 20 to
+# 90, so the value stays at 60.
 _DENSE_CELL_LIMIT = 16_000_000
 _DENSE_CELLS_PER_POINT = 60
 
@@ -39,6 +41,9 @@ _HALF_OFFSETS = np.array(
     ],
     dtype=np.int64,
 )
+# The same offsets as voxel key differences: adding one to a key moves the
+# voxel by (dx, dy, dz) while every field stays in 0..2^17-1.
+_HALF_KEY_STEPS = _HALF_OFFSETS @ (voxel_keys(1, 0, 0), voxel_keys(0, 1, 0), 1)
 
 
 @dataclass(frozen=True)
@@ -104,6 +109,8 @@ def label_components(cloud: PointCloud) -> ComponentLabeling:
 
 
 def _label_dense(coords: np.ndarray, mins: np.ndarray, extents: np.ndarray) -> np.ndarray:
+    from scipy import ndimage  # deferred: commands that never label skip loading scipy
+
     grid = np.zeros(tuple(int(e) for e in extents), dtype=np.uint8)
     shifted = coords - mins
     idx = (shifted[:, 0], shifted[:, 1], shifted[:, 2])
@@ -114,32 +121,41 @@ def _label_dense(coords: np.ndarray, mins: np.ndarray, extents: np.ndarray) -> n
 
 def _label_sparse(coords: np.ndarray) -> np.ndarray:
     n = coords.shape[0]
-    c = coords.astype(np.int64) + 1  # guard against -1 underflow in keys
+    c = coords.astype(np.int64) + 1  # neighbor fields stay in 0..2^16+1: no borrow or carry
     keys = voxel_keys(c[:, 0], c[:, 1], c[:, 2])
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
 
     src_list = []
     dst_list = []
-    for off in _HALF_OFFSETS:
-        nb = c + off
-        nb_keys = voxel_keys(nb[:, 0], nb[:, 1], nb[:, 2])
-        pos = np.searchsorted(sorted_keys, nb_keys)
-        pos = np.clip(pos, 0, n - 1)
-        hit = sorted_keys[pos] == nb_keys
-        if hit.any():
-            src_list.append(np.flatnonzero(hit))
+    for step in _HALF_KEY_STEPS.tolist():
+        nb_keys = sorted_keys + step  # sorted queries keep searchsorted cache-friendly
+        pos = np.minimum(np.searchsorted(sorted_keys, nb_keys), n - 1)
+        hit = np.flatnonzero(sorted_keys[pos] == nb_keys)
+        if hit.size:
+            src_list.append(order[hit])
             dst_list.append(order[pos[hit]])
 
+    parent = np.arange(n, dtype=np.int64)
     if not src_list:
-        return np.arange(n, dtype=np.int64)
+        return parent
     src = np.concatenate(src_list)
     dst = np.concatenate(dst_list)
-    graph = coo_matrix(
-        (np.ones(src.shape[0], dtype=np.int8), (src, dst)), shape=(n, n)
-    )
-    _, raw = _graph_components(graph, directed=False)
-    return raw.astype(np.int64)
+    # Hook-and-jump union-find (Shiloach-Vishkin style): every pointer goes
+    # to a smaller index, so each tree's root is its component's first point.
+    while src.size:
+        a, b = parent[src], parent[dst]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        joined = parent[src] != parent[dst]
+        src, dst = src[joined], dst[joined]
+    # roots to 0..k-1, in index order
+    is_root = parent == np.arange(n)
+    return (np.cumsum(is_root) - 1)[parent]
 
 
 def _relabel_first_occurrence(raw: np.ndarray) -> tuple[np.ndarray, int]:

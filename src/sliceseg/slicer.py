@@ -366,35 +366,48 @@ def plan_to_json(plan: SlicePlan) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _int_field(doc: dict, key: str) -> int:
+    value = doc[key]
+    # json loads 1e400 as float inf and true/false as bools; only integers pass
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _slice_from_json(s: dict) -> SliceSpec:
+    if not isinstance(s["axis"], str):
+        raise ValueError(f"axis must be a string, got {s['axis']!r}")
+    axis = axis_from_name(s["axis"])
+    if s["sign"] not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', got {s['sign']!r}")
+    if not isinstance(s["terminal"], bool):
+        raise ValueError(f"terminal must be true or false, got {s['terminal']!r}")
+    return SliceSpec(
+        index=_int_field(s, "index"),
+        side=Side(axis, +1 if s["sign"] == "+" else -1),
+        core=AxisRange(axis, _int_field(s, "core_lo"), _int_field(s, "core_hi")),
+        extended=AxisRange(axis, _int_field(s, "ext_lo"), _int_field(s, "ext_hi")),
+        point_count=_int_field(s, "points"),
+        psi=float(s["psi"]),
+        terminal=s["terminal"],
+    )
+
+
 def plan_from_json(text: str) -> SlicePlan:
-    doc = json.loads(text)
+    """Load a plan in `plan_to_json`'s schema; a malformed document raises ValueError."""
     try:
+        doc = json.loads(text)
         config = SlicerConfig(
-            theta=int(doc["theta"]),
+            theta=_int_field(doc, "theta"),
             threshold_frac=doc["threshold_frac"],
-            overlap=int(doc["overlap"]),
+            overlap=_int_field(doc, "overlap"),
             # plans written before the key existed were all best-plane
             plane_rule=doc.get("plane_rule", "best-plane"),
         )
-        slices = []
-        for s in doc["slices"]:
-            axis = axis_from_name(s["axis"])
-            side = Side(axis, +1 if s["sign"] == "+" else -1)
-            slices.append(
-                SliceSpec(
-                    index=int(s["index"]),
-                    side=side,
-                    core=AxisRange(axis, int(s["core_lo"]), int(s["core_hi"])),
-                    extended=AxisRange(axis, int(s["ext_lo"]), int(s["ext_hi"])),
-                    point_count=int(s["points"]),
-                    psi=float(s["psi"]),
-                    terminal=bool(s["terminal"]),
-                )
-            )
         return SlicePlan(
             config=config,
-            original_size=int(doc["original_size"]),
-            slices=tuple(slices),
+            original_size=_int_field(doc, "original_size"),
+            slices=tuple(_slice_from_json(s) for s in doc["slices"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed plan JSON: {exc}") from exc

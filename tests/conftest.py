@@ -10,7 +10,9 @@ The ASCII PLY oracles read and write one vertex line at a time, which the
 library's whole-body reader and writer must match byte for byte and error
 for error. The SWSG oracle reads a stream one field at a time with a
 sequential bit reader, which the library's table-driven decoder must match
-record for record and error for error on every canonical stream.
+record for record and error for error on every canonical stream. The
+sparse labeling oracle is the scipy csgraph backend the library used before
+its numpy union-find, which must give the same labels array for array.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from sliceseg import (
     CaptureConfig,
@@ -36,7 +40,7 @@ from sliceseg import (
     simulate_capture,
     slicer,
 )
-from sliceseg.cloud import PLANE_COLS, SIDES, Axis, AxisRange, Side, extract_range
+from sliceseg.cloud import PLANE_COLS, SIDES, Axis, AxisRange, Side, extract_range, voxel_keys
 from sliceseg.codec import DecodedRecord
 from sliceseg.ply import PlyParseError
 from sliceseg.slicer import Candidate
@@ -92,6 +96,41 @@ def brute_components(points) -> list[set]:
     for i in range(len(pts)):
         groups.setdefault(find(i), set()).add(i)
     return list(groups.values())
+
+
+_HALF_OFFSETS = np.array(
+    [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
+     if (dx, dy, dz) > (0, 0, 0)],
+    dtype=np.int64,
+)
+
+
+def oracle_label_sparse(coords: np.ndarray) -> np.ndarray:
+    """Raw 26-connected component labels from scipy's csgraph over the neighbor edges."""
+    n = coords.shape[0]
+    c = coords.astype(np.int64) + 1  # guard against -1 underflow in keys
+    keys = voxel_keys(c[:, 0], c[:, 1], c[:, 2])
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+
+    src_list = []
+    dst_list = []
+    for off in _HALF_OFFSETS:
+        nb = c + off
+        nb_keys = voxel_keys(nb[:, 0], nb[:, 1], nb[:, 2])
+        pos = np.clip(np.searchsorted(sorted_keys, nb_keys), 0, n - 1)
+        hit = sorted_keys[pos] == nb_keys
+        if hit.any():
+            src_list.append(np.flatnonzero(hit))
+            dst_list.append(order[pos[hit]])
+
+    if not src_list:
+        return np.arange(n, dtype=np.int64)
+    src = np.concatenate(src_list)
+    dst = np.concatenate(dst_list)
+    graph = coo_matrix((np.ones(src.shape[0], dtype=np.int8), (src, dst)), shape=(n, n))
+    _, raw = connected_components(graph, directed=False)
+    return raw.astype(np.int64)
 
 
 def brute_capture(points, axis: Axis, mode: str = "single", thickness: int = 4) -> set:

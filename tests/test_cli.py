@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sliceseg
 from sliceseg import read_ply
 from sliceseg.cli import main
 
@@ -122,6 +126,19 @@ class TestEncodeDecode:
         assert s1.read_bytes() == s2.read_bytes()
         assert json.loads(plan.read_text())["overlap"] == 0
 
+    def test_malformed_plan_is_one_line_runtime_error(self, sheet_ply, tmp_path, capsys):
+        plan = tmp_path / "p.json"
+        run_cli("slice", "--input", sheet_ply, "--plan", plan)
+        doc = json.loads(plan.read_text())
+        doc["slices"][0]["axis"] = 3
+        plan.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run_cli("encode", "--input", sheet_ply, "--plan", plan, "--out", tmp_path / "s.swsg")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("sliceseg encode: error: malformed plan JSON: axis")
+
     def test_decode_truncated_names_record(self, sheet_ply, tmp_path, capsys):
         plan, stream = tmp_path / "p.json", tmp_path / "s.swsg"
         run_cli("encode", "--input", sheet_ply, "--plan", plan, "--out", stream)
@@ -205,3 +222,40 @@ class TestCompare:
         first = csv_path.read_bytes()
         run_cli("compare", "--input", sheet_ply, "--out", csv_path)
         assert csv_path.read_bytes() == first
+
+
+# Run in a fresh interpreter: which scipy modules the commands load.
+_SCIPY_GUARD = """
+import sys
+from sliceseg.cli import main
+
+def loaded(name):
+    return sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
+
+sheet, plan, work = sys.argv[1:]
+assert not loaded("scipy"), loaded("scipy")
+for argv in (
+    ["gen", "--kind", "uniform-random", "--extent", "48", "--count", "300", "--seed", "1",
+     "--out", work + "/random.ply"],
+    ["encode", "--input", sheet, "--plan", plan, "--out", work + "/s.swsg"],
+    ["decode", "--input", work + "/s.swsg", "--out", work + "/d.ply"],
+):
+    assert main(argv) == 0, argv
+assert not loaded("scipy"), loaded("scipy")
+for cloud in (sheet, work + "/random.ply"):  # dense and sparse labeling
+    assert main(["slice", "--input", cloud, "--plan", work + "/p.json"]) == 0
+    assert main(["compare", "--input", cloud, "--out", work + "/r.csv"]) == 0
+assert not loaded("scipy.sparse"), loaded("scipy.sparse")
+"""
+
+
+def test_commands_that_never_label_never_load_scipy(sheet_ply, tmp_path):
+    plan = tmp_path / "plan.json"
+    assert run_cli("slice", "--input", sheet_ply, "--plan", plan) == 0
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_GUARD, sheet_ply, plan, tmp_path],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(sliceseg.__file__).resolve().parents[1])),
+    )
+    assert proc.returncode == 0, proc.stderr

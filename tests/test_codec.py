@@ -262,6 +262,29 @@ class TestNoncanonicalStreams:
             decode(mixed)
         assert (e.value.kind, e.value.record_index) == ("noncanonical", 1)
 
+    @pytest.mark.parametrize(
+        "reorder", [lambda i: np.r_[0, 0, i[2:]], lambda i: i[::-1]], ids=["duplicate", "reversed"]
+    )
+    def test_point_order_enforced(self, reorder):
+        ds = decode(self.golden_like_stream())
+        rec = ds.records[0]
+        idx = reorder(np.arange(rec.point_count))
+        bad = dataclasses.replace(rec, offsets=rec.offsets[idx], us=rec.us[idx], vs=rec.vs[idx])
+        stream = reencode(dataclasses.replace(ds, records=(bad, ds.records[1])))
+        assert oracle_decode(stream) is not None  # the layout alone admits it
+        with pytest.raises(DecodeError, match="strictly increasing") as e:
+            decode(stream)
+        assert (e.value.kind, e.value.record_index) == ("noncanonical", 0)
+
+    def test_terminal_only_on_last_record(self):
+        ds = decode(self.golden_like_stream())
+        early = dataclasses.replace(ds.records[0], terminal=True)
+        stream = reencode(dataclasses.replace(ds, records=(early, ds.records[1])))
+        assert oracle_decode(stream).records[0].terminal
+        with pytest.raises(DecodeError, match="terminal") as e:
+            decode(stream)
+        assert (e.value.kind, e.value.record_index) == ("noncanonical", 0)
+
     def test_structural_error_reported_before_noncanonical(self):
         stream = bytearray(self.golden_like_stream())
         stream[30] |= 1
@@ -281,13 +304,23 @@ def _stream_tuple(ds):
 
 
 def _first_noncanonical_record(data, ds):
-    """Index of the first record whose color flag or padding encode would not write."""
+    """Index of the first record encode would not write.
+
+    Encode writes one color flag for all records, zero padding, points in
+    strictly increasing (offset, u, v) order, and the terminal flag only on
+    the last record.
+    """
     position = STREAM_HEADER_BYTES
     for index, rec in enumerate(ds.records):
         canonical = reencode(dataclasses.replace(ds, records=(rec,)))[STREAM_HEADER_BYTES:]
         if rec.color_flag != ds.records[0].color_flag:
             return index
         if data[position : position + len(canonical)] != canonical:
+            return index
+        points = list(zip(rec.offsets.tolist(), rec.us.tolist(), rec.vs.tolist()))
+        if points != sorted(set(points)):
+            return index
+        if rec.terminal and index != len(ds.records) - 1:
             return index
         position += len(canonical)
     return None
@@ -336,6 +369,13 @@ def test_decode_matches_field_by_field_oracle(data):
 
 
 class TestEncodeErrors:
+    def test_terminal_slice_before_the_last(self):
+        plan = build_plan(cube_cloud(), SlicerConfig(theta=64, overlap=0))
+        first, *rest = plan.slices
+        early = dataclasses.replace(plan, slices=(dataclasses.replace(first, terminal=True), *rest))
+        with pytest.raises(EncodeError, match="terminal"):
+            encode(cube_cloud(), early)
+
     def test_plan_cloud_mismatch(self):
         plan = build_plan(cube_cloud(), SlicerConfig())
         other = make_cloud([(0, 0, 0)])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceseg import (
     CaptureConfig,
@@ -10,7 +12,7 @@ from sliceseg import (
     simulate_capture,
 )
 from sliceseg.cloud import Axis, AxisRange, PointCloud, extract_range, remove_range
-from sliceseg.projection import _label_dense, _label_sparse
+from sliceseg.projection import _label_dense, _label_sparse, _relabel_first_occurrence
 from sliceseg.synthetic import gen_synthetic
 
 from conftest import (
@@ -21,6 +23,7 @@ from conftest import (
     brute_psi,
     cube_cloud,
     make_cloud,
+    oracle_label_sparse,
     random_cloud,
 )
 
@@ -76,6 +79,48 @@ class TestLabeling:
             pairing = {}
             for i in range(n):
                 assert pairing.setdefault(int(dense[i]), int(sparse[i])) == int(sparse[i])
+
+
+@st.composite
+def sparse_clouds(draw):
+    """Clouds spread over a 10- or 16-bit grid, most too sparse for the dense labeler."""
+    bit_depth = draw(st.sampled_from([10, 16]))
+    top = (1 << bit_depth) - 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["single", "isolated", "reverse-chain", "blobs"]))
+    if kind == "single":
+        points = rng.integers(0, top + 1, size=(1, 3))
+    elif kind == "isolated":  # even coordinates only: no two points are neighbors
+        points = 2 * rng.integers(0, top // 2 + 1, size=(draw(st.integers(2, 300)), 3))
+    elif kind == "reverse-chain":  # x steps by one, y and z by at most one: one component
+        length = draw(st.integers(2, 600))
+        x0 = draw(st.sampled_from([0, top + 1 - length]))
+        walk = np.cumsum(rng.integers(-1, 2, size=(length, 2)), axis=0)
+        yz = np.clip(rng.integers(0, top + 1, size=2) + walk, 0, top)
+        points = np.column_stack([x0 + np.arange(length), yz])[::-1]
+    else:  # many small components, some pinned to the grid's corners
+        anchors = rng.integers(0, top + 1, size=(draw(st.integers(1, 60)), 3))
+        pinned = min(draw(st.integers(0, 2)), anchors.shape[0])
+        anchors[:pinned] = np.array([[0, 0, 0], [top, top, top]])[:pinned]
+        box = draw(st.integers(2, 5))
+        members = rng.integers(0, box, size=(anchors.shape[0], draw(st.integers(1, 40)), 3))
+        points = np.clip(anchors[:, None, :] + members - box // 2, 0, top).reshape(-1, 3)
+        points = points[rng.permutation(points.shape[0])]
+    return PointCloud(points, bit_depth=bit_depth)
+
+
+@settings(max_examples=300)
+@given(sparse_clouds())
+def test_labels_match_csgraph_oracle(cloud):
+    want, count = _relabel_first_occurrence(oracle_label_sparse(cloud.coords))
+    raw = _label_sparse(cloud.coords)
+    assert int(raw.max()) + 1 == count  # roots compacted to 0..count-1
+    got, got_count = _relabel_first_occurrence(raw)
+    assert got_count == count
+    assert np.array_equal(got, want)
+    labeling = label_components(cloud)
+    assert labeling.count == count
+    assert np.array_equal(labeling.labels, want)
 
 
 class TestProjectedArea:

@@ -385,6 +385,35 @@ class TestPlanJson:
         with pytest.raises(ValueError, match="plane_rule"):
             plan_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "key, raw",
+        [
+            ("axis", "3"),
+            ("axis", "null"),
+            ("axis", '"W"'),
+            ("theta", "1e400"),
+            ("core_lo", "1e400"),
+            ("core_lo", "-1e400"),
+            ("ext_hi", "2.5"),
+            ("points", "true"),
+            ("original_size", '"8"'),
+            ("sign", '"?"'),
+            ("sign", "[]"),
+            ("terminal", '"false"'),
+            ("terminal", "0"),
+        ],
+    )
+    def test_bad_field_is_malformed(self, key, raw):
+        doc = json.loads(plan_to_json(build_plan(cube_cloud(), cfg())))
+        (doc if key in doc else doc["slices"][0])[key] = "@"
+        text = json.dumps(doc).replace('"@"', raw)
+        with pytest.raises(ValueError, match=f"^malformed plan JSON: .*{key}"):
+            plan_from_json(text)
+
+    def test_invalid_json_is_malformed(self):
+        with pytest.raises(ValueError, match="^malformed plan JSON"):
+            plan_from_json("{")
+
     def test_plan_without_plane_rule_loads_as_best_plane(self):
         doc = json.loads(plan_to_json(build_plan(cube_cloud(), cfg())))
         del doc["plane_rule"]
