@@ -218,9 +218,10 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     else:
         plan = build_plan(cloud, _slicer_config(args))
         plan_path.write_text(plan_to_json(plan))
-    stream = encode(cloud, plan)
+    slices = extract_slices(cloud, plan)
+    stream = encode(cloud, plan, _slices=slices)
     Path(args.out).write_bytes(stream)
-    budget = bit_budget(plan, cloud.bit_depth, extract_slices(cloud, plan))
+    budget = bit_budget(plan, cloud.bit_depth, slices)
     print(
         f"encoded {len(cloud)} points in {len(plan.slices)} slices: "
         f"{len(stream)} bytes (payload {budget.payload_bits} bits, "

@@ -163,7 +163,8 @@ def _record(spec: SliceSpec, slice_cloud: PointCloud, bit_depth: int) -> Decoded
     if len(slice_cloud) > 0xFFFFFFFF:
         raise EncodeError("slice point count exceeds 32 bits")
     u_col, v_col = PLANE_COLS[spec.side.axis]
-    order = np.lexsort((c[:, v_col], c[:, u_col], offsets))
+    # voxels are unique, so within a slice the (offset, u, v) keys are too
+    order = np.argsort(voxel_keys(offsets, c[:, u_col], c[:, v_col]))
     color = slice_cloud.colors is not None
     return DecodedRecord(
         axis=spec.side.axis,
@@ -205,11 +206,15 @@ def _serialize_record(bit_depth: int, record: DecodedRecord) -> bytes:
     return np.packbits(np.concatenate(header_fields + [payload])).tobytes()
 
 
-def encode(cloud: PointCloud, plan: SlicePlan) -> bytes:
-    """Serialize the plan's slices; decoding recovers the cloud exactly."""
+def encode(cloud: PointCloud, plan: SlicePlan, *, _slices=None) -> bytes:
+    """Serialize the plan's slices; decoding recovers the cloud exactly.
+
+    A caller that already holds `extract_slices(cloud, plan)` passes it as
+    `_slices`.
+    """
     if any(spec.terminal for spec in plan.slices[:-1]):
         raise EncodeError("only the last slice may be terminal")
-    slices = extract_slices(cloud, plan)
+    slices = extract_slices(cloud, plan) if _slices is None else _slices
     if plan.config.theta > 0xFFFF:
         raise EncodeError("theta does not fit the 16-bit header field")
     if plan.config.overlap > 0xFF:

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, distinct
 from .codec import bit_budget
 # best_plane is unused here but stays bound: the benchmark's tracer wraps metrics.best_plane
 from .projection import CaptureConfig, best_plane, label_components, simulate_capture  # noqa: F401
@@ -80,28 +80,25 @@ def baseline_loss(cloud: PointCloud, capture: CaptureConfig) -> LossReport:
     return LossReport(strategy=name, total=len(cloud), captured=int(captured.shape[0]))
 
 
-def plan_loss(cloud: PointCloud, plan: SlicePlan) -> LossReport:
+def plan_loss(cloud: PointCloud, plan: SlicePlan, *, _slices=None) -> LossReport:
     """Single-layer capture per extracted slice, captured sets unioned.
 
     Overlap bands participate in capture; duplicates across slices count
-    once toward the captured total.
+    once toward the captured total. A caller that already holds
+    `extract_slices(cloud, plan)` passes it as `_slices`.
     """
-    slices = extract_slices(cloud, plan)
+    slices = extract_slices(cloud, plan) if _slices is None else _slices
     single = CaptureConfig(layer_mode="single")
-    union: Optional[np.ndarray] = None
-    breakdown = []
-    for spec, slice_cloud in slices:
-        keys = _captured_keys(slice_cloud, single)
-        breakdown.append(
-            SliceCapture(index=spec.index, points=len(slice_cloud), captured=int(keys.shape[0]))
-        )
-        union = keys if union is None else np.union1d(union, keys)
-    captured = int(union.shape[0]) if union is not None else 0
+    captured = [_captured_keys(slice_cloud, single) for _, slice_cloud in slices]
+    breakdown = tuple(
+        SliceCapture(index=spec.index, points=len(slice_cloud), captured=int(keys.shape[0]))
+        for (spec, slice_cloud), keys in zip(slices, captured)
+    )
     return LossReport(
         strategy=PLAN_STRATEGY,
         total=len(cloud),
-        captured=captured,
-        per_slice=tuple(breakdown),
+        captured=int(distinct(np.concatenate(captured)).shape[0]) if captured else 0,
+        per_slice=breakdown,
     )
 
 
@@ -119,8 +116,9 @@ def compare(cloud: PointCloud, config: CompareConfig = CompareConfig()) -> list[
         rows.append(_row(report, slices=None, budget=None))
 
     plan = build_plan(cloud, config.slicer)
-    report = plan_loss(cloud, plan)
-    budget = bit_budget(plan, cloud.bit_depth, extract_slices(cloud, plan))
+    slices = extract_slices(cloud, plan)
+    report = plan_loss(cloud, plan, _slices=slices)
+    budget = bit_budget(plan, cloud.bit_depth, slices)
     rows.append(_row(report, slices=len(plan.slices), budget=budget))
     return rows
 

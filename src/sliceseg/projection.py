@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cloud import KEY_FIELD_BITS, PLANE_COLS, Axis, PointCloud, voxel_keys
+from .cloud import KEY_FIELD_BITS, PLANE_COLS, Axis, PointCloud, distinct, voxel_keys
 
 # Dense labeling scans every grid cell; the sparse path scales with point
 # count instead. The absolute cap bounds the dense grid's memory. Both
@@ -123,7 +123,7 @@ def _label_sparse(coords: np.ndarray) -> np.ndarray:
     n = coords.shape[0]
     c = coords.astype(np.int64) + 1  # neighbor fields stay in 0..2^16+1: no borrow or carry
     keys = voxel_keys(c[:, 0], c[:, 1], c[:, 2])
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)  # keys are unique: no order among equals to keep
     sorted_keys = keys[order]
 
     src_list = []
@@ -163,7 +163,7 @@ def _relabel_first_occurrence(raw: np.ndarray) -> tuple[np.ndarray, int]:
     first = np.full(n_labels, raw.shape[0], dtype=np.int64)
     np.minimum.at(first, raw, np.arange(raw.shape[0], dtype=np.int64))
     remap = np.empty(n_labels, dtype=np.int64)
-    remap[np.argsort(first, kind="stable")] = np.arange(n_labels)
+    remap[np.argsort(first)] = np.arange(n_labels)  # first indices are distinct
     labels = remap[raw].astype(np.int32)
     labels.setflags(write=False)
     return labels, n_labels
@@ -176,7 +176,7 @@ def projected_area(cloud: PointCloud, axis: Axis) -> int:
     u, v = PLANE_COLS[axis]
     c = cloud.coords.astype(np.int64)
     keys = voxel_keys(0, c[:, u], c[:, v])
-    return int(np.unique(keys).shape[0])
+    return int(distinct(keys).shape[0])
 
 
 def best_plane(cloud: PointCloud) -> tuple[Axis, int]:
@@ -211,7 +211,7 @@ def _plane_areas(
     for u, v in PLANE_COLS[axes]:
         keys = voxel_keys(labels, c[:, u], c[:, v])
         per_axis.append(
-            np.bincount(np.unique(keys) >> (2 * KEY_FIELD_BITS), minlength=labeling.count)
+            np.bincount(distinct(keys) >> (2 * KEY_FIELD_BITS), minlength=labeling.count)
         )
     stacked = np.stack(per_axis)
     best = np.argmax(stacked, axis=0)  # first max wins: ties go X < Y < Z

@@ -321,17 +321,19 @@ def extract_slices(
             f"plan was built for {plan.original_size} points, cloud has {len(cloud)}"
         )
     out: list[tuple[SliceSpec, PointCloud]] = []
-    working = cloud
+    working = np.arange(len(cloud))  # indices of the points in no earlier core
     for spec in plan.slices:
-        extended_points = extract_range(working, spec.extended)
-        core_count = len(extract_range(working, spec.core))
+        column = cloud.coords[working, spec.core.axis]
+        in_core = (column >= spec.core.lo) & (column < spec.core.hi)
+        in_extended = (column >= spec.extended.lo) & (column < spec.extended.hi)
+        core_count = int(np.count_nonzero(in_core))
         if core_count != spec.point_count:
             raise PlanMismatchError(
                 f"slice {spec.index}: plan expects {spec.point_count} core points, "
                 f"replay found {core_count}"
             )
-        out.append((spec, extended_points))
-        working = remove_range(working, spec.core)
+        out.append((spec, cloud.subset(working[in_extended])))
+        working = working[~in_core]
     if len(working) != 0:
         raise PlanMismatchError(f"plan leaves {len(working)} points uncovered")
     return out
@@ -374,6 +376,14 @@ def _int_field(doc: dict, key: str) -> int:
     return value
 
 
+def _psi_field(doc: dict) -> float:
+    value = doc["psi"]
+    # json loads bare NaN and Infinity as floats, which fail the range test
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
+        raise ValueError(f"psi must be a number in [0, 1], got {value!r}")
+    return float(value)
+
+
 def _slice_from_json(s: dict) -> SliceSpec:
     if not isinstance(s["axis"], str):
         raise ValueError(f"axis must be a string, got {s['axis']!r}")
@@ -388,7 +398,7 @@ def _slice_from_json(s: dict) -> SliceSpec:
         core=AxisRange(axis, _int_field(s, "core_lo"), _int_field(s, "core_hi")),
         extended=AxisRange(axis, _int_field(s, "ext_lo"), _int_field(s, "ext_hi")),
         point_count=_int_field(s, "points"),
-        psi=float(s["psi"]),
+        psi=_psi_field(s),
         terminal=s["terminal"],
     )
 
@@ -404,10 +414,13 @@ def plan_from_json(text: str) -> SlicePlan:
             # plans written before the key existed were all best-plane
             plane_rule=doc.get("plane_rule", "best-plane"),
         )
+        slices = tuple(_slice_from_json(s) for s in doc["slices"])
+        if [s.index for s in slices] != list(range(len(slices))):
+            raise ValueError("slice indices must run 0..n-1 in order")
+        if any(s.terminal for s in slices[:-1]):
+            raise ValueError("only the last slice may be terminal")
         return SlicePlan(
-            config=config,
-            original_size=_int_field(doc, "original_size"),
-            slices=tuple(_slice_from_json(s) for s in doc["slices"]),
+            config=config, original_size=_int_field(doc, "original_size"), slices=slices
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed plan JSON: {exc}") from exc

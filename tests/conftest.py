@@ -13,6 +13,10 @@ sequential bit reader, which the library's table-driven decoder must match
 record for record and error for error on every canonical stream. The
 sparse labeling oracle is the scipy csgraph backend the library used before
 its numpy union-find, which must give the same labels array for array.
+The key-set oracles are the library's earlier forms before its sort-based
+ones: dedup through `np.unique(return_index=True)`, slice replay through
+`extract_range`/`remove_range` on shrinking clouds, and the record point
+order through a three-column `np.lexsort`.
 """
 
 from __future__ import annotations
@@ -40,10 +44,19 @@ from sliceseg import (
     simulate_capture,
     slicer,
 )
-from sliceseg.cloud import PLANE_COLS, SIDES, Axis, AxisRange, Side, extract_range, voxel_keys
+from sliceseg.cloud import (
+    PLANE_COLS,
+    SIDES,
+    Axis,
+    AxisRange,
+    Side,
+    extract_range,
+    remove_range,
+    voxel_keys,
+)
 from sliceseg.codec import DecodedRecord
 from sliceseg.ply import PlyParseError
-from sliceseg.slicer import Candidate
+from sliceseg.slicer import Candidate, PlanMismatchError
 
 # Property tests draw the same examples on every run, independent of the
 # local example database; each test keeps its own max_examples.
@@ -250,6 +263,46 @@ def oracle_plan_captured(cloud: PointCloud, plan: SlicePlan) -> tuple[int, list[
     single = CaptureConfig("single")
     per_slice = [oracle_captured_keys(sub, single) for _, sub in extract_slices(cloud, plan)]
     return int(np.unique(np.concatenate(per_slice)).shape[0]), [k.shape[0] for k in per_slice]
+
+
+def oracle_dedup_first(coords: np.ndarray, colors):
+    """(coords, colors, merged) keeping each voxel's first occurrence, via np.unique."""
+    n = coords.shape[0]
+    if n == 0:
+        return coords, colors, 0
+    keys = voxel_keys(coords[:, 0], coords[:, 1], coords[:, 2])
+    _, first_idx = np.unique(keys, return_index=True)
+    first_idx.sort()
+    kept_colors = colors[first_idx] if colors is not None else None
+    return coords[first_idx], kept_colors, n - first_idx.shape[0]
+
+
+def oracle_extract_slices(cloud: PointCloud, plan: SlicePlan):
+    """Plan replay that extracts each band from, and removes each core of, a shrinking cloud."""
+    if plan.original_size != len(cloud):
+        raise PlanMismatchError(
+            f"plan was built for {plan.original_size} points, cloud has {len(cloud)}"
+        )
+    out = []
+    working = cloud
+    for spec in plan.slices:
+        extended_points = extract_range(working, spec.extended)
+        core_count = len(extract_range(working, spec.core))
+        if core_count != spec.point_count:
+            raise PlanMismatchError(
+                f"slice {spec.index}: plan expects {spec.point_count} core points, "
+                f"replay found {core_count}"
+            )
+        out.append((spec, extended_points))
+        working = remove_range(working, spec.core)
+    if len(working) != 0:
+        raise PlanMismatchError(f"plan leaves {len(working)} points uncovered")
+    return out
+
+
+def oracle_record_order(offsets: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Point order of a record: by offset, then u, then v."""
+    return np.lexsort((vs, us, offsets))
 
 
 def oracle_read_ascii_body(body: bytes, count: int, props, header_lines: int):

@@ -177,6 +177,30 @@ class TestAnalyze:
         assert "plan was built for 8 points, cloud has 64" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("terminal", True, "only the last slice may be terminal"),
+            ("psi", "NaN", "psi must be a number in [0, 1]"),
+        ],
+    )
+    def test_malformed_plan_slice_is_one_line_error(
+        self, tmp_path, capsys, key, value, message
+    ):
+        cube, plan, out = tmp_path / "cube.ply", tmp_path / "p.json", tmp_path / "a.json"
+        assert run_cli("gen", "--kind", "cube", "--extent", "4", "--out", cube) == 0
+        assert run_cli("slice", "--input", cube, "--plan", plan) == 0
+        doc = json.loads(plan.read_text())
+        assert len(doc["slices"]) > 1
+        doc["slices"][0][key] = value
+        plan.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("analyze", "--input", cube, "--plan", plan, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"sliceseg analyze: error: malformed plan JSON: {message}")
+        assert not out.exists()
+
     def test_unknown_plane_rule_in_plan_is_runtime_error(self, sheet_ply, tmp_path, capsys):
         plan, out = tmp_path / "p.json", tmp_path / "a.json"
         run_cli("slice", "--input", sheet_ply, "--plan", plan)

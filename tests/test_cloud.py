@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceseg import AxisRange, PointCloud, extract_range, remove_range
-from sliceseg.cloud import Axis, Side, SIDES
+from sliceseg.cloud import Axis, Side, SIDES, _dedup_first, distinct, run_starts
 
-from conftest import cube_cloud, make_cloud, random_cloud
+from conftest import cube_cloud, make_cloud, oracle_dedup_first, random_cloud
 
 
 def test_dedup_keeps_first_and_counts():
@@ -104,3 +106,59 @@ def test_translate_preserves_structure():
     assert moved.point_set() == {(11, 2, 5), (14, 5, 8)}
     with pytest.raises(ValueError):
         cloud.translate((-2, 0, 0))
+
+
+int64s = st.integers(-(2**63), 2**63 - 1)
+key_arrays = st.one_of(
+    st.lists(int64s, max_size=80),
+    st.lists(st.integers(0, 5), max_size=80),  # long runs of equal keys
+    st.builds(lambda key, n: [key] * n, int64s, st.integers(0, 20)),  # all equal
+).map(lambda keys: np.array(keys, dtype=np.int64))
+
+
+@pytest.mark.parametrize("keys", [[], [7], [3, 3, 3, 3], [2, 1, 2, 1], [-(2**63), 2**63 - 1]])
+def test_distinct_edge_cases_equal_np_unique(keys):
+    keys = np.array(keys, dtype=np.int64)
+    got = distinct(keys)
+    assert got.dtype == np.unique(keys).dtype
+    assert np.array_equal(got, np.unique(keys))
+
+
+@settings(max_examples=200, deadline=None)
+@given(key_arrays)
+def test_distinct_equals_np_unique(keys):
+    got, want = distinct(keys), np.unique(keys)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    ordered = np.sort(keys)
+    assert np.array_equal(ordered[run_starts(ordered)], want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 300),
+    st.integers(1, 6),
+    st.booleans(),
+)
+def test_dedup_first_matches_np_unique_oracle(seed, count, extent, with_colors):
+    # a small extent packs many points onto few voxels: most rows are duplicates
+    rng = np.random.default_rng(seed)
+    coords = rng.integers(0, extent, size=(count, 3)).astype(np.int64)
+    colors = rng.integers(0, 256, size=(count, 3)).astype(np.uint8) if with_colors else None
+    got_coords, got_colors, got_merged = _dedup_first(coords, colors)
+    want_coords, want_colors, want_merged = oracle_dedup_first(coords, colors)
+    assert got_merged == want_merged
+    assert np.array_equal(got_coords, want_coords)
+    if with_colors:
+        assert np.array_equal(got_colors, want_colors)
+    else:
+        assert got_colors is None
+    cloud = PointCloud(coords, colors)
+    assert np.array_equal(cloud.coords, want_coords.reshape(-1, 3))
+    assert cloud.duplicates_merged == want_merged
+
+
+def test_sorted_coords_is_lexicographic(rng):
+    cloud = random_cloud(rng, max_points=300)
+    c = cloud.coords
+    assert np.array_equal(cloud.sorted_coords(), c[np.lexsort((c[:, 2], c[:, 1], c[:, 0]))])

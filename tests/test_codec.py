@@ -20,10 +20,17 @@ from sliceseg import (
     reencode,
 )
 from sliceseg.cloud import Axis, AxisRange, PointCloud, Side
-from sliceseg.codec import STREAM_HEADER_BYTES, offset_bits_for, record_header_bits
+from sliceseg.codec import STREAM_HEADER_BYTES, _record, offset_bits_for, record_header_bits
 from sliceseg.synthetic import gen_synthetic
 
-from conftest import cube_cloud, make_cloud, oracle_decode, random_cloud, read_bits
+from conftest import (
+    cube_cloud,
+    make_cloud,
+    oracle_decode,
+    oracle_record_order,
+    random_cloud,
+    read_bits,
+)
 
 
 def single_slice_plan(cloud, axis, lo, hi, theta=64, overlap=0):
@@ -178,6 +185,14 @@ class TestDecodeErrors:
         with pytest.raises(DecodeError, match="unsupported version") as e:
             decode(bytes(stream))
         assert e.value.kind == "unsupported version"
+
+    @pytest.mark.parametrize("bit_depth", [7, 17])
+    def test_bit_depth_out_of_range(self, bit_depth):
+        stream = bytearray(self.make_stream())
+        stream[5] = bit_depth
+        with pytest.raises(DecodeError, match=f"bit depth {bit_depth} out of range") as e:
+            decode(bytes(stream))
+        assert e.value.kind == "invalid header"
 
     def test_truncated_mid_record(self):
         stream = self.make_stream()
@@ -338,10 +353,15 @@ def mutated_streams(draw):
     cloud = PointCloud(coords, colors=colors, bit_depth=bit_depth)
     plan = build_plan(cloud, SlicerConfig(overlap=draw(st.integers(0, 2))))
     stream = encode(cloud, plan)
+    # Draws lean towards small integers, so positions counted from the start
+    # of the stream would mostly hit the magic. Most are drawn past the
+    # stream header instead; one in six is drawn from the whole stream.
+    start = STREAM_HEADER_BYTES if draw(st.integers(0, 11)) < 10 else 0
     if draw(st.booleans()):
-        return stream[: draw(st.integers(0, len(stream) - 1))]
+        return stream[: draw(st.integers(start, len(stream) - 1))]
     data = bytearray(stream)
-    for bit in draw(st.lists(st.integers(0, len(stream) * 8 - 1), min_size=1, max_size=4)):
+    positions = st.integers(start * 8, len(stream) * 8 - 1)
+    for bit in draw(st.lists(positions, min_size=1, max_size=4)):
         data[bit // 8] ^= 0x80 >> (bit % 8)
     return bytes(data)
 
@@ -366,6 +386,39 @@ def test_decode_matches_field_by_field_oracle(data):
     got = decode(data)
     assert _stream_tuple(got) == _stream_tuple(want)
     assert reencode(got) == data
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 200),
+    st.sampled_from([4, 64, 300]),  # 300 spans a wide record
+    st.sampled_from([10, 12]),
+    st.integers(0, 2),
+    st.booleans(),
+)
+def test_record_point_order_matches_lexsort(seed, count, depth_extent, bit_depth, axis, colored):
+    rng = np.random.default_rng(seed)
+    extents = [8, 8, 8]
+    extents[axis] = depth_extent
+    cloud = PointCloud(
+        rng.integers(0, extents, size=(count, 3)),
+        colors=rng.integers(0, 256, size=(count, 3)) if colored else None,
+        bit_depth=bit_depth,
+    )
+    col = cloud.coords[:, axis]
+    lo, hi = int(col.min()), int(col.max()) + 1
+    spec = single_slice_plan(cloud, Axis(axis), lo, hi).slices[0]
+    record = _record(spec, cloud, bit_depth)
+    c = cloud.coords.astype(np.int64)
+    u_col, v_col = (a for a in range(3) if a != axis)
+    offsets = c[:, axis] - lo
+    order = oracle_record_order(offsets, c[:, u_col], c[:, v_col])
+    assert np.array_equal(record.offsets, offsets[order])
+    assert np.array_equal(record.us, c[order, u_col])
+    assert np.array_equal(record.vs, c[order, v_col])
+    if colored:
+        assert np.array_equal(record.colors, cloud.colors[order])
 
 
 class TestEncodeErrors:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from sliceseg import (
     PlanMismatchError,
     PointCloud,
+    SlicePlan,
+    SliceSpec,
     SlicerConfig,
     best_width,
     build_plan,
@@ -26,6 +29,7 @@ from conftest import (
     candidate_psi,
     cube_cloud,
     make_cloud,
+    oracle_extract_slices,
     oracle_plan,
     random_cloud,
     slab,
@@ -332,6 +336,86 @@ class TestExtractSlices:
             extract_slices(other, plan)
 
 
+@st.composite
+def replay_cases(draw):
+    """A cloud and a hand-built plan over it, possibly wrong in size, a core count or coverage."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extent = draw(st.integers(1, 12))
+    count = draw(st.integers(1, 150))
+    colors = rng.integers(0, 256, size=(count, 3)) if draw(st.booleans()) else None
+    cloud = PointCloud(rng.integers(0, extent, size=(count, 3)), colors=colors)
+    working, specs = cloud, []
+    while len(working) and len(specs) < 6:
+        axis = Axis(draw(st.integers(0, 2)))
+        column = working.coords[:, axis]
+        lo = draw(st.integers(int(column.min()), int(column.max())))
+        hi = draw(st.integers(lo + 1, int(column.max()) + 1))
+        core = AxisRange(axis, lo, hi)
+        extended = AxisRange(axis, draw(st.integers(max(0, lo - 2), lo)), draw(st.integers(hi, hi + 2)))
+        points = int(np.count_nonzero((column >= lo) & (column < hi)))
+        side = Side(axis, draw(st.sampled_from([-1, 1])))
+        specs.append(SliceSpec(len(specs), side, core, extended, points, 0.0))
+        working = remove_range(working, core)
+    plan = SlicePlan(config=cfg(), original_size=len(cloud), slices=tuple(specs))
+    fault = draw(st.sampled_from(["none", "size", "core count", "uncovered"]))
+    if fault == "size":
+        plan = dataclasses.replace(plan, original_size=len(cloud) + draw(st.integers(1, 3)))
+    elif fault == "core count":
+        i = draw(st.integers(0, len(specs) - 1))
+        specs[i] = dataclasses.replace(specs[i], point_count=specs[i].point_count + 1)
+        plan = dataclasses.replace(plan, slices=tuple(specs))
+    elif fault == "uncovered":
+        plan = dataclasses.replace(plan, slices=tuple(specs[:-1]))
+    return cloud, plan
+
+
+@settings(max_examples=200, deadline=None)
+@given(replay_cases())
+def test_extract_slices_matches_replay_oracle(case):
+    cloud, plan = case
+    try:
+        want = oracle_extract_slices(cloud, plan)
+    except PlanMismatchError as expected:
+        with pytest.raises(PlanMismatchError) as e:
+            extract_slices(cloud, plan)
+        assert str(e.value) == str(expected)
+        return
+    got = extract_slices(cloud, plan)
+    assert [spec for spec, _ in got] == [spec for spec, _ in want]
+    for (_, ours), (_, theirs) in zip(got, want):
+        assert np.array_equal(ours.coords, theirs.coords)
+        assert ours.bit_depth == theirs.bit_depth
+        if cloud.colors is None:
+            assert ours.colors is None
+        else:
+            assert np.array_equal(ours.colors, theirs.colors)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("size", "plan was built for 9 points, cloud has 8"),
+        ("core count", "slice 0: plan expects 5 core points, replay found 4"),
+        ("uncovered", "plan leaves 4 points uncovered"),
+    ],
+)
+def test_extract_slices_mismatch_messages(fault, message):
+    cube = cube_cloud()
+    plan = build_plan(cube, cfg(overlap=0))
+    assert [s.point_count for s in plan.slices] == [4, 4]
+    if fault == "size":
+        plan = dataclasses.replace(plan, original_size=9)
+    elif fault == "core count":
+        plan = dataclasses.replace(
+            plan, slices=(dataclasses.replace(plan.slices[0], point_count=5), plan.slices[1])
+        )
+    else:
+        plan = dataclasses.replace(plan, slices=plan.slices[:1])
+    for replay in (extract_slices, oracle_extract_slices):
+        with pytest.raises(PlanMismatchError, match=f"^{message}$"):
+            replay(cube, plan)
+
+
 class TestPlanJson:
     def test_round_trip(self, rng):
         cloud = random_cloud(rng, max_points=300)
@@ -409,6 +493,58 @@ class TestPlanJson:
         text = json.dumps(doc).replace('"@"', raw)
         with pytest.raises(ValueError, match=f"^malformed plan JSON: .*{key}"):
             plan_from_json(text)
+
+    @pytest.mark.parametrize(
+        "raw",
+        ['"NaN"', '"0.5"', "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "-0.5",
+         "1.5", "true", "null"],
+    )
+    def test_psi_must_be_a_number_in_unit_interval(self, raw):
+        doc = json.loads(plan_to_json(build_plan(cube_cloud(), cfg())))
+        doc["slices"][0]["psi"] = "@"
+        with pytest.raises(ValueError, match=r"^malformed plan JSON: psi must be a number in \[0, 1\]"):
+            plan_from_json(json.dumps(doc).replace('"@"', raw))
+
+    @pytest.mark.parametrize("raw, psi", [("0", 0.0), ("1", 1.0), ("0.25", 0.25)])
+    def test_psi_loads_as_float(self, raw, psi):
+        doc = json.loads(plan_to_json(build_plan(cube_cloud(), cfg())))
+        doc["slices"][0]["psi"] = "@"
+        loaded = plan_from_json(json.dumps(doc).replace('"@"', raw)).slices[0].psi
+        assert loaded == psi and isinstance(loaded, float)
+
+    @staticmethod
+    def _multi_slice_doc() -> dict:
+        plan = build_plan(gen_synthetic("cube", {"extent": 4}), cfg())
+        assert len(plan.slices) >= 3 and not any(s.terminal for s in plan.slices)
+        return json.loads(plan_to_json(plan))
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_terminal_before_the_last_slice_is_malformed(self, position):
+        doc = self._multi_slice_doc()
+        doc["slices"][position]["terminal"] = True
+        with pytest.raises(ValueError, match="^malformed plan JSON: only the last slice may be terminal"):
+            plan_from_json(json.dumps(doc))
+
+    def test_terminal_last_slice_loads(self):
+        doc = self._multi_slice_doc()
+        doc["slices"][-1]["terminal"] = True
+        assert [s.terminal for s in plan_from_json(json.dumps(doc)).slices][-2:] == [False, True]
+
+    @pytest.mark.parametrize(
+        "reorder",
+        [
+            lambda slices: slices[::-1],
+            lambda slices: slices[1:],
+            lambda slices: [slices[0], slices[0], *slices[2:]],
+            lambda slices: [{**s, "index": s["index"] + 1} for s in slices],
+        ],
+        ids=["reversed", "from-1", "repeated", "shifted"],
+    )
+    def test_slice_indices_must_run_in_order(self, reorder):
+        doc = self._multi_slice_doc()
+        doc["slices"] = reorder(doc["slices"])
+        with pytest.raises(ValueError, match="^malformed plan JSON: slice indices"):
+            plan_from_json(json.dumps(doc))
 
     def test_invalid_json_is_malformed(self):
         with pytest.raises(ValueError, match="^malformed plan JSON"):
