@@ -24,8 +24,15 @@ from .metrics import (
     compare as compare_strategies,
 )
 from .ply import read_ply, write_ply
-from .projection import CaptureConfig, compute_psi, projected_area
-from .slicer import SlicerConfig, build_plan, extract_slices, plan_from_json, plan_to_json
+from .projection import compute_psi, projected_area
+from .slicer import (
+    PLANE_RULES,
+    SlicerConfig,
+    build_plan,
+    extract_slices,
+    plan_from_json,
+    plan_to_json,
+)
 from .synthetic import KINDS, SEEDED_KINDS, gen_synthetic
 
 
@@ -37,18 +44,23 @@ def _fraction(text: str) -> Fraction:
 
 
 def _add_plan_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--theta", type=int, default=64, help="max slice width (voxels)")
+    defaults = SlicerConfig()
+    parser.add_argument(
+        "--theta", type=int, default=defaults.theta, help="max slice width (voxels)"
+    )
     parser.add_argument(
         "--threshold",
         type=_fraction,
-        default="0.05",
+        default=defaults.threshold_frac,
         help="min slice size as a fraction of the original point count",
     )
-    parser.add_argument("--overlap", type=int, default=2, help="overlap margin (voxels)")
+    parser.add_argument(
+        "--overlap", type=int, default=defaults.overlap, help="overlap margin (voxels)"
+    )
     parser.add_argument(
         "--plane-rule",
-        choices=("best-plane", "fixed-plane"),
-        default="best-plane",
+        choices=PLANE_RULES,
+        default=defaults.plane_rule,
         help="project components on their best plane or on the slicing plane",
     )
 
@@ -64,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--extent", type=int, required=True)
     p.add_argument("--offset", type=int, help="plane position (plane kind)")
-    p.add_argument("--amplitude", type=int, default=8, help="fold stack height")
+    p.add_argument("--amplitude", type=int, help="fold stack height (folded-sheet kind)")
     p.add_argument("--period", type=int, help="fold width (folded-sheet kind)")
     p.add_argument("--count", type=int, help="point count (uniform-random kind)")
     p.add_argument("--density", type=float, help="occupancy fraction (uniform-random)")
@@ -106,7 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="single,dual",
         help="comma list from {single, dual}",
     )
-    p.add_argument("--thickness", type=int, default=4, help="dual-layer surface thickness")
+    p.add_argument(
+        "--thickness",
+        type=int,
+        default=CompareConfig.surface_thickness,
+        help="dual-layer surface thickness",
+    )
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--json", help="JSON mirror path (default: CSV path with .json)")
     _add_plan_flags(p)
@@ -124,11 +141,10 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
             parser.error("uniform-random needs --count or --density")
     if args.command == "compare":
         names = [t.strip() for t in args.baseline.split(",") if t.strip()]
-        mapping = {"single": "single-layer", "dual": "dual-layer"}
         try:
-            args.baseline_set = tuple(mapping[n] for n in names)
+            args.baseline_set = tuple(BASELINES[n] for n in names)
         except KeyError as exc:
-            parser.error(f"unknown baseline {exc.args[0]!r} (choose from single, dual)")
+            parser.error(f"unknown baseline {exc.args[0]!r} (choose from {', '.join(BASELINES)})")
         if not args.baseline_set:
             parser.error("--baseline must name at least one of: single, dual")
     return args
@@ -155,15 +171,9 @@ def _load_cloud(path: str) -> PointCloud:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     params = {"extent": args.extent}
-    if args.offset is not None:
-        params["offset"] = args.offset
-    if args.kind == "folded-sheet":
-        params["amplitude"] = args.amplitude
-        params["period"] = args.period if args.period is not None else max(2, args.extent // 2)
-    if args.count is not None:
-        params["count"] = args.count
-    if args.density is not None:
-        params["density"] = args.density
+    for name in ("offset", "amplitude", "period", "count", "density"):
+        if getattr(args, name) is not None:  # the generator supplies the rest
+            params[name] = getattr(args, name)
     cloud = gen_synthetic(args.kind, params, seed=args.seed or 0)
     Path(args.out).write_bytes(write_ply(cloud, args.format))
     print(f"wrote {len(cloud)} points to {args.out}")
@@ -243,7 +253,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     config = CompareConfig(
         slicer=_slicer_config(args),
         baselines=args.baseline_set,
-        capture=CaptureConfig(layer_mode="dual", surface_thickness=args.thickness),
+        surface_thickness=args.thickness,
     )
     rows = compare_strategies(cloud, config)
     out = Path(args.out)

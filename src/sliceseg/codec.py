@@ -245,6 +245,8 @@ def decode(data: bytes) -> DecodedStream:
         )
     if not (8 <= bit_depth <= 16):
         raise DecodeError("invalid header", f"bit depth {bit_depth} out of range")
+    if theta == 0:  # encode writes SlicerConfig.theta, which is >= 1
+        raise DecodeError("invalid header", "theta 0 out of range")
 
     position = STREAM_HEADER_BYTES
     records = []
@@ -407,7 +409,6 @@ def bit_budget(
     plan: SlicePlan,
     bit_depth: int,
     slices: list[tuple[SliceSpec, PointCloud]],
-    color: Optional[bool] = None,
 ) -> BitBudget:
     """Predicted cost of encode() for these extracted slices.
 
@@ -415,8 +416,7 @@ def bit_budget(
     the budget's naive total uses the original cloud size, so overlap
     duplication shows up as payload, not as naive inflation.
     """
-    if color is None:
-        color = any(c.colors is not None for _, c in slices)
+    color = any(c.colors is not None for _, c in slices)
     rows = []
     for spec, slice_cloud in slices:
         d = offset_bits_for(spec.extended.width)

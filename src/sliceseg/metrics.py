@@ -21,7 +21,8 @@ from .codec import bit_budget
 from .projection import CaptureConfig, best_plane, label_components, simulate_capture  # noqa: F401
 from .slicer import SlicePlan, SlicerConfig, build_plan, extract_slices
 
-BASELINES = ("single-layer", "dual-layer")
+# capture layer mode -> the name of its whole-cloud baseline, in report order
+BASELINES = {"single": "single-layer", "dual": "dual-layer"}
 PLAN_STRATEGY = "slice-plan"
 
 CSV_HEADER = "strategy,points,captured,lost,loss_fraction,slices,header_bits,payload_bits"
@@ -53,15 +54,18 @@ class LossReport:
 @dataclass(frozen=True)
 class CompareConfig:
     slicer: SlicerConfig = SlicerConfig()
-    baselines: tuple[str, ...] = BASELINES
-    capture: CaptureConfig = CaptureConfig(layer_mode="dual", surface_thickness=4)
+    baselines: tuple[str, ...] = tuple(BASELINES.values())
+    surface_thickness: int = 4
 
     def __post_init__(self) -> None:
         if not self.baselines:
             raise ValueError("at least one baseline is required")
+        names = tuple(BASELINES.values())
         for name in self.baselines:
-            if name not in BASELINES:
-                raise ValueError(f"unknown baseline {name!r} (choose from {BASELINES})")
+            if name not in names:
+                raise ValueError(f"unknown baseline {name!r} (choose from {names})")
+        if BASELINES["dual"] in self.baselines:  # raises unless the thickness is >= 1
+            CaptureConfig(layer_mode="dual", surface_thickness=self.surface_thickness)
 
 
 def _captured_keys(cloud: PointCloud, config: CaptureConfig) -> np.ndarray:
@@ -75,7 +79,7 @@ def baseline_loss(cloud: PointCloud, capture: CaptureConfig) -> LossReport:
     """Whole-cloud capture with a fixed layer count."""
     if len(cloud) == 0:
         raise ValueError("cannot measure loss of an empty cloud")
-    name = "single-layer" if capture.layer_mode == "single" else "dual-layer"
+    name = BASELINES[capture.layer_mode]
     captured = _captured_keys(cloud, capture)
     return LossReport(strategy=name, total=len(cloud), captured=int(captured.shape[0]))
 
@@ -105,13 +109,10 @@ def plan_loss(cloud: PointCloud, plan: SlicePlan, *, _slices=None) -> LossReport
 def compare(cloud: PointCloud, config: CompareConfig = CompareConfig()) -> list[dict]:
     """One row per strategy: each requested baseline, then the slice plan."""
     rows = []
-    for name in BASELINES:
+    for mode, name in BASELINES.items():
         if name not in config.baselines:
             continue
-        mode = "single" if name == "single-layer" else "dual"
-        capture = CaptureConfig(
-            layer_mode=mode, surface_thickness=config.capture.surface_thickness
-        )
+        capture = CaptureConfig(layer_mode=mode, surface_thickness=config.surface_thickness)
         report = baseline_loss(cloud, capture)
         rows.append(_row(report, slices=None, budget=None))
 

@@ -9,7 +9,7 @@ the loss fraction psi = (phi - sum of component areas) / phi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,7 +28,6 @@ _DENSE_CELL_LIMIT = 16_000_000
 _DENSE_CELLS_PER_POINT = 60
 
 _STRUCTURE_26 = np.ones((3, 3, 3), dtype=np.int8)
-_AXES = tuple(Axis)
 
 # Offsets covering half the 26-neighborhood (the other half is symmetric).
 _HALF_OFFSETS = np.array(
@@ -70,25 +69,15 @@ class CaptureConfig:
 
 @dataclass(frozen=True)
 class ProjectionStats:
-    """Loss accounting for one cloud: point count, per-component areas, psi."""
+    """Loss accounting for one cloud: point count, points lost, component count."""
 
     phi: int
-    areas: tuple[tuple[Axis, int], ...]
-    lost: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        covered = sum(a for _, a in self.areas)
-        object.__setattr__(self, "lost", self.phi - covered)
-        if self.lost < 0:
-            raise ValueError("component areas exceed point count")
+    lost: int
+    component_count: int
 
     @property
     def psi(self) -> float:
         return self.lost / self.phi
-
-    @property
-    def component_count(self) -> int:
-        return len(self.areas)
 
 
 def label_components(cloud: PointCloud) -> ComponentLabeling:
@@ -102,10 +91,12 @@ def label_components(cloud: PointCloud) -> ComponentLabeling:
     volume = int(extents[0]) * int(extents[1]) * int(extents[2])
 
     if volume <= min(_DENSE_CELL_LIMIT, _DENSE_CELLS_PER_POINT * n):
-        raw = _label_dense(cloud.coords, mins, extents)
-    else:
+        raw = _relabel_first_occurrence(_label_dense(cloud.coords, mins, extents))
+    else:  # each root is its component's first point: already in first-occurrence order
         raw = _label_sparse(cloud.coords)
-    return ComponentLabeling(*_relabel_first_occurrence(raw))
+    labels = raw.astype(np.int32)
+    labels.setflags(write=False)
+    return ComponentLabeling(labels, int(raw.max()) + 1)
 
 
 def _label_dense(coords: np.ndarray, mins: np.ndarray, extents: np.ndarray) -> np.ndarray:
@@ -158,55 +149,41 @@ def _label_sparse(coords: np.ndarray) -> np.ndarray:
     return (np.cumsum(is_root) - 1)[parent]
 
 
-def _relabel_first_occurrence(raw: np.ndarray) -> tuple[np.ndarray, int]:
+def _relabel_first_occurrence(raw: np.ndarray) -> np.ndarray:
     n_labels = int(raw.max()) + 1
     first = np.full(n_labels, raw.shape[0], dtype=np.int64)
     np.minimum.at(first, raw, np.arange(raw.shape[0], dtype=np.int64))
     remap = np.empty(n_labels, dtype=np.int64)
     remap[np.argsort(first)] = np.arange(n_labels)  # first indices are distinct
-    labels = remap[raw].astype(np.int32)
-    labels.setflags(write=False)
-    return labels, n_labels
+    return remap[raw]
 
 
 def projected_area(cloud: PointCloud, axis: Axis) -> int:
     """Distinct pixels of the orthographic projection dropping `axis`."""
     if len(cloud) == 0:
         raise ValueError("projected_area of an empty cloud")
-    u, v = PLANE_COLS[axis]
-    c = cloud.coords.astype(np.int64)
-    keys = voxel_keys(0, c[:, u], c[:, v])
-    return int(distinct(keys).shape[0])
+    whole = ComponentLabeling(np.zeros(len(cloud), dtype=np.int32), 1)
+    return int(component_areas(cloud, whole, axis)[1][0])
 
 
 def best_plane(cloud: PointCloud) -> tuple[Axis, int]:
     """Axis whose projection keeps the most pixels; ties go X < Y < Z."""
-    best_axis = Axis.X
-    best_area = -1
-    for axis in (Axis.X, Axis.Y, Axis.Z):
-        area = projected_area(cloud, axis)
-        if area > best_area:
-            best_axis, best_area = axis, area
-    return best_axis, best_area
+    if len(cloud) == 0:
+        raise ValueError("best_plane of an empty cloud")
+    whole = ComponentLabeling(np.zeros(len(cloud), dtype=np.int32), 1)
+    axes, areas = component_areas(cloud, whole)
+    return Axis(int(axes[0])), int(areas[0])
 
 
 def component_areas(
     cloud: PointCloud,
     labeling: ComponentLabeling,
     axis: Optional[Axis] = None,
-) -> tuple[tuple[Axis, int], ...]:
-    """Per-component projection area, on the best plane or a fixed one."""
-    axes, areas = _plane_areas(cloud, labeling, axis)
-    return tuple(zip([_AXES[a] for a in axes.tolist()], areas.tolist()))
-
-
-def _plane_areas(
-    cloud: PointCloud, labeling: ComponentLabeling, axis: Optional[Axis]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-component (axis, area) arrays: the fixed axis, or each best plane."""
+    """Per-component (axis, area) arrays: distinct pixels on the fixed plane or each best one."""
     labels = labeling.labels.astype(np.int64)
     c = cloud.coords.astype(np.int64)
-    axes = np.array([axis] if axis is not None else _AXES)
+    axes = np.arange(3) if axis is None else np.array([axis])
     per_axis = []
     for u, v in PLANE_COLS[axes]:
         keys = voxel_keys(labels, c[:, u], c[:, v])
@@ -227,8 +204,9 @@ def compute_psi(cloud: PointCloud, axis: Optional[Axis] = None) -> ProjectionSta
     if len(cloud) == 0:
         raise ValueError("cannot compute projection loss of an empty cloud")
     labeling = label_components(cloud)
-    areas = component_areas(cloud, labeling, axis)
-    return ProjectionStats(phi=len(cloud), areas=areas)
+    _, areas = component_areas(cloud, labeling, axis)
+    phi = len(cloud)
+    return ProjectionStats(phi=phi, lost=phi - int(areas.sum()), component_count=labeling.count)
 
 
 def simulate_capture(
@@ -257,7 +235,7 @@ def simulate_capture(
     c = cloud.coords.astype(np.int64)
     label = 0 if labeling is None else labeling.labels.astype(np.int64)
     if axis is None:  # per point: its component's best plane
-        axis = _plane_areas(cloud, labeling, None)[0][labeling.labels]
+        axis = component_areas(cloud, labeling)[0][labeling.labels]
     rows = np.arange(len(cloud))
     u, v = PLANE_COLS[axis].T
     pix = voxel_keys(label, c[rows, u], c[rows, v])

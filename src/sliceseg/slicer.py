@@ -269,14 +269,13 @@ def _terminal_spec(residue: PointCloud, config: SlicerConfig, index: int) -> Sli
     axis = Axis(int(np.argmin(extents)))
     core = AxisRange(axis, int(mins[axis]), int(maxs[axis]) + 1)
     fixed_axis = axis if config.plane_rule == "fixed-plane" else None
-    stats = compute_psi(residue, axis=fixed_axis)
     return SliceSpec(
         index=index,
         side=Side(axis, -1),
         core=core,
         extended=core,
         point_count=len(residue),
-        psi=stats.psi,
+        psi=compute_psi(residue, axis=fixed_axis).psi,
         terminal=True,
     )
 
@@ -339,6 +338,13 @@ def extract_slices(
     return out
 
 
+# The keys plan_to_json writes; plan_from_json rejects any other.
+_PLAN_KEYS = {"theta", "threshold_frac", "overlap", "plane_rule", "original_size", "slices"}
+_SLICE_KEYS = {
+    "index", "axis", "sign", "core_lo", "core_hi", "ext_lo", "ext_hi", "points", "psi", "terminal"
+}
+
+
 def plan_to_json(plan: SlicePlan) -> str:
     """Fixed-schema JSON; field names and order are part of the contract."""
     t = plan.config.threshold_frac
@@ -385,6 +391,8 @@ def _psi_field(doc: dict) -> float:
 
 
 def _slice_from_json(s: dict) -> SliceSpec:
+    if unknown := set(s) - _SLICE_KEYS:
+        raise ValueError(f"unknown slice keys {sorted(unknown)}")
     if not isinstance(s["axis"], str):
         raise ValueError(f"axis must be a string, got {s['axis']!r}")
     axis = axis_from_name(s["axis"])
@@ -407,6 +415,8 @@ def plan_from_json(text: str) -> SlicePlan:
     """Load a plan in `plan_to_json`'s schema; a malformed document raises ValueError."""
     try:
         doc = json.loads(text)
+        if unknown := set(doc) - _PLAN_KEYS:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
         config = SlicerConfig(
             theta=_int_field(doc, "theta"),
             threshold_frac=doc["threshold_frac"],

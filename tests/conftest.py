@@ -389,6 +389,8 @@ def oracle_decode(data: bytes) -> DecodedStream:
         raise DecodeError("unsupported version", f"unsupported version {version} (expected 1)")
     if not (8 <= bit_depth <= 16):
         raise DecodeError("invalid header", f"bit depth {bit_depth} out of range")
+    if theta == 0:
+        raise DecodeError("invalid header", "theta 0 out of range")
     position = 13
     records = []
     for index in range(slice_count):

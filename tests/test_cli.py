@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import sliceseg
-from sliceseg import read_ply
-from sliceseg.cli import main
+from sliceseg import CompareConfig, SlicerConfig, gen_synthetic, read_ply, write_ply
+from sliceseg.cli import _slicer_config, main, parse_args
+from sliceseg.slicer import PLANE_RULES
 
 from conftest import make_cloud
 
@@ -47,11 +48,45 @@ class TestGen:
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert run_cli("gen", "--bogus") == 2
 
+    @pytest.mark.parametrize(
+        "flags, params",
+        [
+            ([], {"extent": 16}),
+            (["--amplitude", "4"], {"extent": 16, "amplitude": 4}),
+            (["--period", "5"], {"extent": 16, "period": 5}),
+        ],
+    )
+    def test_folded_sheet_defaults_come_from_the_generator(self, tmp_path, flags, params):
+        out = tmp_path / "sheet.ply"
+        assert run_cli(
+            "gen", "--kind", "folded-sheet", "--extent", "16", "--seed", "3", *flags, "--out", out
+        ) == 0
+        assert out.read_bytes() == write_ply(gen_synthetic("folded-sheet", params, seed=3))
+
     def test_unknown_command_is_usage_error(self):
         assert run_cli("frobnicate") == 2
 
 
 class TestSlice:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["slice", "--input", "c.ply", "--plan", "p.json"],
+            ["encode", "--input", "c.ply", "--plan", "p.json", "--out", "s.swsg"],
+            ["compare", "--input", "c.ply", "--out", "r.csv"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_plan_flags_take_the_library_defaults(self, argv):
+        args = parse_args(argv)
+        assert _slicer_config(args) == SlicerConfig()
+        if argv[0] == "compare":
+            assert args.thickness == CompareConfig().surface_thickness
+        for rule in PLANE_RULES:
+            assert parse_args([*argv, "--plane-rule", rule]).plane_rule == rule
+        with pytest.raises(SystemExit):
+            parse_args([*argv, "--plane-rule", "diagonal"])
+
     def test_plan_written_with_defaults(self, sheet_ply, tmp_path):
         plan_path = tmp_path / "plan.json"
         assert run_cli("slice", "--input", sheet_ply, "--plan", plan_path) == 0
@@ -182,6 +217,7 @@ class TestAnalyze:
         [
             ("terminal", True, "only the last slice may be terminal"),
             ("psi", "NaN", "psi must be a number in [0, 1]"),
+            ("note", "hand-edited", "unknown slice keys ['note']"),
         ],
     )
     def test_malformed_plan_slice_is_one_line_error(
@@ -235,10 +271,25 @@ class TestCompare:
         lines = csv_path.read_text().splitlines()
         assert len(lines) == 3  # header + single + plan
 
-    def test_bad_baseline_is_usage_error(self, tmp_path):
+    def test_bad_baseline_is_usage_error(self, tmp_path, capsys):
         assert run_cli(
             "compare", "--input", "x.ply", "--baseline", "sixteen", "--out", "r.csv"
         ) == 2
+        assert "unknown baseline 'sixteen' (choose from single, dual)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("baseline, code", [("single", 0), ("dual", 1), ("single,dual", 1)])
+    def test_thickness_zero_only_fails_a_dual_baseline(self, tmp_path, capsys, baseline, code):
+        cube, csv_path = tmp_path / "cube.ply", tmp_path / "r.csv"
+        run_cli("gen", "--kind", "cube", "--extent", "2", "--out", cube)
+        capsys.readouterr()
+        assert run_cli(
+            "compare", "--input", cube, "--baseline", baseline, "--thickness", "0",
+            "--out", csv_path,
+        ) == code
+        if code:
+            err = capsys.readouterr().err
+            assert err == "sliceseg compare: error: surface_thickness must be >= 1 in dual mode\n"
+            assert not csv_path.exists()
 
     def test_idempotent(self, sheet_ply, tmp_path):
         csv_path = tmp_path / "r.csv"

@@ -194,6 +194,20 @@ class TestDecodeErrors:
             decode(bytes(stream))
         assert e.value.kind == "invalid header"
 
+    def test_theta_zero(self):
+        """Encode never writes theta 0: SlicerConfig requires theta >= 1."""
+        stream = bytearray(self.make_stream())
+        stream[6:8] = b"\x00\x00"
+        with pytest.raises(DecodeError, match="theta 0 out of range") as e:
+            decode(bytes(stream))
+        assert (e.value.kind, e.value.record_index) == ("invalid header", None)
+        stream[5] = 7  # the bit depth is checked first
+        with pytest.raises(DecodeError, match="bit depth 7 out of range"):
+            decode(bytes(stream))
+        stream[5] = 10
+        stream[6] = 1  # the smallest theta encode can write
+        assert decode(bytes(stream)).theta == 1
+
     def test_truncated_mid_record(self):
         stream = self.make_stream()
         with pytest.raises(DecodeError, match="record") as e:

@@ -169,6 +169,25 @@ def test_compare_requires_a_baseline():
         CompareConfig(baselines=("triple-layer",))
 
 
+def test_compare_config_checks_thickness_only_for_dual():
+    assert CompareConfig().surface_thickness == 4
+    for baselines in (("dual-layer",), ("single-layer", "dual-layer")):
+        with pytest.raises(ValueError, match="surface_thickness must be >= 1 in dual mode"):
+            CompareConfig(baselines=baselines, surface_thickness=0)
+    config = CompareConfig(baselines=("single-layer",), surface_thickness=0)
+    rows = compare(cube_cloud(), config)
+    assert [r["strategy"] for r in rows] == ["single-layer", "slice-plan"]
+
+
+def test_compare_thickness_reaches_the_dual_baseline():
+    # fold layers sit two voxels apart: thickness 1 keeps one of them per pixel, 2 keeps two
+    cloud = gen_synthetic("folded-sheet", {"extent": 16, "amplitude": 4, "period": 8}, seed=3)
+    for thickness, captured in ((1, 272), (2, 384), (4, 384)):
+        config = CompareConfig(baselines=("dual-layer",), surface_thickness=thickness)
+        assert compare(cloud, config)[0]["captured"] == captured
+        assert baseline_loss(cloud, CaptureConfig("dual", thickness)).captured == captured
+
+
 def test_csv_schema_and_format():
     rows = compare(cube_cloud(), CompareConfig(slicer=SlicerConfig(overlap=0)))
     text = render_csv(rows)

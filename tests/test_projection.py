@@ -12,7 +12,12 @@ from sliceseg import (
     simulate_capture,
 )
 from sliceseg.cloud import Axis, AxisRange, PointCloud, extract_range, remove_range
-from sliceseg.projection import _label_dense, _label_sparse, _relabel_first_occurrence
+from sliceseg.projection import (
+    _label_dense,
+    _label_sparse,
+    _relabel_first_occurrence,
+    component_areas,
+)
 from sliceseg.synthetic import gen_synthetic
 
 from conftest import (
@@ -112,15 +117,19 @@ def sparse_clouds(draw):
 @settings(max_examples=300)
 @given(sparse_clouds())
 def test_labels_match_csgraph_oracle(cloud):
-    want, count = _relabel_first_occurrence(oracle_label_sparse(cloud.coords))
+    want = _relabel_first_occurrence(oracle_label_sparse(cloud.coords))
+    count = int(want.max()) + 1
     raw = _label_sparse(cloud.coords)
     assert int(raw.max()) + 1 == count  # roots compacted to 0..count-1
-    got, got_count = _relabel_first_occurrence(raw)
-    assert got_count == count
+    got = _relabel_first_occurrence(raw)
+    assert int(got.max()) + 1 == count
     assert np.array_equal(got, want)
+    # each root is its component's first point, so the raw labels need no relabel
+    assert np.array_equal(raw, want)
     labeling = label_components(cloud)
     assert labeling.count == count
     assert np.array_equal(labeling.labels, want)
+    assert labeling.labels.dtype == np.int32 and not labeling.labels.flags.writeable
 
 
 class TestProjectedArea:
@@ -207,11 +216,27 @@ class TestComputePsi:
             cloud = random_cloud(rng, max_points=300)
             stats = compute_psi(cloud)
             assert 0 <= stats.psi < 1
-            assert sum(a for _, a in stats.areas) <= stats.phi
             labeling = label_components(cloud)
+            _, areas = component_areas(cloud, labeling)
+            assert areas.sum() <= stats.phi
+            assert stats.lost == stats.phi - areas.sum()
+            assert stats.component_count == labeling.count
             sizes = np.bincount(labeling.labels, minlength=labeling.count)
-            for k, (_, area) in enumerate(stats.areas):
+            for k, area in enumerate(areas):
                 assert area <= sizes[k]
+
+    def test_component_areas_match_per_component_oracle(self, rng):
+        for _ in range(10):
+            cloud = random_cloud(rng, max_points=200)
+            labeling = label_components(cloud)
+            axes, areas = component_areas(cloud, labeling)
+            fixed = {axis: component_areas(cloud, labeling, axis) for axis in Axis}
+            for k in range(labeling.count):
+                points = cloud.subset(labeling.labels == k).coords.tolist()
+                assert (Axis(axes[k]), areas[k]) == brute_best_plane(points)
+                for axis, (fixed_axes, fixed_areas) in fixed.items():
+                    assert fixed_axes[k] == axis
+                    assert fixed_areas[k] == len(brute_pixels(points, axis))
 
     def test_psi_zero_for_injective_components(self):
         two_planes = make_cloud(
@@ -313,7 +338,9 @@ class TestOracleEquivalence:
                 comp = cloud.subset(labeling.labels == k)
                 axis, _ = best_plane(comp)
                 captured += len(simulate_capture(comp, axis, CaptureConfig("single")))
-            assert stats.phi - sum(a for _, a in stats.areas) == len(cloud) - captured
+            _, areas = component_areas(cloud, labeling)
+            assert stats.phi - areas.sum() == len(cloud) - captured
+            assert stats.lost == len(cloud) - captured
 
 
 class TestSplittingSuperadditivity:
@@ -332,7 +359,6 @@ class TestSplittingSuperadditivity:
             for part in parts:
                 if len(part) == 0:
                     continue
-                stats = compute_psi(part)
-                covered_parts += sum(a for _, a in stats.areas)
-            whole = compute_psi(cloud)
-            assert covered_parts >= sum(a for _, a in whole.areas)
+                covered_parts += component_areas(part, label_components(part))[1].sum()
+            whole = component_areas(cloud, label_components(cloud))[1].sum()
+            assert covered_parts >= whole

@@ -554,3 +554,12 @@ class TestPlanJson:
         doc = json.loads(plan_to_json(build_plan(cube_cloud(), cfg())))
         del doc["plane_rule"]
         assert plan_from_json(json.dumps(doc)).config.plane_rule == "best-plane"
+
+    @pytest.mark.parametrize("where", ["plan", "slice"])
+    @pytest.mark.parametrize("key", ["comment", "Theta", "plane-rule", ""])
+    def test_unknown_key_is_malformed(self, where, key):
+        doc = self._multi_slice_doc()
+        (doc if where == "plan" else doc["slices"][-1])[key] = 0
+        label = "keys" if where == "plan" else "slice keys"
+        with pytest.raises(ValueError, match=rf"^malformed plan JSON: unknown {label} \['{key}'\]"):
+            plan_from_json(json.dumps(doc))
