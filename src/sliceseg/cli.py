@@ -223,15 +223,16 @@ def _cmd_slice(args: argparse.Namespace) -> int:
 def _cmd_encode(args: argparse.Namespace) -> int:
     cloud = _load_cloud(args.input)
     plan_path = Path(args.plan)
-    if plan_path.exists():
+    saved = plan_path.exists()
+    if saved:
         plan = plan_from_json(plan_path.read_text())
     else:
         plan = build_plan(cloud, _slicer_config(args))
+    stream = encode(cloud, plan)
+    if not saved:  # only a plan that encodes is kept
         plan_path.write_text(plan_to_json(plan))
-    slices = extract_slices(cloud, plan)
-    stream = encode(cloud, plan, _slices=slices)
     Path(args.out).write_bytes(stream)
-    budget = bit_budget(plan, cloud.bit_depth, slices)
+    budget = bit_budget(plan, cloud.bit_depth, extract_slices(cloud, plan))
     print(
         f"encoded {len(cloud)} points in {len(plan.slices)} slices: "
         f"{len(stream)} bytes (payload {budget.payload_bits} bits, "

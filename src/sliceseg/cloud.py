@@ -229,9 +229,6 @@ class PointCloud:
         c = self.coords.astype(np.int64)
         return voxel_keys(c[:, 0], c[:, 1], c[:, 2])
 
-    def point_set(self) -> set[tuple[int, int, int]]:
-        return {(int(x), int(y), int(z)) for x, y, z in self.coords}
-
     def sorted_coords(self) -> np.ndarray:
         """Coordinates in lexicographic (x, y, z) order, for comparisons."""
         # keys order by (x, y, z) and are unique per voxel, so any sort will do
@@ -246,11 +243,6 @@ class PointCloud:
         """The points a boolean mask or an index array selects, in that order."""
         colors = self.colors[mask] if self.colors is not None else None
         return PointCloud._from_trusted(self.coords[mask], colors, self.bit_depth)
-
-    def translate(self, offset) -> "PointCloud":
-        """Shift all coordinates by a constant vector (must stay in range)."""
-        shifted = self.coords.astype(np.int64) + np.asarray(offset, dtype=np.int64)
-        return PointCloud(shifted, self.colors, bit_depth=self.bit_depth)
 
     def __repr__(self) -> str:
         return f"PointCloud({len(self)} points, B={self.bit_depth})"

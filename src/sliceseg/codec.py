@@ -206,15 +206,9 @@ def _serialize_record(bit_depth: int, record: DecodedRecord) -> bytes:
     return np.packbits(np.concatenate(header_fields + [payload])).tobytes()
 
 
-def encode(cloud: PointCloud, plan: SlicePlan, *, _slices=None) -> bytes:
-    """Serialize the plan's slices; decoding recovers the cloud exactly.
-
-    A caller that already holds `extract_slices(cloud, plan)` passes it as
-    `_slices`.
-    """
-    if any(spec.terminal for spec in plan.slices[:-1]):
-        raise EncodeError("only the last slice may be terminal")
-    slices = extract_slices(cloud, plan) if _slices is None else _slices
+def encode(cloud: PointCloud, plan: SlicePlan) -> bytes:
+    """Serialize the plan's slices; decoding recovers the cloud exactly."""
+    slices = extract_slices(cloud, plan)
     if plan.config.theta > 0xFFFF:
         raise EncodeError("theta does not fit the 16-bit header field")
     if plan.config.overlap > 0xFF:

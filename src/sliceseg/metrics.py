@@ -72,7 +72,7 @@ def _captured_keys(cloud: PointCloud, config: CaptureConfig) -> np.ndarray:
     """Coordinate keys captured by per-component best-plane projection."""
     if len(cloud) == 0:  # an empty slice band: nothing to label or capture
         return cloud.coordinate_keys()
-    return simulate_capture(cloud, None, config, labeling=label_components(cloud)).coordinate_keys()
+    return simulate_capture(cloud, label_components(cloud), config).coordinate_keys()
 
 
 def baseline_loss(cloud: PointCloud, capture: CaptureConfig) -> LossReport:
@@ -84,14 +84,13 @@ def baseline_loss(cloud: PointCloud, capture: CaptureConfig) -> LossReport:
     return LossReport(strategy=name, total=len(cloud), captured=int(captured.shape[0]))
 
 
-def plan_loss(cloud: PointCloud, plan: SlicePlan, *, _slices=None) -> LossReport:
+def plan_loss(cloud: PointCloud, plan: SlicePlan) -> LossReport:
     """Single-layer capture per extracted slice, captured sets unioned.
 
     Overlap bands participate in capture; duplicates across slices count
-    once toward the captured total. A caller that already holds
-    `extract_slices(cloud, plan)` passes it as `_slices`.
+    once toward the captured total.
     """
-    slices = extract_slices(cloud, plan) if _slices is None else _slices
+    slices = extract_slices(cloud, plan)
     single = CaptureConfig(layer_mode="single")
     captured = [_captured_keys(slice_cloud, single) for _, slice_cloud in slices]
     breakdown = tuple(
@@ -117,9 +116,8 @@ def compare(cloud: PointCloud, config: CompareConfig = CompareConfig()) -> list[
         rows.append(_row(report, slices=None, budget=None))
 
     plan = build_plan(cloud, config.slicer)
-    slices = extract_slices(cloud, plan)
-    report = plan_loss(cloud, plan, _slices=slices)
-    budget = bit_budget(plan, cloud.bit_depth, slices)
+    report = plan_loss(cloud, plan)
+    budget = bit_budget(plan, cloud.bit_depth, extract_slices(cloud, plan))
     rows.append(_row(report, slices=len(plan.slices), budget=budget))
     return rows
 

@@ -10,7 +10,6 @@ merge count is available as `cloud.duplicates_merged`.
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 import numpy as np
 
@@ -50,11 +49,11 @@ _IS_WS = np.zeros(256, dtype=bool)
 _IS_WS[list(b" \t\n\r\x0b\x0c")] = True
 
 
-def read_ply(data: bytes, bit_depth: Optional[int] = None) -> PointCloud:
+def read_ply(data: bytes) -> PointCloud:
     """Parse PLY bytes into a deduplicated PointCloud.
 
-    Bit depth is chosen automatically (smallest of 8..16 covering the input,
-    minimum 10) unless given explicitly.
+    Bit depth is chosen automatically: the smallest of 8..16 covering the
+    input, minimum 10.
     """
     header_lines, body_start, line_count = _split_header(data)
     fmt, count, props = _parse_header(header_lines)
@@ -94,7 +93,7 @@ def read_ply(data: bytes, bit_depth: Optional[int] = None) -> PointCloud:
         if bad.any():
             raise PlyParseError(f"color outside 0..255 at vertex {int(np.argmax(bad))}")
         colors = colors.astype(np.uint8)
-    return PointCloud(coords, colors, bit_depth=bit_depth)
+    return PointCloud(coords, colors)
 
 
 def write_ply(cloud: PointCloud, fmt: str = "ascii") -> bytes:

@@ -3,8 +3,9 @@
 A single orthographic depth layer keeps one point per pixel, so any pixel
 with several points along the projection axis loses all but one of them.
 This module labels 26-connected components, measures per-component
-projected areas, simulates single/dual layer capture, and reduces both to
-the loss fraction psi = (phi - sum of component areas) / phi.
+projected areas, simulates single/dual layer capture of each component on
+its best plane, and reduces the areas to the loss fraction
+psi = (phi - sum of component areas) / phi.
 """
 
 from __future__ import annotations
@@ -210,38 +211,26 @@ def compute_psi(cloud: PointCloud, axis: Optional[Axis] = None) -> ProjectionSta
 
 
 def simulate_capture(
-    cloud: PointCloud,
-    axis: Optional[Axis],
-    config: CaptureConfig = CaptureConfig(),
-    sign: int = -1,
-    labeling: Optional[ComponentLabeling] = None,
+    cloud: PointCloud, labeling: ComponentLabeling, config: CaptureConfig
 ) -> PointCloud:
-    """Points a projection along `axis` can represent.
+    """Points a per-component projection can represent.
 
-    Depth runs with increasing coordinate by default (`sign=-1`, the
-    negative-side view); `sign=+1` views from the positive side instead.
-    Single mode keeps the nearest point per pixel; dual mode adds the
-    farthest point within `surface_thickness` of the nearest. With a
-    `labeling`, each component is captured on its own, so components never
-    share a pixel; `axis=None` then projects each on its best plane.
+    Each component is captured on its own best plane, so components never
+    share a pixel, with depth increasing along that plane's axis. Single
+    mode keeps the nearest point per pixel; dual mode adds the farthest
+    point within `surface_thickness` of the nearest.
     """
     if len(cloud) == 0:
         raise ValueError("cannot capture an empty cloud")
-    if sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
-    if axis is None and labeling is None:
-        raise ValueError("axis=None needs a component labeling")
 
     c = cloud.coords.astype(np.int64)
-    label = 0 if labeling is None else labeling.labels.astype(np.int64)
-    if axis is None:  # per point: its component's best plane
-        axis = component_areas(cloud, labeling)[0][labeling.labels]
+    axis = component_areas(cloud, labeling)[0][labeling.labels]  # its component's best plane
     rows = np.arange(len(cloud))
     u, v = PLANE_COLS[axis].T
-    pix = voxel_keys(label, c[rows, u], c[rows, v])
+    pix = voxel_keys(labeling.labels.astype(np.int64), c[rows, u], c[rows, v])
     # voxels are unique, so points sharing a pixel always differ in depth;
     # nearest/farthest per pixel need no tie-breaking
-    depth = -sign * c[rows, axis]
+    depth = c[rows, axis]
 
     order = np.lexsort((depth, pix))
     depth_sorted = depth[order]

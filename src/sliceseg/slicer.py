@@ -80,8 +80,8 @@ class SliceSpec:
     terminal: bool = False
 
     def __post_init__(self) -> None:
-        if self.core.axis != self.extended.axis:
-            raise ValueError("core and extended ranges must share an axis")
+        if not (self.side.axis == self.core.axis == self.extended.axis):
+            raise ValueError("side, core and extended ranges must share an axis")
         if not (self.extended.lo <= self.core.lo and self.core.hi <= self.extended.hi):
             raise ValueError("extended range must contain the core")
 
@@ -94,6 +94,10 @@ class SlicePlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "slices", tuple(self.slices))
+        if [s.index for s in self.slices] != list(range(len(self.slices))):
+            raise ValueError("slice indices must run 0..n-1 in order")
+        if any(s.terminal for s in self.slices[:-1]):
+            raise ValueError("only the last slice may be terminal")
 
 
 class Candidate(NamedTuple):
@@ -425,12 +429,9 @@ def plan_from_json(text: str) -> SlicePlan:
             plane_rule=doc.get("plane_rule", "best-plane"),
         )
         slices = tuple(_slice_from_json(s) for s in doc["slices"])
-        if [s.index for s in slices] != list(range(len(slices))):
-            raise ValueError("slice indices must run 0..n-1 in order")
-        if any(s.terminal for s in slices[:-1]):
-            raise ValueError("only the last slice may be terminal")
         return SlicePlan(
             config=config, original_size=_int_field(doc, "original_size"), slices=slices
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    # json.loads raises RecursionError on deeply nested arrays or objects
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"malformed plan JSON: {exc}") from exc

@@ -37,11 +37,9 @@ from sliceseg import (
     PointCloud,
     SlicePlan,
     SliceSpec,
-    best_plane,
     compute_psi,
     extract_slices,
     label_components,
-    simulate_capture,
     slicer,
 )
 from sliceseg.cloud import (
@@ -67,6 +65,10 @@ settings.load_profile("sliceseg")
 def make_cloud(points, colors=None, bit_depth=None) -> PointCloud:
     return PointCloud(np.asarray(list(points), dtype=np.int64).reshape(-1, 3),
                       colors=colors, bit_depth=bit_depth)
+
+
+def point_set(cloud: PointCloud) -> set[tuple[int, int, int]]:
+    return {(int(x), int(y), int(z)) for x, y, z in cloud.coords}
 
 
 def cube_cloud() -> PointCloud:
@@ -249,13 +251,12 @@ def oracle_plan(monkeypatch, cloud: PointCloud, config):
 def oracle_captured_keys(cloud: PointCloud, config: CaptureConfig) -> np.ndarray:
     """Sorted coordinate keys captured component by component on each best plane."""
     labeling = label_components(cloud)
-    captured = []
+    captured = set()
     for k in range(labeling.count):
-        component = cloud.subset(labeling.labels == k)
-        axis, _ = best_plane(component)
-        kept = simulate_capture(component, axis, config)
-        captured.append(kept.coordinate_keys())
-    return np.unique(np.concatenate(captured))
+        points = cloud.coords[labeling.labels == k].tolist()
+        axis, _ = brute_best_plane(points)
+        captured |= brute_capture(points, axis, config.layer_mode, config.surface_thickness)
+    return np.unique(voxel_keys(*np.array(sorted(captured), dtype=np.int64).T))
 
 
 def oracle_plan_captured(cloud: PointCloud, plan: SlicePlan) -> tuple[int, list[int]]:

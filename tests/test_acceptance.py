@@ -42,7 +42,7 @@ from sliceseg.cloud import Axis, AxisRange, PointCloud, Side, extract_range, rem
 from sliceseg.codec import STREAM_HEADER_BYTES, offset_bits_for, record_header_bits
 from sliceseg.synthetic import gen_synthetic
 
-from conftest import brute_best_plane, brute_capture, make_cloud, read_bits
+from conftest import brute_best_plane, brute_capture, make_cloud, point_set, read_bits
 
 
 def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -167,7 +167,7 @@ def test_c4_delta_example_fidelity():
     ok = (
         stored_offset == 8
         and ds.records[0].base == 220
-        and ds.cloud.point_set() == {(100, 200, 228)}
+        and point_set(ds.cloud) == {(100, 200, 228)}
     )
     _verdict(4, "delta example fidelity", ok, f"stored offset {stored_offset}")
 
@@ -275,9 +275,9 @@ def test_c7_coverage_and_determinism(tmp_path):
             working = remove_range(working, spec.core)
         covered = set()
         for _, sc in extract_slices(cloud, plan_a):
-            covered |= sc.point_set()
+            covered |= point_set(sc)
         partition_ok = assigned == len(cloud) and len(working) == 0
-        coverage_ok = covered == cloud.point_set()
+        coverage_ok = covered == point_set(cloud)
 
         json_ok = plan_to_json(plan_a) == plan_to_json(plan_b)
         stream_ok = encode(cloud, plan_a) == encode(cloud, plan_b)

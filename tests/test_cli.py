@@ -11,7 +11,7 @@ from sliceseg import CompareConfig, SlicerConfig, gen_synthetic, read_ply, write
 from sliceseg.cli import _slicer_config, main, parse_args
 from sliceseg.slicer import PLANE_RULES
 
-from conftest import make_cloud
+from conftest import make_cloud, point_set
 
 
 def run_cli(*args):
@@ -107,8 +107,8 @@ class TestSlice:
         assert len(files) == len(doc["slices"])
         union = set()
         for f in files:
-            union |= read_ply(f.read_bytes()).point_set()
-        assert union == read_ply(sheet_ply.read_bytes()).point_set()
+            union |= point_set(read_ply(f.read_bytes()))
+        assert union == point_set(read_ply(sheet_ply.read_bytes()))
 
     def test_idempotent_rerun(self, sheet_ply, tmp_path):
         plan_path = tmp_path / "plan.json"
@@ -173,6 +173,19 @@ class TestEncodeDecode:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("sliceseg encode: error: malformed plan JSON: axis")
+
+    @pytest.mark.parametrize(
+        "flag, value, field", [("--theta", 70000, "theta"), ("--overlap", 300, "overlap")]
+    )
+    def test_plan_that_cannot_encode_is_not_written(
+        self, sheet_ply, tmp_path, capsys, flag, value, field
+    ):
+        plan, stream = tmp_path / "p.json", tmp_path / "s.swsg"
+        capsys.readouterr()
+        assert run_cli("encode", "--input", sheet_ply, "--plan", plan, "--out", stream,
+                       flag, value) == 1
+        assert f"error: {field} does not fit" in capsys.readouterr().err
+        assert not plan.exists() and not stream.exists()
 
     def test_decode_truncated_names_record(self, sheet_ply, tmp_path, capsys):
         plan, stream = tmp_path / "p.json", tmp_path / "s.swsg"
@@ -245,6 +258,18 @@ class TestAnalyze:
         plan.write_text(json.dumps(doc))
         assert run_cli("analyze", "--input", sheet_ply, "--plan", plan, "--out", out) == 1
         assert "plane_rule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "encode"])
+def test_deeply_nested_plan_is_one_line_error(sheet_ply, tmp_path, capsys, command):
+    plan, out = tmp_path / "p.json", tmp_path / "out"
+    plan.write_text("[" * 100_000 + "]" * 100_000)
+    capsys.readouterr()
+    assert run_cli(command, "--input", sheet_ply, "--plan", plan, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"sliceseg {command}: error: malformed plan JSON: ")
+    assert not out.exists()
 
 
 class TestCompare:

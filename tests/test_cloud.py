@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from sliceseg import AxisRange, PointCloud, extract_range, remove_range
 from sliceseg.cloud import Axis, Side, SIDES, _dedup_first, distinct, run_starts
 
-from conftest import cube_cloud, make_cloud, oracle_dedup_first, random_cloud
+from conftest import cube_cloud, make_cloud, oracle_dedup_first, point_set, random_cloud
 
 
 def test_dedup_keeps_first_and_counts():
@@ -68,7 +68,7 @@ def test_side_enumeration():
 def test_extract_range_half_open_semantics():
     cube = cube_cloud()
     low = extract_range(cube, AxisRange(Axis.Z, 0, 1))
-    assert sorted(low.point_set()) == [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
+    assert sorted(point_set(low)) == [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
     assert len(extract_range(cube, AxisRange(Axis.Z, 0, 2))) == 8
     assert len(extract_range(cube, AxisRange(Axis.Z, 5, 6))) == 0
 
@@ -76,7 +76,7 @@ def test_extract_range_half_open_semantics():
 def test_remove_range_complement():
     cube = cube_cloud()
     high = remove_range(cube, AxisRange(Axis.Z, 0, 1))
-    assert sorted(high.point_set()) == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+    assert sorted(point_set(high)) == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
     assert len(remove_range(cube, AxisRange(Axis.X, 5, 9))) == 8
     assert len(remove_range(cube, AxisRange(Axis.X, 0, 2))) == 0
 
@@ -90,8 +90,8 @@ def test_extract_remove_partition_property(rng):
         r = AxisRange(axis, lo, hi)
         inside, outside = extract_range(cloud, r), remove_range(cloud, r)
         assert len(inside) + len(outside) == len(cloud)
-        assert inside.point_set() | outside.point_set() == cloud.point_set()
-        assert not (inside.point_set() & outside.point_set())
+        assert point_set(inside) | point_set(outside) == point_set(cloud)
+        assert not (point_set(inside) & point_set(outside))
 
 
 def test_cloud_is_immutable():
@@ -102,10 +102,10 @@ def test_cloud_is_immutable():
 
 def test_translate_preserves_structure():
     cloud = make_cloud([(1, 2, 3), (4, 5, 6)])
-    moved = cloud.translate((10, 0, 2))
-    assert moved.point_set() == {(11, 2, 5), (14, 5, 8)}
+    moved = PointCloud(cloud.coords.astype(np.int64) + (10, 0, 2))
+    assert point_set(moved) == {(11, 2, 5), (14, 5, 8)}
     with pytest.raises(ValueError):
-        cloud.translate((-2, 0, 0))
+        PointCloud(cloud.coords.astype(np.int64) + (-2, 0, 0))
 
 
 int64s = st.integers(-(2**63), 2**63 - 1)

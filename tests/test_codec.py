@@ -28,6 +28,7 @@ from conftest import (
     make_cloud,
     oracle_decode,
     oracle_record_order,
+    point_set,
     random_cloud,
     read_bits,
 )
@@ -81,7 +82,7 @@ class TestDeltaExample:
         ds = decode(stream)
         assert ds.records[0].base == 220
         assert ds.records[0].offsets.tolist() == [8]
-        assert ds.cloud.point_set() == {(100, 200, 228)}
+        assert point_set(ds.cloud) == {(100, 200, 228)}
 
 
 class TestLossless:
@@ -439,9 +440,9 @@ class TestEncodeErrors:
     def test_terminal_slice_before_the_last(self):
         plan = build_plan(cube_cloud(), SlicerConfig(theta=64, overlap=0))
         first, *rest = plan.slices
-        early = dataclasses.replace(plan, slices=(dataclasses.replace(first, terminal=True), *rest))
-        with pytest.raises(EncodeError, match="terminal"):
-            encode(cube_cloud(), early)
+        # SlicePlan refuses it, so no such plan reaches encode
+        with pytest.raises(ValueError, match="^only the last slice may be terminal$"):
+            dataclasses.replace(plan, slices=(dataclasses.replace(first, terminal=True), *rest))
 
     def test_plan_cloud_mismatch(self):
         plan = build_plan(cube_cloud(), SlicerConfig())

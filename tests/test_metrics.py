@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sliceseg import (
     CaptureConfig,
     CompareConfig,
+    PointCloud,
     SlicePlan,
     SlicerConfig,
     SliceSpec,
@@ -32,6 +33,7 @@ from conftest import (
     make_cloud,
     oracle_captured_keys,
     oracle_plan_captured,
+    point_set,
     random_cloud,
     slab_plan,
 )
@@ -93,7 +95,7 @@ def test_plan_loss_with_an_empty_slice():
             for i, (lo, hi, n) in enumerate(bands)
         ),
     )
-    assert decode(encode(cloud, plan)).cloud.point_set() == cloud.point_set()
+    assert point_set(decode(encode(cloud, plan)).cloud) == point_set(cloud)
     report = plan_loss(cloud, plan)
     assert report.captured == 2
     assert [(s.points, s.captured) for s in report.per_slice] == [(1, 1), (0, 0), (1, 1)]
@@ -138,7 +140,7 @@ def test_single_component_baseline_equals_psi(rng):
 def test_loss_invariant_under_translation(rng):
     for _ in range(5):
         cloud = random_cloud(rng, max_points=200, extent_range=(4, 20))
-        moved = cloud.translate((7, 11, 3))
+        moved = PointCloud(cloud.coords.astype(np.int64) + (7, 11, 3))
         for capture in (CaptureConfig("single"), CaptureConfig("dual", 4)):
             assert (
                 baseline_loss(cloud, capture).lost
@@ -218,7 +220,7 @@ def test_json_mirror_matches_csv_rows():
 def test_baseline_matches_per_component_oracle(kind, capture):
     cloud = ORACLE_CLOUDS[kind]()
     want = oracle_captured_keys(cloud, capture)
-    got = simulate_capture(cloud, None, capture, labeling=label_components(cloud))
+    got = simulate_capture(cloud, label_components(cloud), capture)
     assert np.array_equal(np.sort(got.coordinate_keys()), want)
     assert baseline_loss(cloud, capture).captured == want.shape[0]
 

@@ -12,6 +12,7 @@ from conftest import (
     make_cloud,
     oracle_ascii_body,
     oracle_read_ascii_body,
+    point_set,
     random_cloud,
 )
 
@@ -27,7 +28,7 @@ def ascii_ply(vertices, props=("x", "y", "z"), types=None, count=None):
 
 def test_single_vertex():
     cloud = read_ply(ascii_ply([(1, 2, 3)]))
-    assert cloud.point_set() == {(1, 2, 3)}
+    assert point_set(cloud) == {(1, 2, 3)}
     assert cloud.bit_depth == 10
     assert cloud.duplicates_merged == 0
 
@@ -45,7 +46,7 @@ def test_truncated_body():
 
 def test_float_coordinates_floored():
     cloud = read_ply(ascii_ply([(1.9, 2.2, 3.7)]))
-    assert cloud.point_set() == {(1, 2, 3)}
+    assert point_set(cloud) == {(1, 2, 3)}
 
 
 def test_negative_coordinate_rejected():
@@ -90,7 +91,7 @@ def test_empty_cloud_round_trip():
 
 def test_integer_property_types():
     data = ascii_ply([(3, 4, 5)], types=["int32", "uint16", "int32"])
-    assert read_ply(data).point_set() == {(3, 4, 5)}
+    assert point_set(read_ply(data)) == {(3, 4, 5)}
 
 
 def test_colors_parsed_from_ascii():
@@ -166,7 +167,7 @@ def test_comment_mentioning_end_header_does_not_end_it():
     data = ascii_ply([(1, 2, 3)]).replace(
         b"ply\n", b"ply\ncomment see end_header below\n", 1
     )
-    assert read_ply(data).point_set() == {(1, 2, 3)}
+    assert point_set(read_ply(data)) == {(1, 2, 3)}
     binary = write_ply(cube_cloud(), "binary").replace(
         b"ply\n", b"ply\ncomment end_header\n", 1
     )

@@ -11,7 +11,7 @@ from sliceseg import (
     projected_area,
     simulate_capture,
 )
-from sliceseg.cloud import Axis, AxisRange, PointCloud, extract_range, remove_range
+from sliceseg.cloud import PLANE_COLS, Axis, AxisRange, PointCloud, extract_range, remove_range
 from sliceseg.projection import (
     _label_dense,
     _label_sparse,
@@ -29,6 +29,7 @@ from conftest import (
     cube_cloud,
     make_cloud,
     oracle_label_sparse,
+    point_set,
     random_cloud,
 )
 
@@ -246,80 +247,91 @@ class TestComputePsi:
         assert compute_psi(two_planes).psi == 0.0
 
 
+def plate_cloud(rng, axis: Axis, extent: int = 8, depth: int = 4, count: int = 60) -> PointCloud:
+    """Random voxels over a full far plate: one component whose best plane is `axis`.
+
+    The plate fills every pixel of the extent x extent face at `depth`. Each
+    random voxel hangs from it by a column in the next pixel over, so pixels
+    keep random gaps in depth. The other two planes see at most
+    extent * (depth + 1) < extent**2 pixels.
+    """
+    u, v = np.meshgrid(np.arange(extent), np.arange(extent), indexing="ij")
+    uvd = [np.column_stack([u.ravel(), v.ravel(), np.full(extent * extent, depth)])]
+    for pu, pv, pd in rng.integers(0, [extent, extent, depth], size=(count, 3)).tolist():
+        nu = pu + 1 if pu + 1 < extent else pu - 1
+        uvd.append([(pu, pv, pd)] + [(nu, pv, d) for d in range(pd, depth)])
+    uvd = np.concatenate(uvd)
+    coords = np.empty_like(uvd)
+    coords[:, PLANE_COLS[axis]] = uvd[:, :2]
+    coords[:, axis] = uvd[:, 2]
+    cloud = PointCloud(np.unique(coords, axis=0))
+    assert label_components(cloud).count == 1 and best_plane(cloud)[0] == axis
+    return cloud
+
+
+def capture(cloud: PointCloud, config: CaptureConfig) -> PointCloud:
+    return simulate_capture(cloud, label_components(cloud), config)
+
+
 class TestSimulateCapture:
     def test_cube_single_nearest_face(self):
-        captured = simulate_capture(cube_cloud(), Axis.Z, CaptureConfig())
-        assert captured.point_set() == {(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)}
+        # the cube's three planes tie at 4 pixels, so it projects on X
+        captured = capture(cube_cloud(), CaptureConfig())
+        assert point_set(captured) == {(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)}
 
     def test_cube_dual_recovers_far_face(self):
-        captured = simulate_capture(cube_cloud(), Axis.Z, CaptureConfig("dual", 4))
+        captured = capture(cube_cloud(), CaptureConfig("dual", 4))
         assert len(captured) == 8
 
     def test_thickness_window_excludes_deep_point(self):
-        # direct evaluation of the near/far rule
-        cloud = make_cloud([(0, 0, 0), (0, 0, 1), (0, 0, 9)])
+        # direct evaluation of the near/far rule on pixel (0, 0), depths 0, 1
+        # and 9; the deep point lies on a far plate that makes Z the best plane
+        plate = [(x, y, 9) for x in range(10) for y in range(10)]
+        link = [(1, 0, z) for z in range(1, 9)]
+        cloud = make_cloud([(0, 0, 0), (0, 0, 1), *link, *plate])
+        assert label_components(cloud).count == 1 and best_plane(cloud)[0] == Axis.Z
         expected = brute_capture(cloud.coords.tolist(), Axis.Z, "dual", 4)
-        assert expected == {(0, 0, 0), (0, 0, 1)}
-        captured = simulate_capture(cloud, Axis.Z, CaptureConfig("dual", 4))
-        assert captured.point_set() == expected
-
-    def test_positive_side_view(self):
-        cloud = make_cloud([(0, 0, 0), (0, 0, 9)])
-        captured = simulate_capture(cloud, Axis.Z, CaptureConfig(), sign=+1)
-        assert captured.point_set() == {(0, 0, 9)}
+        assert {p for p in expected if p[:2] == (0, 0)} == {(0, 0, 0), (0, 0, 1)}
+        captured = capture(cloud, CaptureConfig("dual", 4))
+        assert point_set(captured) == expected
 
     def test_matches_bruteforce(self, rng):
         for _ in range(10):
-            cloud = random_cloud(rng, max_points=250)
             for axis in Axis:
+                cloud = plate_cloud(rng, axis)
                 for mode in ("single", "dual"):
-                    got = simulate_capture(
-                        cloud, axis, CaptureConfig(mode, 4)
-                    ).point_set()
+                    got = point_set(capture(cloud, CaptureConfig(mode, 4)))
                     want = brute_capture(cloud.coords.tolist(), axis, mode, 4)
                     assert got == want
 
-    def test_best_plane_needs_a_labeling(self):
-        with pytest.raises(ValueError, match="labeling"):
-            simulate_capture(cube_cloud(), None)
-
     def test_labeled_capture_matches_per_component_bruteforce(self, rng):
-        """With a labeling, each component is captured on its own plane."""
+        """With a labeling, each component is captured on its own best plane."""
         for _ in range(10):
             cloud = random_cloud(rng, max_points=250)
             labeling = label_components(cloud)
             components = [cloud.subset(labeling.labels == k).coords.tolist()
                           for k in range(labeling.count)]
-            for axis in (None, *Axis):
-                for mode, thickness in (("single", 4), ("dual", 1), ("dual", 4)):
-                    config = CaptureConfig(mode, thickness)
-                    got = simulate_capture(cloud, axis, config, labeling=labeling)
-                    want = set()
-                    for points in components:
-                        plane = brute_best_plane(points)[0] if axis is None else axis
-                        want |= brute_capture(points, plane, mode, thickness)
-                    assert got.point_set() == want
-
-    def test_labeled_positive_side_view(self):
-        cloud = make_cloud([(0, 0, 0), (0, 0, 9), (0, 0, 5)])
-        labeling = label_components(cloud)
-        got = simulate_capture(cloud, Axis.Z, CaptureConfig(), sign=+1, labeling=labeling)
-        assert got.point_set() == {(0, 0, 0), (0, 0, 9), (0, 0, 5)}
-        assert simulate_capture(cloud, Axis.Z, CaptureConfig(), sign=+1).point_set() == {(0, 0, 9)}
+            for mode, thickness in (("single", 4), ("dual", 1), ("dual", 4)):
+                config = CaptureConfig(mode, thickness)
+                got = simulate_capture(cloud, labeling, config)
+                want = set()
+                for points in components:
+                    want |= brute_capture(points, brute_best_plane(points)[0], mode, thickness)
+                assert point_set(got) == want
 
     def test_layer_monotonicity(self, rng):
         for _ in range(10):
-            cloud = random_cloud(rng, max_points=250)
             for axis in Axis:
-                single = simulate_capture(cloud, axis, CaptureConfig("single"))
-                dual = simulate_capture(cloud, axis, CaptureConfig("dual", 4))
+                cloud = plate_cloud(rng, axis)
+                single = capture(cloud, CaptureConfig("single"))
+                dual = capture(cloud, CaptureConfig("dual", 4))
                 assert len(dual) >= len(single)
-                assert single.point_set() <= dual.point_set()
+                assert point_set(single) <= point_set(dual)
 
     def test_at_most_layer_count_points_per_pixel(self, rng):
-        cloud = random_cloud(rng, max_points=300, extent_range=(4, 10))
+        cloud = plate_cloud(rng, Axis.Z, count=300)
         for mode, limit in (("single", 1), ("dual", 2)):
-            captured = simulate_capture(cloud, Axis.Z, CaptureConfig(mode, 4))
+            captured = capture(cloud, CaptureConfig(mode, 4))
             pixels = {}
             for x, y, z in captured.coords.tolist():
                 pixels[(x, y)] = pixels.get((x, y), 0) + 1
@@ -333,11 +345,7 @@ class TestOracleEquivalence:
             cloud = random_cloud(rng, max_points=400)
             stats = compute_psi(cloud)
             labeling = label_components(cloud)
-            captured = 0
-            for k in range(labeling.count):
-                comp = cloud.subset(labeling.labels == k)
-                axis, _ = best_plane(comp)
-                captured += len(simulate_capture(comp, axis, CaptureConfig("single")))
+            captured = len(simulate_capture(cloud, labeling, CaptureConfig("single")))
             _, areas = component_areas(cloud, labeling)
             assert stats.phi - areas.sum() == len(cloud) - captured
             assert stats.lost == len(cloud) - captured

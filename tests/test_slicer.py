@@ -31,6 +31,7 @@ from conftest import (
     make_cloud,
     oracle_extract_slices,
     oracle_plan,
+    point_set,
     random_cloud,
     slab,
     slab_lost,
@@ -300,9 +301,9 @@ class TestExtractSlices:
         slices = extract_slices(cube_cloud(), plan)
         seen = set()
         for _, sc in slices:
-            assert not (sc.point_set() & seen)
-            seen |= sc.point_set()
-        assert seen == cube_cloud().point_set()
+            assert not (point_set(sc) & seen)
+            seen |= point_set(sc)
+        assert seen == point_set(cube_cloud())
 
     def test_cube_m1_first_slice_has_overlap(self):
         plan = build_plan(cube_cloud(), cfg(overlap=1))
@@ -315,10 +316,10 @@ class TestExtractSlices:
         working = cloud
         core_sets = []
         for spec in plan.slices:
-            core_sets.append(extract_range(working, spec.core).point_set())
+            core_sets.append(point_set(extract_range(working, spec.core)))
             working = remove_range(working, spec.core)
         union = set().union(*core_sets)
-        assert union == cloud.point_set()
+        assert union == point_set(cloud)
         assert sum(len(s) for s in core_sets) == len(cloud)
 
     def test_coverage_with_overlap(self, rng):
@@ -326,8 +327,8 @@ class TestExtractSlices:
             cloud = random_cloud(rng, max_points=300)
             plan = build_plan(cloud, cfg(overlap=overlap))
             slices = extract_slices(cloud, plan)
-            union = set().union(*(sc.point_set() for _, sc in slices))
-            assert union == cloud.point_set()
+            union = set().union(*(point_set(sc) for _, sc in slices))
+            assert union == point_set(cloud)
 
     def test_mismatched_cloud_rejected(self):
         plan = build_plan(cube_cloud(), cfg())
@@ -442,6 +443,34 @@ class TestPlanJson:
     def test_malformed_json_rejected(self):
         with pytest.raises(ValueError, match="malformed plan JSON"):
             plan_from_json('{"theta": 64}')
+
+    def test_side_must_share_the_core_axis(self):
+        # plan_to_json writes only the side's axis, so such a spec would come
+        # back with its core moved onto that axis
+        core = AxisRange(Axis.Z, 0, 8)
+        with pytest.raises(ValueError, match="^side, core and extended ranges must share an axis$"):
+            SliceSpec(0, Side(Axis.X, -1), core, core, 1, 0.0)
+        with pytest.raises(ValueError, match="share an axis"):
+            SliceSpec(0, Side(Axis.Z, -1), core, AxisRange(Axis.Y, 0, 8), 1, 0.0)
+
+    @pytest.mark.parametrize(
+        "indices, terminals, message",
+        [
+            ((1, 0), (False, False), "slice indices must run 0..n-1 in order"),
+            ((0, 2), (False, False), "slice indices must run 0..n-1 in order"),
+            ((0, 1), (True, False), "only the last slice may be terminal"),
+        ],
+    )
+    def test_plan_owns_slice_order_and_terminal_rules(self, indices, terminals, message):
+        specs = [
+            SliceSpec(i, Side(Axis.Z, -1), AxisRange(Axis.Z, 2 * k, 2 * k + 2),
+                      AxisRange(Axis.Z, 2 * k, 2 * k + 2), 1, 0.0, terminal)
+            for k, (i, terminal) in enumerate(zip(indices, terminals))
+        ]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SlicePlan(cfg(), 2, specs)
+        assert SlicePlan(cfg(), 2, [dataclasses.replace(s, index=k, terminal=k == 1)
+                                    for k, s in enumerate(specs)]).slices[1].terminal
 
     def test_plane_rule_round_trips(self):
         plan = build_plan(cube_cloud(), cfg(plane_rule="fixed-plane"))

@@ -7,7 +7,7 @@ from sliceseg import label_components
 from sliceseg.cloud import Axis
 from sliceseg.synthetic import gen_synthetic
 
-from conftest import brute_pixels
+from conftest import brute_pixels, point_set
 
 
 def test_plane_construction():
@@ -18,7 +18,7 @@ def test_plane_construction():
 
 def test_cube_construction():
     cloud = gen_synthetic("cube", {"extent": 2})
-    assert cloud.point_set() == {(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)}
+    assert point_set(cloud) == {(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)}
 
 
 def test_sphere_shell_is_hollow():
@@ -71,7 +71,7 @@ def test_uniform_random_deterministic_and_unique():
     b = gen_synthetic("uniform-random", {"extent": 50, "count": 300}, seed=11)
     assert len(a) == 300
     assert a.same_points(b)
-    assert len(a.point_set()) == 300
+    assert len(point_set(a)) == 300
     c = gen_synthetic("uniform-random", {"extent": 50, "count": 300}, seed=12)
     assert not a.same_points(c)
 
