@@ -1,16 +1,12 @@
 """Slice-wise segmentation and delta geometry coding for voxelized point clouds."""
 
 from .cloud import (
-    Axis,
     AxisRange,
     PointCloud,
-    Side,
-    SIDES,
     extract_range,
     remove_range,
 )
 from .codec import (
-    BitBudget,
     DecodedStream,
     DecodeError,
     EncodeError,
@@ -21,7 +17,6 @@ from .codec import (
 )
 from .metrics import (
     CompareConfig,
-    LossReport,
     baseline_loss,
     compare,
     plan_loss,
@@ -31,8 +26,6 @@ from .metrics import (
 from .ply import PlyParseError, read_ply, write_ply
 from .projection import (
     CaptureConfig,
-    ComponentLabeling,
-    ProjectionStats,
     best_plane,
     compute_psi,
     label_components,
@@ -56,22 +49,15 @@ from .synthetic import gen_synthetic
 __version__ = "0.1.0"
 
 __all__ = [
-    "Axis",
     "AxisRange",
-    "BitBudget",
     "CaptureConfig",
     "CompareConfig",
-    "ComponentLabeling",
     "DecodeError",
     "DecodedStream",
     "EncodeError",
-    "LossReport",
     "PlanMismatchError",
     "PlyParseError",
     "PointCloud",
-    "ProjectionStats",
-    "SIDES",
-    "Side",
     "SlicePlan",
     "SliceSpec",
     "SlicerConfig",

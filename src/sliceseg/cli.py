@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+def parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "gen":
@@ -275,22 +275,16 @@ _COMMANDS = {
 }
 
 
-def run(args: argparse.Namespace) -> int:
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        args = parse_args(argv)  # argparse reads sys.argv[1:] when argv is None
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"sliceseg {args.command}: error: {exc}", file=sys.stderr)
         return 1
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    try:
-        args = parse_args(list(argv))
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    return run(args)
 
 
 if __name__ == "__main__":

@@ -18,8 +18,9 @@ value 0 marks a wide record (terminal residues can span the whole grid)
 whose offsets are bounded by 2^d instead. Only the canonical form that
 `encode` writes decodes: nonzero padding, color flags that differ between
 records, points out of strictly increasing (offset, u, v) order (so also
-repeated points) and a terminal flag on any record but the last raise a
-"noncanonical" error.
+repeated points), a terminal flag on any record but the last and a wide
+record with d < 7 (its width would fit the field) raise a "noncanonical"
+error.
 """
 
 from __future__ import annotations
@@ -209,10 +210,6 @@ def _serialize_record(bit_depth: int, record: DecodedRecord) -> bytes:
 def encode(cloud: PointCloud, plan: SlicePlan) -> bytes:
     """Serialize the plan's slices; decoding recovers the cloud exactly."""
     slices = extract_slices(cloud, plan)
-    if plan.config.theta > 0xFFFF:
-        raise EncodeError("theta does not fit the 16-bit header field")
-    if plan.config.overlap > 0xFF:
-        raise EncodeError("overlap does not fit the 8-bit header field")
     records = tuple(
         _record(spec, slice_cloud, cloud.bit_depth) for spec, slice_cloud in slices
     )
@@ -267,6 +264,8 @@ def decode(data: bytes) -> DecodedStream:
             )
         if record.terminal and index < len(records) - 1:
             raise DecodeError("noncanonical", "terminal flag on a record before the last", index)
+        if not record.width_field and record.d < offset_bits_for(_MAX_NARROW_WIDTH + 1):
+            raise DecodeError("noncanonical", f"wide record with {record.d} offset bits", index)
     return DecodedStream(
         bit_depth=bit_depth, theta=theta, overlap=overlap, records=tuple(records)
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -29,18 +28,10 @@ CSV_HEADER = "strategy,points,captured,lost,loss_fraction,slices,header_bits,pay
 
 
 @dataclass(frozen=True)
-class SliceCapture:
-    index: int
-    points: int
-    captured: int
-
-
-@dataclass(frozen=True)
 class LossReport:
     strategy: str
     total: int
     captured: int
-    per_slice: Optional[tuple[SliceCapture, ...]] = None
 
     @property
     def lost(self) -> int:
@@ -90,18 +81,14 @@ def plan_loss(cloud: PointCloud, plan: SlicePlan) -> LossReport:
     Overlap bands participate in capture; duplicates across slices count
     once toward the captured total.
     """
-    slices = extract_slices(cloud, plan)
     single = CaptureConfig(layer_mode="single")
-    captured = [_captured_keys(slice_cloud, single) for _, slice_cloud in slices]
-    breakdown = tuple(
-        SliceCapture(index=spec.index, points=len(slice_cloud), captured=int(keys.shape[0]))
-        for (spec, slice_cloud), keys in zip(slices, captured)
-    )
+    captured = [
+        _captured_keys(slice_cloud, single) for _, slice_cloud in extract_slices(cloud, plan)
+    ]
     return LossReport(
         strategy=PLAN_STRATEGY,
         total=len(cloud),
         captured=int(distinct(np.concatenate(captured)).shape[0]) if captured else 0,
-        per_slice=breakdown,
     )
 
 

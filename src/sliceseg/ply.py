@@ -3,7 +3,8 @@
 Supported subset: a single `vertex` element with x/y/z properties
 (integer or floating scalar types) and optional uchar red/green/blue,
 in ascii or binary little-endian 1.0. Float coordinates are floored to
-the voxel grid. Duplicate coordinates merge on load (first wins); the
+the voxel grid; an ASCII value of an integer property must be an integer
+in its type's range. Duplicate coordinates merge on load (first wins); the
 merge count is available as `cloud.duplicates_merged`.
 """
 
@@ -93,6 +94,15 @@ def read_ply(data: bytes) -> PointCloud:
         if bad.any():
             raise PlyParseError(f"color outside 0..255 at vertex {int(np.argmax(bad))}")
         colors = colors.astype(np.uint8)
+    for name, dtype in props if fmt == "ascii" else ():  # binary values fit their type
+        if np.dtype(dtype).kind in "iu":
+            info, values = np.iinfo(dtype), raw[name]
+            bad = ~((values >= info.min) & (values <= info.max) & (values == np.floor(values)))
+            if bad.any():
+                raise PlyParseError(
+                    f"{name} at vertex {int(np.argmax(bad))} is not an integer "
+                    f"in {info.min}..{info.max}"
+                )
     return PointCloud(coords, colors)
 
 

@@ -48,7 +48,7 @@ _HALF_KEY_STEPS = _HALF_OFFSETS @ (voxel_keys(1, 0, 0), voxel_keys(0, 1, 0), 1)
 
 @dataclass(frozen=True)
 class ComponentLabeling:
-    """Per-point component labels, contiguous from 0 in first-occurrence order."""
+    """Per-point component labels, 0..count-1."""
 
     labels: np.ndarray
     count: int
@@ -82,7 +82,7 @@ class ProjectionStats:
 
 
 def label_components(cloud: PointCloud) -> ComponentLabeling:
-    """26-connectivity components; labels follow first point occurrence."""
+    """26-connectivity components, labeled 0..count-1."""
     n = len(cloud)
     if n == 0:
         raise ValueError("nothing to label: empty cloud")
@@ -92,8 +92,8 @@ def label_components(cloud: PointCloud) -> ComponentLabeling:
     volume = int(extents[0]) * int(extents[1]) * int(extents[2])
 
     if volume <= min(_DENSE_CELL_LIMIT, _DENSE_CELLS_PER_POINT * n):
-        raw = _relabel_first_occurrence(_label_dense(cloud.coords, mins, extents))
-    else:  # each root is its component's first point: already in first-occurrence order
+        raw = _label_dense(cloud.coords, mins, extents)
+    else:
         raw = _label_sparse(cloud.coords)
     labels = raw.astype(np.int32)
     labels.setflags(write=False)
@@ -148,15 +148,6 @@ def _label_sparse(coords: np.ndarray) -> np.ndarray:
     # roots to 0..k-1, in index order
     is_root = parent == np.arange(n)
     return (np.cumsum(is_root) - 1)[parent]
-
-
-def _relabel_first_occurrence(raw: np.ndarray) -> np.ndarray:
-    n_labels = int(raw.max()) + 1
-    first = np.full(n_labels, raw.shape[0], dtype=np.int64)
-    np.minimum.at(first, raw, np.arange(raw.shape[0], dtype=np.int64))
-    remap = np.empty(n_labels, dtype=np.int64)
-    remap[np.argsort(first)] = np.arange(n_labels)  # first indices are distinct
-    return remap[raw]
 
 
 def projected_area(cloud: PointCloud, axis: Axis) -> int:

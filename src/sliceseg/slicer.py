@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
@@ -56,10 +57,14 @@ class SlicerConfig:
         object.__setattr__(self, "threshold_frac", _as_fraction(self.threshold_frac))
         if self.theta < 1:
             raise ValueError("theta must be >= 1")
+        if self.theta > 0xFFFF:
+            raise ValueError("theta does not fit the 16-bit header field")
         if not (0 <= self.threshold_frac < 1):
             raise ValueError("threshold_frac must be in [0, 1)")
         if self.overlap < 0:
             raise ValueError("overlap must be >= 0")
+        if self.overlap > 0xFF:
+            raise ValueError("overlap does not fit the 8-bit header field")
         if self.plane_rule not in PLANE_RULES:
             raise ValueError(f"plane_rule must be one of {PLANE_RULES}")
 
@@ -136,12 +141,13 @@ def _core_range(side: Side, mins: np.ndarray, maxs: np.ndarray, width: int) -> A
     return AxisRange(axis, lo, lo + width)
 
 
-# Lost-point counts of slabs already evaluated: core range -> (count, lost).
-# Sound only across calls on one working cloud that shrinks between them
-# under one config: a range holding as many points as when it was stored
-# still holds the same points, so its loss is unchanged. Only build_plan
-# shares one across calls; every other caller gets a fresh one.
-_LossCache = dict[AxisRange, tuple[int, int]]
+# Lost-point counts of evaluated slabs, keyed by (axis, first and last
+# occupied coordinate) -> (count, lost); equal-count slabs of one side share
+# a key. Sound only across calls on one working cloud that shrinks between
+# them under one config: a range holding as many points as when it was
+# stored still holds the same points, so its loss is unchanged. Only
+# build_plan shares one across calls; every other caller gets a fresh one.
+_LossCache = dict[tuple[Axis, int, int], tuple[int, int]]
 
 
 def best_width(
@@ -189,21 +195,19 @@ def best_width(
     cache = {} if _cache is None else _cache
     fixed_axis = axis if config.plane_rule == "fixed-plane" else None
     lost: dict[int, int] = {}  # width -> lost points
-    by_count: dict[int, int] = {}  # equal counts on one side are one point set
     best = incumbent
 
     def evaluate(width: int) -> None:
         nonlocal best
         count = counts[width - 1]
         core = _core_range(side, mins, maxs, width)
-        if count not in by_count:
-            hit = cache.get(core)
-            if hit is not None and hit[0] == count:
-                by_count[count] = hit[1]
-            else:
-                by_count[count] = compute_psi(extract_range(cloud, core), axis=fixed_axis).lost
-                cache[core] = (count, by_count[count])
-        lost[width] = by_count[count]
+        span = column[-count:] if side.positive else column[:count]  # the slab's coordinates
+        key = (axis, int(span[0]), int(span[-1]))
+        hit = cache.get(key)
+        if hit is None or hit[0] != count:
+            hit = (count, compute_psi(extract_range(cloud, core), axis=fixed_axis).lost)
+            cache[key] = hit
+        lost[width] = hit[1]
         if _beats(lost[width], count, width, best):
             best = Candidate(side, width, core, count, lost[width])
 
@@ -263,7 +267,6 @@ def select_slice(
         extended=extended,
         point_count=best.count,
         psi=best.psi,
-        terminal=False,
     )
 
 
@@ -378,12 +381,19 @@ def plan_to_json(plan: SlicePlan) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _int_field(doc: dict, key: str) -> int:
-    value = doc[key]
-    # json loads 1e400 as float inf and true/false as bools; only integers pass
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+def _expect(key: str, value, types: tuple[type, ...], what: str):
+    """`value` if it is one of `types`, else a ValueError naming `key`.
+
+    json loads true/false as bools, which pass as ints only where bool is listed.
+    """
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise ValueError(f"{key} must be {what}, got {reprlib.repr(value)}")
     return value
+
+
+def _int_field(doc: dict, key: str) -> int:
+    # json loads 1e400 as float inf; only integers pass
+    return _expect(key, doc[key], (int,), "an integer")
 
 
 def _psi_field(doc: dict) -> float:
@@ -395,15 +405,11 @@ def _psi_field(doc: dict) -> float:
 
 
 def _slice_from_json(s: dict) -> SliceSpec:
-    if unknown := set(s) - _SLICE_KEYS:
+    if unknown := set(_expect("slice", s, (dict,), "an object")) - _SLICE_KEYS:
         raise ValueError(f"unknown slice keys {sorted(unknown)}")
-    if not isinstance(s["axis"], str):
-        raise ValueError(f"axis must be a string, got {s['axis']!r}")
-    axis = axis_from_name(s["axis"])
+    axis = axis_from_name(_expect("axis", s["axis"], (str,), "a string"))
     if s["sign"] not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {s['sign']!r}")
-    if not isinstance(s["terminal"], bool):
-        raise ValueError(f"terminal must be true or false, got {s['terminal']!r}")
     return SliceSpec(
         index=_int_field(s, "index"),
         side=Side(axis, +1 if s["sign"] == "+" else -1),
@@ -411,27 +417,33 @@ def _slice_from_json(s: dict) -> SliceSpec:
         extended=AxisRange(axis, _int_field(s, "ext_lo"), _int_field(s, "ext_hi")),
         point_count=_int_field(s, "points"),
         psi=_psi_field(s),
-        terminal=s["terminal"],
+        terminal=_expect("terminal", s["terminal"], (bool,), "true or false"),
     )
 
 
 def plan_from_json(text: str) -> SlicePlan:
     """Load a plan in `plan_to_json`'s schema; a malformed document raises ValueError."""
     try:
-        doc = json.loads(text)
+        doc = _expect("plan", json.loads(text), (dict,), "an object")
         if unknown := set(doc) - _PLAN_KEYS:
             raise ValueError(f"unknown keys {sorted(unknown)}")
+        # plans written before the key existed were all best-plane
+        plane_rule = doc.get("plane_rule", "best-plane")
         config = SlicerConfig(
             theta=_int_field(doc, "theta"),
-            threshold_frac=doc["threshold_frac"],
+            threshold_frac=_expect(
+                "threshold_frac", doc["threshold_frac"], (int, float, str), "a number or a string"
+            ),
             overlap=_int_field(doc, "overlap"),
-            # plans written before the key existed were all best-plane
-            plane_rule=doc.get("plane_rule", "best-plane"),
+            plane_rule=_expect("plane_rule", plane_rule, (str,), "a string"),
         )
-        slices = tuple(_slice_from_json(s) for s in doc["slices"])
+        slices = tuple(
+            _slice_from_json(s) for s in _expect("slices", doc["slices"], (list,), "an array")
+        )
         return SlicePlan(
             config=config, original_size=_int_field(doc, "original_size"), slices=slices
         )
-    # json.loads raises RecursionError on deeply nested arrays or objects
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+    # json.loads raises RecursionError on deeply nested arrays or objects,
+    # and Fraction ZeroDivisionError on a threshold string such as "1/0"
+    except (KeyError, TypeError, ValueError, RecursionError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed plan JSON: {exc}") from exc

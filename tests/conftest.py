@@ -148,6 +148,16 @@ def oracle_label_sparse(coords: np.ndarray) -> np.ndarray:
     return raw.astype(np.int64)
 
 
+def relabel_first_occurrence(raw: np.ndarray) -> np.ndarray:
+    """The same partition with labels numbered in order of each component's first point."""
+    n_labels = int(raw.max()) + 1
+    first = np.full(n_labels, raw.shape[0], dtype=np.int64)
+    np.minimum.at(first, raw, np.arange(raw.shape[0], dtype=np.int64))
+    remap = np.empty(n_labels, dtype=np.int64)
+    remap[np.argsort(first)] = np.arange(n_labels)  # first indices are distinct
+    return remap[raw]
+
+
 def brute_capture(points, axis: Axis, mode: str = "single", thickness: int = 4) -> set:
     """Captured point tuples under min-depth (plus windowed far layer)."""
     u, v = PLANE_COLS[axis]
@@ -259,11 +269,11 @@ def oracle_captured_keys(cloud: PointCloud, config: CaptureConfig) -> np.ndarray
     return np.unique(voxel_keys(*np.array(sorted(captured), dtype=np.int64).T))
 
 
-def oracle_plan_captured(cloud: PointCloud, plan: SlicePlan) -> tuple[int, list[int]]:
-    """(union captured, per-slice captured) of single-layer capture per slice."""
+def oracle_plan_captured(cloud: PointCloud, plan: SlicePlan) -> int:
+    """Points captured by single-layer capture per slice, unioned over the slices."""
     single = CaptureConfig("single")
     per_slice = [oracle_captured_keys(sub, single) for _, sub in extract_slices(cloud, plan)]
-    return int(np.unique(np.concatenate(per_slice)).shape[0]), [k.shape[0] for k in per_slice]
+    return int(np.unique(np.concatenate(per_slice)).shape[0])
 
 
 def oracle_dedup_first(coords: np.ndarray, colors):

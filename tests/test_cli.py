@@ -130,6 +130,23 @@ class TestSlice:
         assert code == 2
         assert "--threshold" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--theta", 70000, "theta does not fit the 16-bit header field"),
+            ("--overlap", 300, "overlap does not fit the 8-bit header field"),
+        ],
+        ids=["theta", "overlap"],
+    )
+    def test_plan_that_cannot_encode_is_refused(
+        self, sheet_ply, tmp_path, capsys, flag, value, message
+    ):
+        plan = tmp_path / "p.json"
+        capsys.readouterr()
+        assert run_cli("slice", "--input", sheet_ply, "--plan", plan, flag, value) == 1
+        assert capsys.readouterr().err == f"sliceseg slice: error: {message}\n"
+        assert not plan.exists()
+
     def test_plane_rule_written(self, sheet_ply, tmp_path):
         plan_path = tmp_path / "plan.json"
         assert run_cli(

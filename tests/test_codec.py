@@ -315,6 +315,16 @@ class TestNoncanonicalStreams:
             decode(stream)
         assert (e.value.kind, e.value.record_index) == ("noncanonical", 0)
 
+    def test_wide_record_needs_a_width_above_the_field(self):
+        ds = decode(self.golden_like_stream())
+        assert ds.records[0].d == 1
+        wide = dataclasses.replace(ds.records[0], width_field=0)
+        stream = reencode(dataclasses.replace(ds, records=(wide, ds.records[1])))
+        assert oracle_decode(stream).records[0].width_field == 0  # the layout alone admits it
+        with pytest.raises(DecodeError, match="wide record with 1 offset bits") as e:
+            decode(stream)
+        assert (e.value.kind, e.value.record_index) == ("noncanonical", 0)
+
     def test_structural_error_reported_before_noncanonical(self):
         stream = bytearray(self.golden_like_stream())
         stream[30] |= 1
@@ -337,8 +347,8 @@ def _first_noncanonical_record(data, ds):
     """Index of the first record encode would not write.
 
     Encode writes one color flag for all records, zero padding, points in
-    strictly increasing (offset, u, v) order, and the terminal flag only on
-    the last record.
+    strictly increasing (offset, u, v) order, the terminal flag only on the
+    last record, and width field 0 only for widths above 127 (d >= 7).
     """
     position = STREAM_HEADER_BYTES
     for index, rec in enumerate(ds.records):
@@ -351,6 +361,8 @@ def _first_noncanonical_record(data, ds):
         if points != sorted(set(points)):
             return index
         if rec.terminal and index != len(ds.records) - 1:
+            return index
+        if rec.width_field == 0 and rec.d < offset_bits_for(128):
             return index
         position += len(canonical)
     return None

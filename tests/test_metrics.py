@@ -71,8 +71,6 @@ def test_plan_loss_cube_width1_zero():
     plan = build_plan(cube_cloud(), SlicerConfig(overlap=0))
     report = plan_loss(cube_cloud(), plan)
     assert report.loss_fraction == 0.0
-    assert report.per_slice is not None
-    assert sum(s.captured for s in report.per_slice) >= report.captured
 
 
 def test_plan_loss_single_point_terminal():
@@ -98,7 +96,6 @@ def test_plan_loss_with_an_empty_slice():
     assert point_set(decode(encode(cloud, plan)).cloud) == point_set(cloud)
     report = plan_loss(cloud, plan)
     assert report.captured == 2
-    assert [(s.points, s.captured) for s in report.per_slice] == [(1, 1), (0, 0), (1, 1)]
 
 
 def test_plan_beats_single_layer_baseline(rng):
@@ -231,9 +228,7 @@ def test_plan_loss_on_slab_plans_matches_per_component_oracle(kind):
     for axis, width, overlap in ((Axis.Z, 1, 0), (Axis.Z, 3, 2), (Axis.X, 4, 1), (Axis.Y, 16, 0)):
         plan = slab_plan(cloud, axis, width, overlap)
         report = plan_loss(cloud, plan)
-        union, per_slice = oracle_plan_captured(cloud, plan)
-        assert report.captured == union
-        assert [s.captured for s in report.per_slice] == per_slice
+        assert report.captured == oracle_plan_captured(cloud, plan)
 
 
 def test_components_sharing_a_pixel_are_captured_apart():

@@ -148,6 +148,33 @@ def test_ascii_color_out_of_range_rejected(bad):
         read_ply(data)
 
 
+@pytest.mark.parametrize(
+    "name, ptype, token, limits",
+    [
+        ("x", "int", "1.5", "-2147483648..2147483647"),
+        ("x", "short", "40000", "-32768..32767"),
+        ("x", "uchar", "300", "0..255"),
+        ("red", "uchar", "10.7", "0..255"),
+        ("intensity", "int", "2.5", "-2147483648..2147483647"),
+    ],
+    ids=["int-fraction", "short-range", "uchar-range", "color-fraction", "extra-fraction"],
+)
+def test_ascii_integer_property_rejects_other_values(name, ptype, token, limits):
+    props = ("x", "y", "z", "red", "green", "blue", "intensity")
+    types = ["float"] * 3 + ["uchar"] * 3 + ["int"]
+    types[props.index(name)] = ptype
+    rows = [[0, 0, 0, 1, 2, 3, 4], [1, 1, 1, 10, 20, 30, 40]]
+    rows[1][props.index(name)] = token
+    with pytest.raises(PlyParseError, match=f"^{name} at vertex 1 is not an integer in {limits}$"):
+        read_ply(ascii_ply(rows, props=props, types=types))
+
+
+def test_ascii_integer_property_accepts_integral_tokens():
+    data = ascii_ply([("32767", "+12", "1e3", "7.0")], props=("x", "y", "z", "red"),
+                     types=["short", "int", "int", "uchar"])
+    assert point_set(read_ply(data)) == {(32767, 12, 1000)}
+
+
 def test_binary_color_out_of_range_rejected():
     header = ascii_ply([], props=COLOR_PROPS, types=["float"] * 3 + ["int"] * 3, count=2)
     header = header.replace(b"format ascii 1.0", b"format binary_little_endian 1.0")

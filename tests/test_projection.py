@@ -15,7 +15,6 @@ from sliceseg.cloud import PLANE_COLS, Axis, AxisRange, PointCloud, extract_rang
 from sliceseg.projection import (
     _label_dense,
     _label_sparse,
-    _relabel_first_occurrence,
     component_areas,
 )
 from sliceseg.synthetic import gen_synthetic
@@ -31,6 +30,7 @@ from conftest import (
     oracle_label_sparse,
     point_set,
     random_cloud,
+    relabel_first_occurrence,
 )
 
 
@@ -60,9 +60,13 @@ class TestLabeling:
             label_components(make_cloud([]))
 
     def test_labels_follow_first_occurrence(self):
+        # a property of the sparse backend (each root is its component's first
+        # point); label_components promises only labels 0..count-1
         cloud = make_cloud([(9, 9, 9), (0, 0, 0), (9, 9, 8), (0, 1, 0)])
+        assert _label_sparse(cloud.coords).tolist() == [0, 1, 0, 1]
         labeling = label_components(cloud)
-        assert labeling.labels.tolist() == [0, 1, 0, 1]
+        assert labeling.count == 2
+        assert relabel_first_occurrence(labeling.labels).tolist() == [0, 1, 0, 1]
 
     def test_matches_bruteforce_union_find(self, rng):
         for _ in range(20):
@@ -118,18 +122,19 @@ def sparse_clouds(draw):
 @settings(max_examples=300)
 @given(sparse_clouds())
 def test_labels_match_csgraph_oracle(cloud):
-    want = _relabel_first_occurrence(oracle_label_sparse(cloud.coords))
+    want = relabel_first_occurrence(oracle_label_sparse(cloud.coords))
     count = int(want.max()) + 1
     raw = _label_sparse(cloud.coords)
     assert int(raw.max()) + 1 == count  # roots compacted to 0..count-1
-    got = _relabel_first_occurrence(raw)
+    got = relabel_first_occurrence(raw)
     assert int(got.max()) + 1 == count
     assert np.array_equal(got, want)
     # each root is its component's first point, so the raw labels need no relabel
     assert np.array_equal(raw, want)
     labeling = label_components(cloud)
     assert labeling.count == count
-    assert np.array_equal(labeling.labels, want)
+    # the dense backend numbers components its own way: compare partitions
+    assert np.array_equal(relabel_first_occurrence(labeling.labels), want)
     assert labeling.labels.dtype == np.int32 and not labeling.labels.flags.writeable
 
 

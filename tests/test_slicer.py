@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -62,6 +63,19 @@ class TestConfig:
             SlicerConfig(overlap=-1)
         with pytest.raises(ValueError):
             SlicerConfig(plane_rule="diagonal")
+
+    @pytest.mark.parametrize(
+        "field, largest, message",
+        [
+            ("theta", 0xFFFF, "theta does not fit the 16-bit header field"),
+            ("overlap", 0xFF, "overlap does not fit the 8-bit header field"),
+        ],
+        ids=["theta", "overlap"],
+    )
+    def test_stream_header_bounds(self, field, largest, message):
+        assert getattr(SlicerConfig(**{field: largest}), field) == largest
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SlicerConfig(**{field: largest + 1})
 
 
 class TestCandidatePsi:
@@ -524,6 +538,27 @@ class TestPlanJson:
             plan_from_json(text)
 
     @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: [doc], "plan must be an object, got [{"),
+            (lambda doc: "abc", "plan must be an object, got 'abc'"),
+            (lambda doc: {**doc, "slices": {"a": 1}}, "slices must be an array, got {'a': 1}"),
+            (lambda doc: {**doc, "slices": [1]}, "slice must be an object, got 1"),
+            (lambda doc: {**doc, "threshold_frac": False},
+             "threshold_frac must be a number or a string, got False"),
+            (lambda doc: {**doc, "threshold_frac": "1/0"}, "Fraction(1, 0)"),
+            (lambda doc: {**doc, "plane_rule": ["best-plane"]},
+             "plane_rule must be a string, got ['best-plane']"),
+        ],
+        ids=["list", "string", "slices-object", "slice-int", "threshold-bool",
+             "threshold-zero-denominator", "plane-rule-list"],
+    )
+    def test_wrong_json_type_is_malformed(self, edit, message):
+        doc = json.loads(plan_to_json(build_plan(cube_cloud(), cfg())))
+        with pytest.raises(ValueError, match=f"^malformed plan JSON: {re.escape(message)}"):
+            plan_from_json(json.dumps(edit(doc)))
+
+    @pytest.mark.parametrize(
         "raw",
         ['"NaN"', '"0.5"', "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "-0.5",
          "1.5", "true", "null"],
@@ -592,3 +627,34 @@ class TestPlanJson:
         label = "keys" if where == "plan" else "slice keys"
         with pytest.raises(ValueError, match=rf"^malformed plan JSON: unknown {label} \['{key}'\]"):
             plan_from_json(json.dumps(doc))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["1/0", "1/3", "0.05", "X", "+", "-", "best-plane", "fixed-plane"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _loads_or_is_malformed(text: str) -> None:
+    try:
+        assert isinstance(plan_from_json(text), SlicePlan)
+    except ValueError as exc:
+        assert str(exc).startswith("malformed plan JSON: ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_any_json_document_loads_or_is_malformed(value):
+    _loads_or_is_malformed(json.dumps(value))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_plan_with_one_field_replaced_loads_or_is_malformed(data):
+    doc = json.loads(plan_to_json(build_plan(cube_cloud(), cfg())))
+    target = data.draw(st.sampled_from([doc, *doc["slices"]]))
+    target[data.draw(st.sampled_from(sorted(target)))] = data.draw(JSON_VALUES)
+    _loads_or_is_malformed(json.dumps(doc))
