@@ -28,6 +28,7 @@ from .projection import compute_psi, projected_area
 from .slicer import (
     PLANE_RULES,
     SlicerConfig,
+    as_fraction,
     build_plan,
     extract_slices,
     plan_from_json,
@@ -38,7 +39,7 @@ from .synthetic import KINDS, SEEDED_KINDS, gen_synthetic
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return as_fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 

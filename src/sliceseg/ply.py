@@ -71,12 +71,9 @@ def read_ply(data: bytes) -> PointCloud:
         raw = _read_binary_body(data[body_start:], count, props, body_start)
 
     coords = np.stack([raw[c] for c in _COORD_NAMES], axis=1)
-    if np.issubdtype(coords.dtype, np.floating):
-        if not np.isfinite(coords).all():
-            raise PlyParseError("non-finite coordinate in vertex body")
-        coords = np.floor(coords).astype(np.int64)
-    else:
-        coords = coords.astype(np.int64)
+    if not np.isfinite(coords).all():
+        raise PlyParseError("non-finite coordinate in vertex body")
+    coords = np.floor(coords)  # cast only once in range: 1e30 would wrap
 
     if coords.size and coords.min() < 0:
         bad = int(np.argwhere((coords < 0).any(axis=1))[0][0])
@@ -86,6 +83,7 @@ def read_ply(data: bytes) -> PointCloud:
         raise PlyParseError(
             f"coordinate at vertex {bad} exceeds {MAX_BIT_DEPTH}-bit grid"
         )
+    coords = coords.astype(np.int64)
 
     colors = None
     if has_color:
@@ -206,6 +204,8 @@ def _parse_header(lines: list[str]):
                 raise PlyParseError(
                     f"unsupported property type {ptype!r} (line {lineno})"
                 )
+            if any(name == seen for seen, _ in props):
+                raise PlyParseError(f"duplicate property {name!r} (line {lineno})")
             props.append((name, _SCALAR_DTYPES[ptype]))
         elif kw == "end_header":
             break

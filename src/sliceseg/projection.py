@@ -15,20 +15,12 @@ from typing import Optional
 
 import numpy as np
 
-from .cloud import KEY_FIELD_BITS, PLANE_COLS, Axis, PointCloud, distinct, voxel_keys
+from .cloud import KEY_FIELD_BITS, PLANE_COLS, Axis, PointCloud, distinct, run_starts, voxel_keys
 
-# Dense labeling scans every grid cell; the sparse path scales with point
-# count instead. The absolute cap bounds the dense grid's memory. Both
-# produce identical components. Crossover against the union-find sparse
-# path (1k-20k points, 2-core x86): uniform-random clouds label faster
-# sparse from about 30-40 cells per point, while a 50k-point sphere shell
-# at 41 still labels faster dense (31 vs 40 ms). Planning the benchmark's
-# plan-suite took the same time within noise for every value from 20 to
-# 90, so the value stays at 60.
-_DENSE_CELL_LIMIT = 16_000_000
-_DENSE_CELLS_PER_POINT = 60
-
-_STRUCTURE_26 = np.ones((3, 3, 3), dtype=np.int8)
+# neighbor_pairs indexes a padded grid of the cloud's box (4 bytes a cell) up
+# to these sizes; sparser clouds search sorted voxel keys for the same pairs.
+_GRID_CELL_LIMIT = 16_000_000
+_GRID_CELLS_PER_POINT = 60
 
 # Offsets covering half the 26-neighborhood (the other half is symmetric).
 _HALF_OFFSETS = np.array(
@@ -48,7 +40,7 @@ _HALF_KEY_STEPS = _HALF_OFFSETS @ (voxel_keys(1, 0, 0), voxel_keys(0, 1, 0), 1)
 
 @dataclass(frozen=True)
 class ComponentLabeling:
-    """Per-point component labels, 0..count-1."""
+    """Per-point component labels, each in 0..count-1."""
 
     labels: np.ndarray
     count: int
@@ -82,72 +74,64 @@ class ProjectionStats:
 
 
 def label_components(cloud: PointCloud) -> ComponentLabeling:
-    """26-connectivity components, labeled 0..count-1."""
+    """26-connectivity components, labeled 0..count-1 in order of first point."""
     n = len(cloud)
     if n == 0:
         raise ValueError("nothing to label: empty cloud")
-
-    mins, maxs = cloud.bbox
-    extents = (maxs - mins + 1).astype(np.int64)
-    volume = int(extents[0]) * int(extents[1]) * int(extents[2])
-
-    if volume <= min(_DENSE_CELL_LIMIT, _DENSE_CELLS_PER_POINT * n):
-        raw = _label_dense(cloud.coords, mins, extents)
-    else:
-        raw = _label_sparse(cloud.coords)
-    labels = raw.astype(np.int32)
+    roots = component_roots(np.arange(n), *neighbor_pairs(cloud))
+    is_root = roots == np.arange(n)
+    labels = (np.cumsum(is_root) - 1)[roots].astype(np.int32)
     labels.setflags(write=False)
-    return ComponentLabeling(labels, int(raw.max()) + 1)
+    return ComponentLabeling(labels, int(np.count_nonzero(is_root)))
 
 
-def _label_dense(coords: np.ndarray, mins: np.ndarray, extents: np.ndarray) -> np.ndarray:
-    from scipy import ndimage  # deferred: commands that never label skip loading scipy
+def neighbor_pairs(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
+    """(src, dst) point indices of every 26-adjacent pair, each pair once."""
+    n, coords = len(cloud), cloud.coords
+    mins, maxs = cloud.bbox
+    extents = maxs.astype(np.intp) - mins + 3  # one empty cell of padding on each side
+    strides = np.array([extents[1] * extents[2], extents[2], 1])
+    if extents.prod() <= min(_GRID_CELL_LIMIT, _GRID_CELLS_PER_POINT * n):
+        c = coords - (mins - 1)
+        flat = c[:, 0] * strides[0] + c[:, 1] * strides[1] + c[:, 2]
+        grid = np.full(int(extents.prod()), -1, dtype=np.int32)
+        grid[flat] = np.arange(n, dtype=np.int32)
+        hits = grid[(_HALF_OFFSETS @ strides)[:, None] + flat]  # (13, n) neighbor indices
+        found = np.flatnonzero(hits >= 0)
+        return found % n, hits.ravel()[found].astype(np.intp)
 
-    grid = np.zeros(tuple(int(e) for e in extents), dtype=np.uint8)
-    shifted = coords - mins
-    idx = (shifted[:, 0], shifted[:, 1], shifted[:, 2])
-    grid[idx] = 1
-    labeled, _ = ndimage.label(grid, structure=_STRUCTURE_26)
-    return labeled[idx].astype(np.int64) - 1
-
-
-def _label_sparse(coords: np.ndarray) -> np.ndarray:
-    n = coords.shape[0]
     c = coords.astype(np.int64) + 1  # neighbor fields stay in 0..2^16+1: no borrow or carry
     keys = voxel_keys(c[:, 0], c[:, 1], c[:, 2])
     order = np.argsort(keys)  # keys are unique: no order among equals to keep
     sorted_keys = keys[order]
-
-    src_list = []
-    dst_list = []
+    src_list, dst_list = [], []
     for step in _HALF_KEY_STEPS.tolist():
         nb_keys = sorted_keys + step  # sorted queries keep searchsorted cache-friendly
         pos = np.minimum(np.searchsorted(sorted_keys, nb_keys), n - 1)
         hit = np.flatnonzero(sorted_keys[pos] == nb_keys)
-        if hit.size:
-            src_list.append(order[hit])
-            dst_list.append(order[pos[hit]])
+        src_list.append(order[hit])
+        dst_list.append(order[pos[hit]])
+    return np.concatenate(src_list), np.concatenate(dst_list)
 
-    parent = np.arange(n, dtype=np.int64)
-    if not src_list:
-        return parent
-    src = np.concatenate(src_list)
-    dst = np.concatenate(dst_list)
-    # Hook-and-jump union-find (Shiloach-Vishkin style): every pointer goes
-    # to a smaller index, so each tree's root is its component's first point.
+
+def component_roots(parent: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Each point's root, the least point index in its component.
+
+    Hook-and-jump union-find (Shiloach and Vishkin, J. Algorithms 1982) over
+    the pairs (src, dst). `parent`, which it overwrites, starts each point at
+    itself, or the first points at roots already found; the pairs then need
+    only include those that touch a later point. Pointers only go to smaller
+    indices, so the roots do not depend on pair order.
+    """
     while src.size:
         a, b = parent[src], parent[dst]
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
-            parent = jumped
-        joined = parent[src] != parent[dst]
+        jumped = parent[parent]
+        while not (jumped == parent).all():
+            parent, jumped = jumped, jumped[jumped]
+        joined = (parent[src] != parent[dst]).nonzero()[0]
         src, dst = src[joined], dst[joined]
-    # roots to 0..k-1, in index order
-    is_root = parent == np.arange(n)
-    return (np.cumsum(is_root) - 1)[parent]
+    return parent
 
 
 def projected_area(cloud: PointCloud, axis: Axis) -> int:
@@ -223,17 +207,14 @@ def simulate_capture(
     # nearest/farthest per pixel need no tie-breaking
     depth = c[rows, axis]
 
-    order = np.lexsort((depth, pix))
+    order = np.argsort(pix)
     depth_sorted = depth[order]
-    new_pixel = np.concatenate(([True], np.diff(pix[order]) != 0))
-    starts = np.flatnonzero(new_pixel)
-    keep = np.zeros(len(cloud), dtype=bool)
-    keep[order[starts]] = True
-
+    starts = np.flatnonzero(run_starts(pix[order]))
+    run_lengths = np.diff(starts, append=order.shape[0])
+    near = np.repeat(np.minimum.reduceat(depth_sorted, starts), run_lengths)
+    kept = depth_sorted == near
     if config.layer_mode == "dual":
-        near = depth_sorted[starts][np.cumsum(new_pixel) - 1]
-        in_window = depth_sorted <= near + config.surface_thickness
+        in_window = np.where(depth_sorted <= near + config.surface_thickness, depth_sorted, -1)
         # the nearest point is always in its window, so every pixel has a far one
-        far = np.maximum.reduceat(np.where(in_window, np.arange(order.shape[0]), -1), starts)
-        keep[order[far]] = True
-    return cloud.subset(keep)
+        kept |= depth_sorted == np.repeat(np.maximum.reduceat(in_window, starts), run_lengths)
+    return cloud.subset(np.sort(order[kept]))

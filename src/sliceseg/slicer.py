@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,9 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .cloud import Axis, AxisRange, PointCloud, Side, SIDES, axis_from_name, extract_range, remove_range
-from .projection import compute_psi
+from .projection import (
+    ComponentLabeling, component_areas, component_roots, compute_psi, neighbor_pairs
+)
 
 PLANE_RULES = ("best-plane", "fixed-plane")
 
@@ -36,11 +39,18 @@ class PlanMismatchError(ValueError):
     """Plan and cloud disagree (size or replayed slice membership)."""
 
 
-def _as_fraction(value: Union[str, float, int, Fraction]) -> Fraction:
+# Fraction would spend a second on "1e-2000000"; no float needs such an exponent.
+_EXPONENT = re.compile(r"e\s*([-+]?\d[\d_]*)\s*$", re.IGNORECASE)
+
+
+def as_fraction(value: Union[str, float, int, Fraction]) -> Fraction:
+    """`value` as an exact Fraction; a string's decimal exponent must be within +-1000."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         return Fraction(str(value))
+    if isinstance(value, str) and (exp := _EXPONENT.search(value)) and abs(int(exp[1])) > 1000:
+        raise ValueError(f"exponent of {reprlib.repr(value)} is beyond +-1000")
     return Fraction(value)
 
 
@@ -54,7 +64,7 @@ class SlicerConfig:
     plane_rule: str = "best-plane"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "threshold_frac", _as_fraction(self.threshold_frac))
+        object.__setattr__(self, "threshold_frac", as_fraction(self.threshold_frac))
         if self.theta < 1:
             raise ValueError("theta must be >= 1")
         if self.theta > 0xFFFF:
@@ -196,6 +206,28 @@ def best_width(
     fixed_axis = axis if config.plane_rule == "fixed-plane" else None
     lost: dict[int, int] = {}  # width -> lost points
     best = incumbent
+    # Width w's slab is the first counts[w - 1] points of the w_max slab by
+    # depth from the face (built on the first cache miss); a pair joins the
+    # prefixes that hold its deeper point. Each prefix resumes the union-find
+    # from the longest shorter prefix labeled so far.
+    slab = None
+    roots = {0: np.arange(0)}  # prefix length -> roots of its points
+
+    def prefix_lost(count: int) -> int:
+        nonlocal slab
+        if slab is None:
+            points = extract_range(cloud, _core_range(side, mins, maxs, w_max))
+            points = points.subset(np.argsort(points.coords[:, axis] * -side.sign))  # by depth
+            src, dst = neighbor_pairs(points)
+            slab = points, np.maximum(src, dst), src, dst
+        points, activation, src, dst = slab
+        start = max(m for m in roots if m < count)
+        joining = ((activation >= start) & (activation < count)).nonzero()[0]
+        parent = np.concatenate((roots[start], np.arange(start, count)))
+        roots[count] = component_roots(parent, src[joining], dst[joining])
+        labeling = ComponentLabeling(roots[count], count)  # a label no point has gets area 0
+        _, areas = component_areas(points.subset(slice(count)), labeling, fixed_axis)
+        return count - int(areas.sum())
 
     def evaluate(width: int) -> None:
         nonlocal best
@@ -205,8 +237,7 @@ def best_width(
         key = (axis, int(span[0]), int(span[-1]))
         hit = cache.get(key)
         if hit is None or hit[0] != count:
-            hit = (count, compute_psi(extract_range(cloud, core), axis=fixed_axis).lost)
-            cache[key] = hit
+            hit = cache[key] = (count, prefix_lost(count))
         lost[width] = hit[1]
         if _beats(lost[width], count, width, best):
             best = Candidate(side, width, core, count, lost[width])

@@ -11,8 +11,8 @@ library's whole-body reader and writer must match byte for byte and error
 for error. The SWSG oracle reads a stream one field at a time with a
 sequential bit reader, which the library's table-driven decoder must match
 record for record and error for error on every canonical stream. The
-sparse labeling oracle is the scipy csgraph backend the library used before
-its numpy union-find, which must give the same labels array for array.
+labeling oracle runs scipy's csgraph over its own neighbor search, and
+`label_components` must give the same labels array for array.
 The key-set oracles are the library's earlier forms before its sort-based
 ones: dedup through `np.unique(return_index=True)`, slice replay through
 `extract_range`/`remove_range` on shrinking clouds, and the record point

@@ -59,6 +59,30 @@ def test_coordinate_too_large_rejected():
         read_ply(ascii_ply([(70000, 0, 0)]))
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("1e30", "coordinate at vertex 0 exceeds 16-bit grid"),
+        ("3e9", "coordinate at vertex 0 exceeds 16-bit grid"),
+        ("-1e30", "negative coordinate at vertex 0"),
+    ],
+)
+def test_huge_float_coordinate_is_range_checked_before_the_cast(value, message):
+    # casting 1e30 to int64 first wraps it (with a RuntimeWarning) to a negative value
+    with pytest.raises(PlyParseError, match=f"^{message}$"):
+        read_ply(ascii_ply([(value, 0, 0)]))
+
+
+@pytest.mark.parametrize("fmt", ["ascii 1.0", "binary_little_endian 1.0"])
+def test_duplicate_property_is_a_header_error(fmt):
+    header = (
+        f"ply\nformat {fmt}\nelement vertex 0\nproperty float x\n"
+        "property float y\nproperty float x\nproperty float z\nend_header\n"
+    )
+    with pytest.raises(PlyParseError, match=r"^duplicate property 'x' \(line 6\)$"):
+        read_ply(header.encode())
+
+
 def test_color_round_trip():
     colors = np.array([[255, 0, 10], [1, 2, 3]], dtype=np.uint8)
     cloud = make_cloud([(0, 0, 0), (5, 5, 5)], colors=colors)

@@ -11,12 +11,9 @@ from sliceseg import (
     projected_area,
     simulate_capture,
 )
+from sliceseg import projection
 from sliceseg.cloud import PLANE_COLS, Axis, AxisRange, PointCloud, extract_range, remove_range
-from sliceseg.projection import (
-    _label_dense,
-    _label_sparse,
-    component_areas,
-)
+from sliceseg.projection import component_areas, neighbor_pairs
 from sliceseg.synthetic import gen_synthetic
 
 from conftest import (
@@ -60,13 +57,10 @@ class TestLabeling:
             label_components(make_cloud([]))
 
     def test_labels_follow_first_occurrence(self):
-        # a property of the sparse backend (each root is its component's first
-        # point); label_components promises only labels 0..count-1
         cloud = make_cloud([(9, 9, 9), (0, 0, 0), (9, 9, 8), (0, 1, 0)])
-        assert _label_sparse(cloud.coords).tolist() == [0, 1, 0, 1]
         labeling = label_components(cloud)
         assert labeling.count == 2
-        assert relabel_first_occurrence(labeling.labels).tolist() == [0, 1, 0, 1]
+        assert labeling.labels.tolist() == [0, 1, 0, 1]
 
     def test_matches_bruteforce_union_find(self, rng):
         for _ in range(20):
@@ -78,27 +72,32 @@ class TestLabeling:
                 got.setdefault(int(lab), set()).add(i)
             assert {frozenset(c) for c in got.values()} == expected
 
-    def test_dense_and_sparse_backends_agree(self, rng):
+    def test_grid_and_sorted_key_finders_agree(self, rng, monkeypatch):
         for _ in range(10):
             cloud = random_cloud(rng, max_points=300, extent_range=(4, 30))
-            mins, maxs = cloud.bbox
-            dense = _label_dense(cloud.coords, mins, (maxs - mins + 1).astype(np.int64))
-            sparse = _label_sparse(cloud.coords)
-            # same partition, possibly different label numbers
-            n = len(cloud)
-            pairing = {}
-            for i in range(n):
-                assert pairing.setdefault(int(dense[i]), int(sparse[i])) == int(sparse[i])
+            c = cloud.coords.astype(np.int64)
+            chebyshev = np.abs(c[:, None, :] - c[None, :, :]).max(axis=2)
+            want = set(zip(*(i.tolist() for i in np.nonzero(np.triu(chebyshev == 1)))))
+            for cells_per_point in (10**9, 0):  # the index grid, then sorted keys
+                monkeypatch.setattr(projection, "_GRID_CELLS_PER_POINT", cells_per_point)
+                src, dst = neighbor_pairs(cloud)
+                assert src.dtype == dst.dtype == np.intp
+                pairs = list(zip(np.minimum(src, dst).tolist(), np.maximum(src, dst).tolist()))
+                assert len(pairs) == len(want) and set(pairs) == want  # each pair once
 
 
 @st.composite
-def sparse_clouds(draw):
-    """Clouds spread over a 10- or 16-bit grid, most too sparse for the dense labeler."""
+def labeling_clouds(draw):
+    """Clouds on a 10- or 16-bit grid: dense boxes, and spreads too sparse for the index grid."""
     bit_depth = draw(st.sampled_from([10, 16]))
     top = (1 << bit_depth) - 1
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["single", "isolated", "reverse-chain", "blobs"]))
-    if kind == "single":
+    kind = draw(st.sampled_from(["single", "isolated", "reverse-chain", "blobs", "box"]))
+    if kind == "box":  # dense enough for the index grid, in a corner of the grid or not
+        side = draw(st.integers(2, 12))
+        corner = draw(st.sampled_from([0, top + 1 - side, int(rng.integers(0, top + 2 - side))]))
+        points = corner + rng.integers(0, side, size=(draw(st.integers(1, 400)), 3))
+    elif kind == "single":
         points = rng.integers(0, top + 1, size=(1, 3))
     elif kind == "isolated":  # even coordinates only: no two points are neighbors
         points = 2 * rng.integers(0, top // 2 + 1, size=(draw(st.integers(2, 300)), 3))
@@ -120,21 +119,16 @@ def sparse_clouds(draw):
 
 
 @settings(max_examples=300)
-@given(sparse_clouds())
-def test_labels_match_csgraph_oracle(cloud):
+@given(labeling_clouds(), st.booleans())
+def test_labels_match_csgraph_oracle(cloud, sorted_keys_only):
     want = relabel_first_occurrence(oracle_label_sparse(cloud.coords))
-    count = int(want.max()) + 1
-    raw = _label_sparse(cloud.coords)
-    assert int(raw.max()) + 1 == count  # roots compacted to 0..count-1
-    got = relabel_first_occurrence(raw)
-    assert int(got.max()) + 1 == count
-    assert np.array_equal(got, want)
-    # each root is its component's first point, so the raw labels need no relabel
-    assert np.array_equal(raw, want)
-    labeling = label_components(cloud)
-    assert labeling.count == count
-    # the dense backend numbers components its own way: compare partitions
-    assert np.array_equal(relabel_first_occurrence(labeling.labels), want)
+    with pytest.MonkeyPatch.context() as patch:
+        if sorted_keys_only:
+            patch.setattr(projection, "_GRID_CELLS_PER_POINT", 0)
+        labeling = label_components(cloud)
+    assert labeling.count == int(want.max()) + 1
+    # each root is its component's first point, so labels follow first occurrence
+    assert np.array_equal(labeling.labels, want)
     assert labeling.labels.dtype == np.int32 and not labeling.labels.flags.writeable
 
 

@@ -23,6 +23,7 @@ from sliceseg import (
     select_slice,
 )
 from sliceseg.cloud import SIDES, Axis, AxisRange, Side, extract_range, remove_range
+from sliceseg.slicer import MIN_SLICE_POINTS
 from sliceseg.synthetic import gen_synthetic
 
 from conftest import (
@@ -76,6 +77,15 @@ class TestConfig:
         assert getattr(SlicerConfig(**{field: largest}), field) == largest
         with pytest.raises(ValueError, match=f"^{message}$"):
             SlicerConfig(**{field: largest + 1})
+
+    def test_threshold_exponent_is_bounded(self):
+        # "1e-2000000" would take about a second to build its denominator
+        with pytest.raises(ValueError, match="exponent of '1e-2000000' is beyond"):
+            SlicerConfig(threshold_frac="1e-2000000")
+        with pytest.raises(ValueError, match="malformed plan JSON: exponent"):
+            text = plan_to_json(build_plan(cube_cloud(), cfg()))
+            plan_from_json(text.replace('"threshold_frac": 0.05', '"threshold_frac": "1E+1001"'))
+        assert SlicerConfig(threshold_frac="1e-1000").threshold_frac == Fraction(1, 10**1000)
 
 
 class TestCandidatePsi:
@@ -168,6 +178,30 @@ def test_lost_points_non_decreasing_in_width(points, plane_rule):
             for w in range(1, cloud.extent(side.axis) + 1)
         ]
         assert losses == sorted(losses)
+
+
+@pytest.mark.parametrize("plane_rule", ["best-plane", "fixed-plane"])
+def test_prefix_losses_match_slabs_labeled_afresh(rng, plane_rule):
+    """best_width labels each width as a depth-ordered prefix of its side's widest slab.
+
+    Every loss it caches must equal compute_psi on the slab extracted anew.
+    A fresh cache per theta makes width theta one of the labeled widths,
+    resumed from the roots of the narrowest eligible width.
+    """
+    for _ in range(6):
+        cloud = random_cloud(rng, max_points=300, extent_range=(4, 14))
+        for side in SIDES:
+            for theta in range(1, cloud.extent(side.axis) + 1):
+                config = cfg(theta=theta, threshold="0", plane_rule=plane_rule)
+                cache = {}
+                best_width(cloud, side, config, len(cloud), _cache=cache)
+                _, widest = slab(cloud, side, theta)
+                if len(widest) >= MIN_SLICE_POINTS:
+                    span = widest.coords[:, side.axis]
+                    assert (side.axis, int(span.min()), int(span.max())) in cache
+                for (axis, lo, hi), (count, lost) in cache.items():
+                    sub = extract_range(cloud, AxisRange(axis, lo, hi + 1))
+                    assert (len(sub), lost) == (count, slab_lost(sub, side, plane_rule))
 
 
 PINNED_CLOUDS = {
