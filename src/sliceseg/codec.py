@@ -85,8 +85,8 @@ def payload_bits_per_point(d: int, bit_depth: int, color: bool) -> int:
 
 def _field_bits(values: np.ndarray | int, width: int) -> np.ndarray:
     """(..., width) uint8 bit array of fixed-width values, MSB first."""
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    return ((np.asarray(values, dtype=np.uint64)[..., None] >> shifts) & 1).astype(np.uint8)
+    big_endian = np.asarray(values).astype(">u4")[..., None].view(np.uint8)  # every field fits 32 bits
+    return np.unpackbits(big_endian, axis=-1)[..., 32 - width :]
 
 
 def _split_fields(bits: np.ndarray, widths: tuple[int, ...]) -> list[np.ndarray]:

@@ -46,8 +46,6 @@ _COORD_NAMES = ("x", "y", "z")
 _COLOR_NAMES = ("red", "green", "blue")
 # str.split() also splits on the separators \x1c-\x1f, which bytes.split() keeps
 _ASCII_WS = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
-_IS_WS = np.zeros(256, dtype=bool)
-_IS_WS[list(b" \t\n\r\x0b\x0c")] = True
 
 
 def read_ply(data: bytes) -> PointCloud:
@@ -225,26 +223,34 @@ def _read_ascii_body(body: bytes, count: int, props, header_lines: int):
     """Vertex values of an ASCII body, one line per vertex; blank lines skipped.
 
     Whitespace and line breaks are those of str.split() and str.split("\\n") on
-    the ASCII-decoded text; values are whatever float() accepts.
+    the ASCII-decoded text; values are whatever float() accepts. Tokens are
+    found with byte comparisons. When every vertex token is a string of at
+    most 18 ASCII digits (as write_ply writes them), the values are summed
+    digit by digit in int64, which is exact, and cast to float64, which
+    rounds as float() does; any other body goes through float() per token.
     """
     body = body.translate(_ASCII_WS)
     raw = np.frombuffer(body, dtype=np.uint8)
-    ws = np.concatenate(([True], _IS_WS[raw]))
-    starts = np.flatnonzero(ws[:-1] & ~ws[1:])
+    ws = ((raw - np.uint8(9)) < 5) | (raw == ord(" "))  # \t \n \v \f \r and space
+    edges = np.flatnonzero(np.diff(ws, prepend=True, append=True))
+    starts, ends = edges[0::2], edges[1::2]  # each token is raw[start:end]
     newlines = np.flatnonzero(raw == ord("\n"))
-    per_line = np.bincount(np.searchsorted(newlines, starts), minlength=len(newlines) + 1)
+    per_line = np.diff(np.searchsorted(starts, newlines), prepend=0, append=len(starts))
     filled = np.flatnonzero(per_line)  # body line index of each non-blank line
     lineno = filled + header_lines + 1  # and its line number in the file
     widths = per_line[filled[:count]]  # values on each vertex line
     wrong = np.flatnonzero(widths != len(props))
     good = int(wrong[0]) if wrong.size else len(widths)
-    tokens = body.split()
-    del tokens[good * len(props) :]
-    try:
-        values = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
-    except ValueError:
-        bad = next(i for i, t in enumerate(tokens) if not _is_float(t)) // len(props)
-        raise PlyParseError(f"non-numeric vertex value (line {lineno[bad]})") from None
+    parsed = good * len(props)  # the tokens of the vertex lines before any bad width
+    values = _digit_values(raw, ws, starts[:parsed], ends[:parsed])
+    if values is None:
+        tokens = body.split()
+        del tokens[parsed:]
+        try:
+            values = np.fromiter(map(float, tokens), dtype=np.float64, count=parsed)
+        except ValueError:
+            bad = next(i for i, t in enumerate(tokens) if not _is_float(t)) // len(props)
+            raise PlyParseError(f"non-numeric vertex value (line {lineno[bad]})") from None
     if wrong.size:
         raise PlyParseError(
             f"expected {len(props)} values, got {widths[good]} (line {lineno[good]})"
@@ -258,6 +264,23 @@ def _read_ascii_body(body: bytes, count: int, props, header_lines: int):
         raise PlyParseError(f"trailing data after {count} vertices (line {after})")
     table = values.reshape(count, len(props))
     return {name: table[:, i] for i, (name, _) in enumerate(props)}
+
+
+def _digit_values(raw: np.ndarray, ws: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """float64 values of the tokens raw[start:end], or None unless each is 1-18 digits."""
+    if not starts.size:
+        return np.zeros(0)
+    digits = raw - np.uint8(ord("0"))  # a digit's value; 10..255 for any other byte
+    span = slice(starts[0], ends[-1])
+    lengths = ends - starts
+    longest = int(lengths.max())
+    if longest > 18 or not (ws[span] | (digits[span] < 10)).all():
+        return None
+    values = np.zeros(len(starts), dtype=np.int64)
+    for back in range(longest, 0, -1):  # Horner, by place counted from the token's end
+        values *= 10
+        values += np.where(lengths >= back, digits[ends - back], 0)
+    return values.astype(np.float64)
 
 
 def _is_float(token: bytes) -> bool:

@@ -21,6 +21,9 @@ from .cloud import KEY_FIELD_BITS, PLANE_COLS, Axis, PointCloud, distinct, run_s
 # to these sizes; sparser clouds search sorted voxel keys for the same pairs.
 _GRID_CELL_LIMIT = 16_000_000
 _GRID_CELLS_PER_POINT = 60
+# About this many grid lookups per gather: clouds of up to 2,730 points gather
+# all 13 offsets at once, larger ones fewer, which bounds the int64 index array.
+_GATHER_LOOKUPS = 1 << 15
 
 # Offsets covering half the 26-neighborhood (the other half is symmetric).
 _HALF_OFFSETS = np.array(
@@ -96,9 +99,15 @@ def neighbor_pairs(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
         flat = c[:, 0] * strides[0] + c[:, 1] * strides[1] + c[:, 2]
         grid = np.full(int(extents.prod()), -1, dtype=np.int32)
         grid[flat] = np.arange(n, dtype=np.int32)
-        hits = grid[(_HALF_OFFSETS @ strides)[:, None] + flat]  # (13, n) neighbor indices
-        found = np.flatnonzero(hits >= 0)
-        return found % n, hits.ravel()[found].astype(np.intp)
+        steps = (_HALF_OFFSETS @ strides)[:, None]
+        per_gather = -(-_GATHER_LOOKUPS // n)  # offsets per gather, at least one
+        src_list, dst_list = [], []
+        for first in range(0, len(steps), per_gather):
+            hits = grid[steps[first : first + per_gather] + flat]  # (offsets, n) neighbors
+            found = np.flatnonzero(hits >= 0)
+            src_list.append(found % n)
+            dst_list.append(hits.ravel()[found])
+        return np.concatenate(src_list), np.concatenate(dst_list).astype(np.intp)
 
     c = coords.astype(np.int64) + 1  # neighbor fields stay in 0..2^16+1: no borrow or carry
     keys = voxel_keys(c[:, 0], c[:, 1], c[:, 2])

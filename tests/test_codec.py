@@ -20,7 +20,14 @@ from sliceseg import (
     reencode,
 )
 from sliceseg.cloud import Axis, AxisRange, PointCloud, Side
-from sliceseg.codec import STREAM_HEADER_BYTES, _record, offset_bits_for, record_header_bits
+from sliceseg.codec import (
+    STREAM_HEADER_BYTES,
+    _field_bits,
+    _record,
+    _split_fields,
+    offset_bits_for,
+    record_header_bits,
+)
 from sliceseg.synthetic import gen_synthetic
 
 from conftest import (
@@ -67,6 +74,32 @@ class TestOffsetBits:
         assert [offset_bits_for(w) for w in (2, 3, 4, 5, 127, 128, 1024)] == [
             1, 2, 2, 3, 7, 7, 10,
         ]
+
+
+def shift_and_mask_bits(values, width):
+    """(..., width) uint8 bits of each value, MSB first, one shift per bit position."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
+    return ((np.asarray(values, dtype=np.uint64)[..., None] >> shifts) & 1).astype(np.uint8)
+
+
+class TestFieldBits:
+    @pytest.mark.parametrize("width", range(1, 33))
+    def test_round_trip_and_shift_and_mask_oracle(self, width):
+        values = np.array([0, 1, (1 << width) - 1], dtype=np.int64)
+        rng = np.random.default_rng(width)
+        values = np.concatenate([values, rng.integers(0, 1 << width, size=50)])
+        bits = _field_bits(values, width)
+        assert bits.dtype == np.uint8 and bits.shape == (len(values), width)
+        assert np.array_equal(bits, shift_and_mask_bits(values, width))
+        (back,) = _split_fields(bits, (width,))
+        assert np.array_equal(back, values)
+
+    @pytest.mark.parametrize("value", [0, 1, True, 5, (1 << 32) - 1])
+    def test_scalar_header_field(self, value):
+        width = max(1, int(value).bit_length())
+        bits = _field_bits(value, width)
+        assert bits.shape == (width,)
+        assert np.array_equal(bits, shift_and_mask_bits(value, width))
 
 
 class TestDeltaExample:

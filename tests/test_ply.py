@@ -92,6 +92,20 @@ def test_color_round_trip():
         assert np.array_equal(again.colors, cloud.colors)
 
 
+def test_ascii_round_trip_at_grid_edges():
+    edges = [0, 9, 10, 99, 100, 65535]
+    coords = np.array([(x, y, z) for x in edges for y in edges for z in edges[::-1]])
+    colors = (coords[:, [2, 0, 1]] % 256).astype(np.uint8)
+    cloud = make_cloud(coords, colors=colors)
+    data = write_ply(cloud, "ascii")
+    assert b"property uchar red" in data and b"65535 65535 0 " in data
+    again = read_ply(data)
+    assert again.same_points(cloud)
+    assert again.bit_depth == 16
+    assert np.array_equal(again.coords, cloud.coords)
+    assert np.array_equal(again.colors, cloud.colors)
+
+
 def test_round_trip_identity_both_formats(rng):
     clouds = [
         cube_cloud(),
@@ -226,7 +240,9 @@ def test_comment_mentioning_end_header_does_not_end_it():
 
 
 NUMBERS = [b"0", b"7", b"-3", b"+12", b"2.5", b".5", b"5.", b"1e3", b"1_0", b"nan", b"-inf",
-           b"1e400", b"255"]
+           b"1e400", b"255", b"007", b"9007199254740993", b"999999999999999999",
+           b"9223372036854775809", b"18446744073709551617"]  # 2^53+1, 18, 19 and 20 digits
+DIGIT_STRINGS = [t for t in NUMBERS if t.isdigit()]
 JUNK = [b"abc", b"1__0", b"_1", b"0x1", b"\xff", b"\xc3\xa9", b"1\x00", b"\xa0", b"\x85"]
 SEPARATORS = [b" ", b"  ", b"\t", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f"]
 _SEPARATORS_AS_SPACE = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
@@ -236,7 +252,7 @@ _SEPARATORS_AS_SPACE = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
 def token_soups(draw):
     """An ASCII body around `width`-value rows, with odd rows, bytes and counts mixed in."""
     width = draw(st.sampled_from([1, 3, 6]))
-    token = st.sampled_from(NUMBERS * 6 + JUNK)
+    token = st.sampled_from(draw(st.sampled_from([NUMBERS * 6 + JUNK, DIGIT_STRINGS])))
     line = st.tuples(
         st.lists(token, min_size=width, max_size=width)
         | st.lists(token, max_size=width + 2),
@@ -263,6 +279,16 @@ def _outcome(read, body, count, props, header_lines):
 def test_ascii_body_matches_line_by_line_oracle(soup):
     """Same arrays, or the same exception type and message, as the per-line reader."""
     assert _outcome(_read_ascii_body, *soup) == _outcome(oracle_read_ascii_body, *soup)
+
+
+@pytest.mark.parametrize("token", DIGIT_STRINGS + [b"1:0", b"/1", b"12a", b"0" * 18 + b"1"])
+def test_ascii_token_next_to_digits_matches_oracle(token):
+    """Each token in a valid three-row body: the values of float() or its error, bit for bit."""
+    body = b"1 2 3\n4 %s 6\n%s 00 9\n" % (token, token)
+    props = [(name, "<f4") for name in "xyz"]
+    outcome = _outcome(_read_ascii_body, body, 3, props, 5)
+    assert outcome == _outcome(oracle_read_ascii_body, body, 3, props, 5)
+    assert isinstance(outcome, dict) == token.isdigit()
 
 
 @pytest.mark.parametrize("colored", [False, True])

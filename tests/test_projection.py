@@ -78,12 +78,18 @@ class TestLabeling:
             c = cloud.coords.astype(np.int64)
             chebyshev = np.abs(c[:, None, :] - c[None, :, :]).max(axis=2)
             want = set(zip(*(i.tolist() for i in np.nonzero(np.triu(chebyshev == 1)))))
-            for cells_per_point in (10**9, 0):  # the index grid, then sorted keys
+            grid_runs = []
+            # the index grid in one gather, in groups of offsets and one offset a time; then sorted keys
+            for cells_per_point, lookups in ((10**9, 1 << 15), (10**9, 500), (10**9, 1), (0, 1 << 15)):
                 monkeypatch.setattr(projection, "_GRID_CELLS_PER_POINT", cells_per_point)
+                monkeypatch.setattr(projection, "_GATHER_LOOKUPS", lookups)
                 src, dst = neighbor_pairs(cloud)
                 assert src.dtype == dst.dtype == np.intp
                 pairs = list(zip(np.minimum(src, dst).tolist(), np.maximum(src, dst).tolist()))
                 assert len(pairs) == len(want) and set(pairs) == want  # each pair once
+                if cells_per_point:
+                    grid_runs.append((src.tolist(), dst.tolist()))
+            assert grid_runs[0] == grid_runs[1] == grid_runs[2]  # gather size keeps the order
 
 
 @st.composite
