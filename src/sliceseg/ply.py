@@ -225,7 +225,7 @@ def _read_ascii_body(body: bytes, count: int, props, header_lines: int):
     Whitespace and line breaks are those of str.split() and str.split("\\n") on
     the ASCII-decoded text; values are whatever float() accepts. Tokens are
     found with byte comparisons. When every vertex token is a string of at
-    most 18 ASCII digits (as write_ply writes them), the values are summed
+    most 18 ASCII digits (as write_ply writes them), the values are built
     digit by digit in int64, which is exact, and cast to float64, which
     rounds as float() does; any other body goes through float() per token.
     """
