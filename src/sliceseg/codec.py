@@ -10,8 +10,10 @@ A stream is the `_STREAM_HEADER` struct (little-endian) followed by one
 record per slice. A record is a header of `_header_widths` bit fields, then
 per point the `_payload_widths` fields, points sorted by (offset, u, v);
 bit fields are packed MSB-first and each record is zero-padded to a byte.
-Those two tables are the whole record layout: the writer, the parser and
-the bit budget all read them.
+Those two tables are the whole record layout: the writer and the parser
+read them, and `bit_budget` sizes the records `encode` builds (`_record`)
+by the same header and per-point rule the parser uses to find a record's
+length.
 
 The 7-bit width field holds the extended width when it fits (1..127);
 value 0 marks a wide record (terminal residues can span the whole grid)
@@ -77,10 +79,6 @@ def _payload_widths(d: int, bit_depth: int, color: bool) -> tuple[int, ...]:
 
 def record_header_bits(bit_depth: int) -> int:
     return sum(_header_widths(bit_depth))
-
-
-def payload_bits_per_point(d: int, bit_depth: int, color: bool) -> int:
-    return sum(_payload_widths(d, bit_depth, color))
 
 
 def _field_bits(values: np.ndarray | int, width: int) -> np.ndarray:
@@ -276,7 +274,7 @@ def _parse_record(
 ) -> tuple[DecodedRecord, int, bool]:
     """The record at byte `start`, the next record's start, and whether its padding is zero."""
     header_widths = _header_widths(bit_depth)
-    header_bits = sum(header_widths)
+    header_bits = record_header_bits(bit_depth)
     head = data[start : start + (header_bits + 7) // 8]
     # a stream reader meets the 2-bit axis code before the end of the header
     if head and head[0] >> 6 > 2:
@@ -305,8 +303,8 @@ def _parse_record(
 
     payload_widths = _payload_widths(d, bit_depth, bool(color_flag))
     per_point = sum(payload_widths)
-    total_bits = header_bits + count * per_point
-    record_bytes = (total_bits + 7) // 8
+    record_bits = header_bits + count * per_point
+    record_bytes = (record_bits + 7) // 8
     if start + record_bytes > len(data):
         raise DecodeError(
             "truncated",
@@ -318,7 +316,7 @@ def _parse_record(
         np.frombuffer(data, dtype=np.uint8, count=record_bytes, offset=start)
     )
     offsets, us, vs, *channels = _split_fields(
-        bits[header_bits:total_bits].reshape(count, per_point), payload_widths
+        bits[header_bits:record_bits].reshape(count, per_point), payload_widths
     )
 
     if width_field and offsets.size and int(offsets.max()) >= width_field:
@@ -347,7 +345,7 @@ def _parse_record(
         vs=vs,
         colors=np.stack(channels, axis=1).astype(np.uint8) if color_flag else None,
     )
-    return record, start + record_bytes, not bits[total_bits:].any()
+    return record, start + record_bytes, not bits[record_bits:].any()
 
 
 def reencode(stream: DecodedStream) -> bytes:
@@ -367,35 +365,12 @@ def reencode(stream: DecodedStream) -> bytes:
 
 
 @dataclass(frozen=True)
-class SliceBudget:
-    index: int
-    stored_points: int
-    offset_bits: int
-    header_bits: int
-    payload_bits: int
-    padding_bits: int
-    naive_bits: int
-
-
-@dataclass(frozen=True)
 class BitBudget:
-    """Exact bit accounting; totals reconcile with the measured stream length."""
+    """Record header and payload bits of an encoded stream, and the naive cost."""
 
-    per_slice: tuple[SliceBudget, ...]
-    stream_header_bits: int
     header_bits: int
     payload_bits: int
-    padding_bits: int
     naive_bits: int
-
-    @property
-    def total_bits(self) -> int:
-        return (
-            self.stream_header_bits
-            + self.header_bits
-            + self.payload_bits
-            + self.padding_bits
-        )
 
 
 def bit_budget(
@@ -403,36 +378,17 @@ def bit_budget(
     bit_depth: int,
     slices: list[tuple[SliceSpec, PointCloud]],
 ) -> BitBudget:
-    """Predicted cost of encode() for these extracted slices.
+    """Bits of the records encode() writes for these extracted slices.
 
-    Per-slice naive cost is 3*B bits per stored point (flat coordinates);
-    the budget's naive total uses the original cloud size, so overlap
-    duplication shows up as payload, not as naive inflation.
+    The naive cost is 3*B bits per point of the original cloud, so overlap
+    duplication shows up as payload, not as naive inflation. Raises
+    EncodeError for a slice that encode() refuses.
     """
-    color = any(c.colors is not None for _, c in slices)
-    rows = []
-    for spec, slice_cloud in slices:
-        d = offset_bits_for(spec.extended.width)
-        stored = len(slice_cloud)
-        header = record_header_bits(bit_depth)
-        payload = stored * payload_bits_per_point(d, bit_depth, color)
-        padding = (-(header + payload)) % 8
-        rows.append(
-            SliceBudget(
-                index=spec.index,
-                stored_points=stored,
-                offset_bits=d,
-                header_bits=header,
-                payload_bits=payload,
-                padding_bits=padding,
-                naive_bits=3 * bit_depth * stored,
-            )
-        )
+    records = [_record(spec, slice_cloud, bit_depth) for spec, slice_cloud in slices]
     return BitBudget(
-        per_slice=tuple(rows),
-        stream_header_bits=STREAM_HEADER_BYTES * 8,
-        header_bits=sum(r.header_bits for r in rows),
-        payload_bits=sum(r.payload_bits for r in rows),
-        padding_bits=sum(r.padding_bits for r in rows),
+        header_bits=len(records) * record_header_bits(bit_depth),
+        payload_bits=sum(
+            r.point_count * sum(_payload_widths(r.d, bit_depth, r.color_flag)) for r in records
+        ),
         naive_bits=3 * bit_depth * plan.original_size,
     )

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .cloud import PointCloud, _dedup_first
+from .cloud import MAX_BIT_DEPTH, PointCloud, _dedup_first
 
 KINDS = ("plane", "cube", "sphere-shell", "folded-sheet", "uniform-random")
 
@@ -27,8 +27,8 @@ def gen_synthetic(kind: str, params: Mapping[str, int], seed: int = 0) -> PointC
     if kind not in KINDS:
         raise ValueError(f"unknown synthetic kind {kind!r} (choose from {KINDS})")
     extent = int(params.get("extent", 0))
-    if extent <= 0:
-        raise ValueError("extent must be a positive integer")
+    if not (0 < extent <= 1 << MAX_BIT_DEPTH):  # checked before any array is made
+        raise ValueError(f"extent must be an integer in 1..{1 << MAX_BIT_DEPTH}")
 
     if kind == "plane":
         return _plane(extent, int(params.get("offset", extent // 2)))
@@ -46,7 +46,10 @@ def gen_synthetic(kind: str, params: Mapping[str, int], seed: int = 0) -> PointC
         density = params.get("density")
         if density is None:
             raise ValueError("uniform-random needs 'count' or 'density'")
-        count = int(round(float(density) * extent**3))
+        expected = float(density) * extent**3
+        if not math.isfinite(expected):
+            raise ValueError(f"density {density} gives no finite point count")
+        count = int(round(expected))
     return _uniform_random(extent, int(count), seed)
 
 
@@ -130,6 +133,8 @@ def _folded_sheet(extent: int, amplitude: int, period: int, seed: int) -> PointC
 def _uniform_random(extent: int, count: int, seed: int) -> PointCloud:
     if count <= 0:
         raise ValueError("count must be a positive integer")
+    if count > extent**3:  # before oversampling count * 2 rows
+        raise ValueError(f"cannot place {count} unique points in a {extent}^3 volume")
     rng = np.random.default_rng(seed)
     # Oversample, then dedup to the requested count; coordinates stay unique.
     coords = rng.integers(0, extent, size=(count * 2 + 16, 3), dtype=np.int64)

@@ -16,7 +16,9 @@ labeling oracle runs scipy's csgraph over its own neighbor search, and
 The key-set oracles are the library's earlier forms before its sort-based
 ones: dedup through `np.unique(return_index=True)`, slice replay through
 `extract_range`/`remove_range` on shrinking clouds, and the record point
-order through a three-column `np.lexsort`.
+order through a three-column `np.lexsort`. The byte strategies draw inputs
+for the readers' fuzz properties: mostly near-valid PLY files and SWSG
+streams, so that the draws reach past the magic checks.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -374,6 +377,24 @@ def read_bits(data: bytes, bit_offset: int, nbits: int) -> int:
     return (chunk >> (-end % 8)) & ((1 << nbits) - 1)
 
 
+def layout_header_bits(bit_depth: int) -> int:
+    """Record header bits by the README's SWSG layout:
+    `axis(2) sign(1) terminal(1) base(B) width(7) d-1(4) point_count(32) color_flag(1)`."""
+    return 2 + 1 + 1 + bit_depth + 7 + 4 + 32 + 1
+
+
+def layout_payload_bits(record: DecodedRecord, bit_depth: int) -> int:
+    """Point bits of a record by the README's layout: `offset(d) u(B) v(B) [rgb(24)]` a point."""
+    return record.point_count * (record.d + 2 * bit_depth + (24 if record.color_flag else 0))
+
+
+def layout_stream_bytes(stream: DecodedStream) -> int:
+    """Stream length by the README's layout: 13 header bytes, then each record padded to a byte."""
+    b = stream.bit_depth
+    return 13 + sum(
+        (layout_header_bits(b) + layout_payload_bits(r, b) + 7) // 8 for r in stream.records
+    )
+
 class _SequentialBits:
     def __init__(self, data: bytes, start: int) -> None:
         self.data = data
@@ -499,3 +520,118 @@ def slab_plan(cloud: PointCloud, axis: Axis, width: int, overlap: int) -> SliceP
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240811)
+
+
+
+_PLY_HEADER_LINES = [
+    b"format ascii 1.0", b"format binary_little_endian 1.0", b"format binary_big_endian 1.0",
+    b"format ascii", b"element vertex 0", b"element vertex 2", b"element vertex -1",
+    b"element vertex 1e3", b"element vertex 99999999999", b"element face 1", b"element vertex",
+    b"property float x", b"property float y", b"property float z", b"property double x",
+    b"property int y", b"property uchar z", b"property uchar red", b"property uchar green",
+    b"property uchar blue", b"property float red", b"property list uchar int vertex_indices",
+    b"property quad w", b"property float", b"comment end_header", b"obj_info x", b"", b"\t",
+]
+_PLY_TYPES = {"float": "<f4", "double": "<f8", "int": "<i4", "uint": "<u4", "short": "<i2",
+              "ushort": "<u2", "uchar": "<u1", "char": "<i1", "float32": "<f4"}
+_PLY_TOKENS = [b"0", b"1", b"7", b"255", b"65535", b"007", b"2.5", b"1e1"]
+_PLY_BAD_TOKENS = [b"256", b"-1", b"1.5", b"1e30", b"nan", b"inf", b"65536", b"x", b"\xff"]
+
+
+@st.composite
+def ply_like_bytes(draw) -> bytes:
+    """Mostly a PLY file the reader's subset allows, now and then with one fault.
+
+    A draw is raw bytes, a header of mixed valid and broken lines, or a well-formed
+    header over a body whose rows match it; that body may hold a bad token, a
+    row too many or too few, or a binary body cut short.
+    """
+    mode = draw(st.integers(0, 9))
+    if mode == 0:
+        return draw(st.binary(max_size=80))
+    if mode == 1:
+        lines = [draw(st.sampled_from([b"ply", b"PLY", b" ply"]))]
+        lines += draw(st.lists(st.sampled_from(_PLY_HEADER_LINES), max_size=9))
+        body = draw(st.binary(max_size=64))
+        return b"\n".join(lines) + b"\nend_header\n" + body
+    binary = draw(st.booleans())
+    names = ["x", "y", "z"] + (["red", "green", "blue"] if draw(st.booleans()) else [])
+    names = draw(st.permutations(names))
+    types = [draw(st.sampled_from(sorted(_PLY_TYPES))) for _ in names]
+    count = draw(st.integers(0, 4))
+    fault = draw(st.integers(0, 6))  # 0..2 none; 3 token, 4 row count, 5 header, 6 tail
+    header = [b"ply", b"format binary_little_endian 1.0" if binary else b"format ascii 1.0",
+              b"element vertex %d" % count]
+    header += [b"property %s %s" % (t.encode(), n.encode()) for t, n in zip(types, names)]
+    if fault == 5:
+        header.insert(draw(st.integers(1, len(header))), draw(st.sampled_from(_PLY_HEADER_LINES)))
+    rows = count + (draw(st.sampled_from([-1, 1])) if fault == 4 and count else 0)
+    values = [[draw(st.integers(0, 127)) for _ in names] for _ in range(rows)]
+    if binary:
+        dtype = np.dtype([(n, _PLY_TYPES[t]) for n, t in zip(names, types)])
+        body = np.array([tuple(v) for v in values], dtype=dtype).tobytes()
+        if fault == 3 and body:
+            body = body[: draw(st.integers(0, len(body) - 1))]
+    else:
+        tokens = [[draw(st.sampled_from(_PLY_TOKENS)) for _ in names] for _ in range(rows)]
+        if fault == 3 and tokens:
+            column = draw(st.integers(0, len(names) - 1))
+            tokens[-1][column] = draw(st.sampled_from(_PLY_BAD_TOKENS))
+        body = b"".join(b" ".join(row) + b"\n" for row in tokens)
+    if fault == 6:
+        body += draw(st.binary(min_size=1, max_size=8))
+    return b"\n".join(header) + b"\nend_header\n" + body
+
+
+def _bits_to_bytes(fields: list[tuple[int, int]]) -> bytes:
+    """MSB-first (value, width) fields, zero-padded to a byte."""
+    bits = "".join(format(value, f"0{width}b") for value, width in fields)
+    bits += "0" * (-len(bits) % 8)
+    return int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
+
+
+@st.composite
+def swsg_like_bytes(draw) -> bytes:
+    """Mostly an SWSG stream `encode` could write, built field by field, at most one fault.
+
+    A draw is raw bytes, or a stream header and records whose fields are drawn in
+    their valid ranges; one fault may replace a header field, a record's axis, d
+    or point count, or cut or extend the stream.
+    """
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=64))
+    fault = draw(st.integers(0, 9))  # 4..7 pick a fault, other values none
+    b = draw(st.sampled_from([8, 10, 12, 16]))
+    count = draw(st.integers(0, 3))
+    header = [1, b, 64, 2, count]  # version, B, theta, overlap, slice count
+    if fault == 4:
+        bad_fields = [(0, 0), (0, 2), (1, 7), (1, 17), (2, 0), (4, count + 1)]
+        field, bad = draw(st.sampled_from(bad_fields))
+        header[field] = bad
+    data = struct.pack("<4sBBHBI", b"SWSG", *header)
+    color = draw(st.integers(0, 1))
+    for index in range(count):
+        width = draw(st.integers(0, 127))
+        d = max(1, (width - 1).bit_length()) if width else draw(st.integers(7, 16))
+        base = draw(st.integers(0, (1 << b) - max(width, 1)))
+        span = width or min(1 << d, (1 << b) - base)
+        points = sorted({
+            (draw(st.integers(0, span - 1)), draw(st.integers(0, (1 << b) - 1)),
+             draw(st.integers(0, (1 << b) - 1)))
+            for _ in range(draw(st.integers(0, 4)))
+        })
+        axis, n = draw(st.integers(0, 2)), len(points)
+        if fault == 5 and index == 0:
+            faults = [(3, d, n), (axis, d % 16 + 1, n), (axis, d, 2**32 - 1)]
+            axis, d, n = draw(st.sampled_from(faults))
+        fields = [(axis, 2), (draw(st.integers(0, 1)), 1), (index == count - 1, 1), (base, b),
+                  (width, 7), (d - 1, 4), (n, 32), (color, 1)]
+        for offset, u, v in points:
+            fields += [(offset, d), (u, b), (v, b)]
+            fields += [(draw(st.integers(0, 255)), 8) for _ in range(3 * color)]
+        data += _bits_to_bytes(fields)
+    if fault == 6:
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    elif fault == 7:
+        data += draw(st.binary(min_size=1, max_size=4))
+    return data

@@ -128,12 +128,15 @@ def test_c3_bit_reduction():
     slices = extract_slices(cloud, plan)
     budget = bit_budget(plan, 10, slices)
     stream = encode(cloud, plan)
+    record = decode(stream).records[0]
 
     checks = {
-        "d=6": budget.per_slice[0].offset_bits == 6,
-        "payload=26000": budget.per_slice[0].payload_bits == 26_000,
-        "naive=30000": budget.per_slice[0].naive_bits == 30_000,
-        "totals match stream": budget.total_bits == len(stream) * 8,
+        "d=6": record.d == 6,
+        "stored points=1000": record.point_count == 1000,
+        "payload=26000": budget.payload_bits == 26_000,
+        "naive=30000": budget.naive_bits == 30_000,
+        # README layout: 13 header bytes, then ceil8(58 + n * (d + 2B)) for the record
+        "stream length": len(stream) == 13 + (58 + 1000 * (6 + 2 * 10) + 7) // 8,
     }
 
     # planner-built full-width slices also carry 6-bit offsets

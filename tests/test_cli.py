@@ -1,21 +1,44 @@
+import contextlib
+import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sliceseg
-from sliceseg import CompareConfig, SlicerConfig, gen_synthetic, read_ply, write_ply
+from sliceseg import (
+    CompareConfig,
+    DecodeError,
+    PlyParseError,
+    SlicerConfig,
+    decode,
+    gen_synthetic,
+    read_ply,
+    write_ply,
+)
 from sliceseg.cli import _slicer_config, main, parse_args
 from sliceseg.slicer import PLANE_RULES
 
-from conftest import make_cloud, point_set
+from conftest import make_cloud, ply_like_bytes, point_set, swsg_like_bytes
 
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def _package_env():
+    return dict(os.environ, PYTHONPATH=str(Path(sliceseg.__file__).resolve().parents[1]))
+
+
+def _cap_address_space():
+    """Limit a child to 1 GiB of address space, so an oversized array fails instead of paging."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 @pytest.fixture
@@ -65,6 +88,32 @@ class TestGen:
 
     def test_unknown_command_is_usage_error(self):
         assert run_cli("frobnicate") == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--kind", "uniform-random", "--density", "inf", "--extent", "8", "--seed", "1"],
+             "density inf gives no finite point count"),
+            (["--kind", "uniform-random", "--count", "100000000", "--extent", "8", "--seed", "1"],
+             "cannot place 100000000 unique points in a 8^3 volume"),
+            (["--kind", "cube", "--extent", "70000"], "extent must be an integer in 1..65536"),
+        ],
+    )
+    def test_out_of_range_size_is_one_line_error(self, tmp_path, flags, message):
+        # a size that is not refused up front would ask numpy for gigabytes or more,
+        # so the command runs in a child process with a capped address space
+        out = tmp_path / "g.ply"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from sliceseg.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "gen", *flags, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=_package_env(),
+            preexec_fn=_cap_address_space,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"sliceseg gen: error: {message}\n"
+        assert not out.exists()
 
 
 class TestSlice:
@@ -370,6 +419,119 @@ def test_no_command_loads_scipy(sheet_ply, tmp_path):
         [sys.executable, "-c", _SCIPY_GUARD, sheet_ply, plan, tmp_path],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=str(Path(sliceseg.__file__).resolve().parents[1])),
+        env=_package_env(),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_report_block() -> str:
+    text = README.read_text()
+    start = text.index("```\nstrategy,") + len("```\n")
+    return text[start : text.index("```", start)]
+
+
+def test_readme_quick_start_numbers(tmp_path, capsys):
+    """The report and the encode line the README quotes, from the quick start's commands."""
+    sheet, plan = tmp_path / "sheet.ply", tmp_path / "plan.json"
+    stream, report = tmp_path / "sheet.swsg", tmp_path / "report.csv"
+    assert run_cli(
+        "gen", "--kind", "folded-sheet", "--extent", "32", "--amplitude", "8", "--period", "16",
+        "--seed", "7", "--out", sheet,
+    ) == 0
+    capsys.readouterr()
+    assert run_cli("encode", "--input", sheet, "--plan", plan, "--out", stream) == 0
+    assert capsys.readouterr().out == (
+        "encoded 3200 points in 4 slices: 12433 bytes (payload 99104 bits, naive 96000 bits)\n"
+    )
+    assert len(stream.read_bytes()) == 12433
+    assert run_cli(
+        "compare", "--input", sheet, "--baseline", "single,dual", "--out", report
+    ) == 0
+    assert report.read_text() == _readme_report_block()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def corrupt_plans(draw, text: str) -> bytes:
+    """Plan JSON with one fault: raw bytes, the text cut, or a value replaced, dropped or added."""
+    fault = draw(st.integers(0, 4))
+    if fault == 0:
+        return draw(st.binary(max_size=40))
+    if fault == 1:
+        return text.encode()[: draw(st.integers(0, len(text) - 1))]
+    doc = json.loads(text)
+    target = doc if draw(st.booleans()) else draw(st.sampled_from(doc["slices"]))
+    key = draw(st.sampled_from(sorted(target)))
+    if fault == 2:
+        target[key] = draw(_JSON_VALUES)
+    elif fault == 3:
+        del target[key]
+    else:
+        target[draw(st.text(max_size=4))] = draw(_JSON_VALUES)
+    return json.dumps(doc).encode()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("fuzz")
+    assert run_cli(
+        "gen", "--kind", "folded-sheet", "--extent", "8", "--amplitude", "2", "--period", "4",
+        "--seed", "1", "--out", work / "sheet.ply",
+    ) == 0
+    assert run_cli("slice", "--input", work / "sheet.ply", "--plan", work / "plan.json") == 0
+    return work
+
+
+def _parses(read, data) -> bool:
+    try:
+        read(data)
+    except (PlyParseError, DecodeError):
+        return False
+    return True
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_corrupt_input_or_plan_is_one_line_error(fuzz_dir, data):
+    """A corrupt --input or --plan ends in exit 1 and one stderr line, never a traceback."""
+    work = fuzz_dir
+    target, fresh_plan = work / "target", work / "fresh.json"
+    fresh_plan.unlink(missing_ok=True)
+    kind = data.draw(st.sampled_from(["ply", "plan", "swsg"]))
+    if kind == "ply":
+        blob = data.draw(ply_like_bytes())
+        command = data.draw(st.sampled_from(["slice", "encode", "compare", "analyze"]))
+        argv = [command, "--input", target]
+        argv += ["--plan", fresh_plan] if command in ("slice", "encode") else []
+        argv += ["--out", work / "out"] if command != "slice" else []
+        must_fail = not _parses(read_ply, blob)
+    elif kind == "plan":
+        blob = data.draw(corrupt_plans((work / "plan.json").read_text()))
+        command = data.draw(st.sampled_from(["encode", "analyze"]))
+        argv = [command, "--input", work / "sheet.ply", "--plan", target, "--out", work / "out"]
+        must_fail = False
+    else:
+        blob = data.draw(swsg_like_bytes())
+        command = "decode"
+        argv = [command, "--input", target, "--out", work / "out"]
+        must_fail = not _parses(decode, blob)
+    target.write_bytes(blob)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run_cli(*argv)
+    err = stderr.getvalue()
+    if code == 0:
+        assert not must_fail and err == ""
+    else:
+        assert code == 1
+        assert err.startswith(f"sliceseg {command}: error: ") and err.count("\n") == 1

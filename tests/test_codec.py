@@ -32,12 +32,16 @@ from sliceseg.synthetic import gen_synthetic
 
 from conftest import (
     cube_cloud,
+    layout_header_bits,
+    layout_payload_bits,
+    layout_stream_bytes,
     make_cloud,
     oracle_decode,
     oracle_record_order,
     point_set,
     random_cloud,
     read_bits,
+    swsg_like_bytes,
 )
 
 
@@ -426,9 +430,8 @@ def mutated_streams(draw):
     return bytes(data)
 
 
-@settings(max_examples=300, deadline=None)
-@given(mutated_streams())
-def test_decode_matches_field_by_field_oracle(data):
+def assert_decode_matches_oracle(data):
+    """decode's stream, which re-encodes to `data`, or None after the oracle's DecodeError."""
     try:
         want = oracle_decode(data)
     except DecodeError as expected:
@@ -436,16 +439,33 @@ def test_decode_matches_field_by_field_oracle(data):
             decode(data)
         got = (type(e.value), e.value.kind, e.value.record_index, str(e.value))
         assert got == (type(expected), expected.kind, expected.record_index, str(expected))
-        return
+        return None
     bad = _first_noncanonical_record(data, want)
     if bad is not None:
         with pytest.raises(DecodeError) as e:
             decode(data)
         assert (e.value.kind, e.value.record_index) == ("noncanonical", bad)
-        return
+        return None
     got = decode(data)
     assert _stream_tuple(got) == _stream_tuple(want)
     assert reencode(got) == data
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_streams())
+def test_decode_matches_field_by_field_oracle(data):
+    assert_decode_matches_oracle(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(swsg_like_bytes())
+def test_any_bytes_decode_to_a_cloud_or_a_decode_error(data):
+    """Not only mutations of valid streams: headers and records of drawn fields, and raw bytes."""
+    stream = assert_decode_matches_oracle(data)
+    if stream is not None:
+        cloud = stream.cloud
+        assert len(cloud) + cloud.duplicates_merged == sum(r.point_count for r in stream.records)
 
 
 @settings(max_examples=150, deadline=None)
@@ -503,6 +523,19 @@ class TestEncodeErrors:
 
 
 class TestBitBudget:
+    """The budget against the records `decode` reads back and the README's layout."""
+
+    def assert_budget_matches_stream(self, plan, cloud):
+        budget = bit_budget(plan, cloud.bit_depth, extract_slices(cloud, plan))
+        stream = encode(cloud, plan)
+        ds = decode(stream)
+        b = cloud.bit_depth
+        assert budget.header_bits == len(ds.records) * layout_header_bits(b)
+        assert budget.payload_bits == sum(layout_payload_bits(r, b) for r in ds.records)
+        assert budget.naive_bits == 3 * b * plan.original_size
+        assert len(stream) == layout_stream_bytes(ds)
+        return budget, stream, ds
+
     def test_thousand_point_full_width_slice(self):
         rng = np.random.default_rng(77)
         coords = set()
@@ -513,33 +546,27 @@ class TestBitBudget:
             coords.add((x, y, z))
         cloud = PointCloud(np.array(sorted(coords)), bit_depth=10)
         plan = single_slice_plan(cloud, Axis.X, 0, 64)
-        slices = extract_slices(cloud, plan)
-        budget = bit_budget(plan, cloud.bit_depth, slices)
+        budget, stream, ds = self.assert_budget_matches_stream(plan, cloud)
 
-        row = budget.per_slice[0]
-        assert row.offset_bits == 6
-        assert row.payload_bits == 26_000
-        assert row.naive_bits == 30_000
-        stream = encode(cloud, plan)
-        assert budget.total_bits == len(stream) * 8
+        assert ds.records[0].d == 6
+        assert ds.records[0].point_count == 1000
+        assert budget.payload_bits == 26_000
+        assert budget.naive_bits == 30_000
+        assert len(stream) == 13 + (58 + 26_000 + 7) // 8
 
     def test_budget_matches_measured_for_plans(self, rng):
-        for overlap in (0, 2):
-            cloud = random_cloud(rng, max_points=300)
+        for overlap, bit_depth in ((0, 10), (2, 10), (2, 12)):
+            cloud = PointCloud(random_cloud(rng, max_points=300).coords, bit_depth=bit_depth)
             plan = build_plan(cloud, SlicerConfig(overlap=overlap))
-            slices = extract_slices(cloud, plan)
-            budget = bit_budget(plan, cloud.bit_depth, slices)
-            stream = encode(cloud, plan)
-            assert budget.total_bits == len(stream) * 8
+            self.assert_budget_matches_stream(plan, cloud)
 
     def test_color_payload_counted(self):
         colors = np.array([[1, 2, 3]], dtype=np.uint8)
         cloud = PointCloud(np.array([[0, 0, 5]]), colors=colors)
         plan = single_slice_plan(cloud, Axis.Z, 5, 6)
-        budget = bit_budget(plan, cloud.bit_depth, extract_slices(cloud, plan))
+        budget, stream, _ = self.assert_budget_matches_stream(plan, cloud)
         assert budget.payload_bits == 1 + 20 + 24
-        stream = encode(cloud, plan)
-        assert budget.total_bits == len(stream) * 8
+        assert len(stream) == 13 + (58 + 45 + 7) // 8
 
     def test_empty_terminal_segment_header_only(self):
         cloud = make_cloud([(0, 0, 0)])
@@ -566,23 +593,23 @@ class TestBitBudget:
             original_size=1,
             slices=(spec, empty_terminal),
         )
-        slices = extract_slices(cloud, plan)
-        budget = bit_budget(plan, cloud.bit_depth, slices)
-        assert budget.per_slice[1].payload_bits == 0
-        assert budget.per_slice[1].header_bits == record_header_bits(10)
-        stream = encode(cloud, plan)
-        assert budget.total_bits == len(stream) * 8
+        budget, stream, ds = self.assert_budget_matches_stream(plan, cloud)
+        assert ds.records[1].point_count == 0
+        assert budget.header_bits == 2 * record_header_bits(10)
+        assert budget.payload_bits == 1 + 20  # record 0's point alone
+        # the terminal record is its 58-bit header padded to 8 bytes, ending the stream
+        assert len(stream) == 13 + (58 + 21 + 7) // 8 + 8
         assert decode(stream).cloud.same_points(cloud)
 
     def test_per_point_depth_cost_beats_naive(self, rng):
         """With theta=64 on a 10-bit grid, depth offsets cost at most 6 bits."""
         cloud = random_cloud(rng, max_points=400)
         plan = build_plan(cloud, SlicerConfig(theta=64, overlap=0))
-        budget = bit_budget(plan, 10, extract_slices(cloud, plan))
-        for row in budget.per_slice:
-            spec = plan.slices[row.index]
+        ds = decode(encode(cloud, plan))
+        assert len(ds.records) == len(plan.slices)
+        for spec, record in zip(plan.slices, ds.records):
             if not spec.terminal:
-                assert row.offset_bits <= 6 < 10
+                assert record.d <= 6 < 10
 
     def test_slice_cost_beats_naive_past_amortization(self, rng):
         """Beyond the header break-even point a record costs less than flat coords."""
@@ -590,12 +617,22 @@ class TestBitBudget:
             cloud = random_cloud(rng, max_points=500)
             plan = build_plan(cloud, SlicerConfig(theta=64, overlap=0))
             b = cloud.bit_depth
-            budget = bit_budget(plan, b, extract_slices(cloud, plan))
-            for row in budget.per_slice:
-                gain = b - row.offset_bits
+            _, _, ds = self.assert_budget_matches_stream(plan, cloud)
+            for record in ds.records:
+                gain = b - record.d
                 if gain <= 0:
                     continue
-                breakeven = (record_header_bits(b) + 7) // gain + 1
-                if row.stored_points >= breakeven:
-                    total = row.header_bits + row.payload_bits + row.padding_bits
-                    assert total < row.naive_bits
+                header = layout_header_bits(b)
+                breakeven = (header + 7) // gain + 1
+                if record.point_count >= breakeven:
+                    padded = (header + layout_payload_bits(record, b) + 7) // 8 * 8
+                    assert padded < 3 * b * record.point_count
+
+    def test_refused_plan_raises_encode_error(self):
+        """The budget builds the records encode() writes, so it refuses the same plans."""
+        cloud = make_cloud([(0, 0, 5)], bit_depth=10)
+        plan = single_slice_plan(cloud, Axis.Z, 5, 2000)
+        with pytest.raises(EncodeError):
+            encode(cloud, plan)
+        with pytest.raises(EncodeError):
+            bit_budget(plan, cloud.bit_depth, extract_slices(cloud, plan))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from conftest import (
     make_cloud,
     oracle_ascii_body,
     oracle_read_ascii_body,
+    ply_like_bytes,
     point_set,
     random_cloud,
 )
@@ -244,24 +247,40 @@ NUMBERS = [b"0", b"7", b"-3", b"+12", b"2.5", b".5", b"5.", b"1e3", b"1_0", b"na
 DIGIT_STRINGS = [t for t in NUMBERS if t.isdigit()]
 JUNK = [b"abc", b"1__0", b"_1", b"0x1", b"\xff", b"\xc3\xa9", b"1\x00", b"\xa0", b"\x85"]
 SEPARATORS = [b" ", b"  ", b"\t", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f"]
+WHITESPACE = SEPARATORS[:6]  # both readers split on these; \x1c-\x1f only str.split() does
 _SEPARATORS_AS_SPACE = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
 
 
 @st.composite
 def token_soups(draw):
-    """An ASCII body around `width`-value rows, with odd rows, bytes and counts mixed in."""
+    """An ASCII body of `width`-value rows, its vertex count, properties and header lines.
+
+    Two soups in three are well formed, so the readers' values are compared; the
+    third mixes in odd rows, bytes, separators and counts, so their errors are.
+    """
     width = draw(st.sampled_from([1, 3, 6]))
-    token = st.sampled_from(draw(st.sampled_from([NUMBERS * 6 + JUNK, DIGIT_STRINGS])))
+    wild = draw(st.integers(0, 2)) == 2
+    token = st.sampled_from(
+        draw(st.sampled_from([NUMBERS * 6 + JUNK if wild else NUMBERS, DIGIT_STRINGS]))
+    )
+    row = st.lists(token, min_size=width, max_size=width)
+    if wild:
+        row |= st.lists(token, max_size=width + 2)
     line = st.tuples(
-        st.lists(token, min_size=width, max_size=width)
-        | st.lists(token, max_size=width + 2),
-        st.lists(st.sampled_from(SEPARATORS), min_size=width + 3, max_size=width + 3),
+        row,
+        st.lists(
+            st.sampled_from(SEPARATORS if wild else WHITESPACE),
+            min_size=width + 3,
+            max_size=width + 3,
+        ),
     ).map(lambda ts: ts[1][-1] + b"".join(t + sep for t, sep in zip(*ts)))
     lines = draw(st.lists(line | st.sampled_from([b"", b" ", b"\t\r"]), max_size=10))
     body = b"".join(ln + draw(st.sampled_from([b"\n", b"\r\n"])) for ln in lines)
-    body += draw(st.sampled_from([b"", b"\n", b" ", b"7 7 7", b"\x1c"]))
+    body += draw(
+        st.sampled_from([b"", b"\n", b" "] + ([b"7 7 7", b"\x1c"] if wild else []))
+    )
     rows = sum(1 for ln in lines if ln.translate(_SEPARATORS_AS_SPACE).split())
-    count = max(0, rows + draw(st.integers(-2, 2)))
+    count = max(0, rows + (draw(st.integers(-2, 2)) if wild else 0))
     return body, count, [(f"p{i}", "<f4") for i in range(width)], draw(st.integers(1, 12))
 
 
@@ -300,3 +319,18 @@ def test_ascii_write_matches_per_vertex_oracle(colored, points):
     header, body = write_ply(cloud, "ascii").split(b"end_header\n")
     assert header.startswith(b"ply\nformat ascii 1.0\n")
     assert body == oracle_ascii_body(cloud)
+
+
+@given(ply_like_bytes())
+@settings(max_examples=400, deadline=None)
+def test_any_bytes_read_to_a_cloud_or_a_parse_error(data):
+    """Header included: a cloud or a PlyParseError, and no warning on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            cloud = read_ply(data)
+        except PlyParseError:
+            cloud = None
+    assert caught == []
+    if cloud is not None:
+        assert read_ply(write_ply(cloud)).same_points(cloud)

@@ -88,3 +88,13 @@ def test_unknown_kind_and_bad_extent():
         gen_synthetic("cube", {"extent": 0})
     with pytest.raises(ValueError):
         gen_synthetic("uniform-random", {"extent": 2, "count": 1000}, seed=1)
+
+
+def test_extent_and_density_bounds():
+    edge = gen_synthetic("uniform-random", {"extent": 1 << 16, "count": 5}, seed=1)
+    assert len(edge) == 5 and edge.bit_depth <= 16
+    with pytest.raises(ValueError, match="extent must be an integer in 1..65536"):
+        gen_synthetic("uniform-random", {"extent": (1 << 16) + 1, "count": 5}, seed=1)
+    for density in (float("nan"), float("-inf"), 1e308):
+        with pytest.raises(ValueError, match="gives no finite point count"):
+            gen_synthetic("uniform-random", {"extent": 8, "density": density}, seed=1)
