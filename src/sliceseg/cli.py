@@ -15,7 +15,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .cloud import Axis, PointCloud
-from .codec import bit_budget, decode, encode
+# encode is unused here but stays bound: bench/layers.py wraps cli.encode
+from .codec import build_stream, decode, encode, reencode, stream_budget  # noqa: F401
 from .metrics import (
     BASELINES,
     CompareConfig,
@@ -229,11 +230,12 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         plan = plan_from_json(plan_path.read_text())
     else:
         plan = build_plan(cloud, _slicer_config(args))
-    stream = encode(cloud, plan)
+    built = build_stream(plan, cloud.bit_depth, extract_slices(cloud, plan))
+    stream = reencode(built)
     if not saved:  # only a plan that encodes is kept
         plan_path.write_text(plan_to_json(plan))
     Path(args.out).write_bytes(stream)
-    budget = bit_budget(plan, cloud.bit_depth, extract_slices(cloud, plan))
+    budget = stream_budget(built, len(cloud))
     print(
         f"encoded {len(cloud)} points in {len(plan.slices)} slices: "
         f"{len(stream)} bytes (payload {budget.payload_bits} bits, "

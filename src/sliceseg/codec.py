@@ -11,9 +11,9 @@ record per slice. A record is a header of `_header_widths` bit fields, then
 per point the `_payload_widths` fields, points sorted by (offset, u, v);
 bit fields are packed MSB-first and each record is zero-padded to a byte.
 Those two tables are the whole record layout: the writer and the parser
-read them, and `bit_budget` sizes the records `encode` builds (`_record`)
-by the same header and per-point rule the parser uses to find a record's
-length.
+read them, and `stream_budget` sizes the records `encode` builds
+(`build_stream`) by the same header and per-point rule the parser uses to
+find a record's length.
 
 The 7-bit width field holds the extended width when it fits (1..127);
 value 0 marks a wide record (terminal residues can span the whole grid)
@@ -205,20 +205,21 @@ def _serialize_record(bit_depth: int, record: DecodedRecord) -> bytes:
     return np.packbits(np.concatenate(header_fields + [payload])).tobytes()
 
 
+def build_stream(
+    plan: SlicePlan, bit_depth: int, slices: list[tuple[SliceSpec, PointCloud]]
+) -> DecodedStream:
+    """The stream encode() writes for the plan's extracted slices, as records."""
+    return DecodedStream(
+        bit_depth=bit_depth,
+        theta=plan.config.theta,
+        overlap=plan.config.overlap,
+        records=tuple(_record(spec, slice_cloud, bit_depth) for spec, slice_cloud in slices),
+    )
+
+
 def encode(cloud: PointCloud, plan: SlicePlan) -> bytes:
     """Serialize the plan's slices; decoding recovers the cloud exactly."""
-    slices = extract_slices(cloud, plan)
-    records = tuple(
-        _record(spec, slice_cloud, cloud.bit_depth) for spec, slice_cloud in slices
-    )
-    return reencode(
-        DecodedStream(
-            bit_depth=cloud.bit_depth,
-            theta=plan.config.theta,
-            overlap=plan.config.overlap,
-            records=records,
-        )
-    )
+    return reencode(build_stream(plan, cloud.bit_depth, extract_slices(cloud, plan)))
 
 
 def decode(data: bytes) -> DecodedStream:
@@ -373,22 +374,30 @@ class BitBudget:
     naive_bits: int
 
 
+def stream_budget(stream: DecodedStream, original_size: int) -> BitBudget:
+    """Bits of the stream's records, and the naive cost of `original_size` points.
+
+    The naive cost is 3*B bits per point of the original cloud, so overlap
+    duplication shows up as payload, not as naive inflation.
+    """
+    bit_depth = stream.bit_depth
+    return BitBudget(
+        header_bits=len(stream.records) * record_header_bits(bit_depth),
+        payload_bits=sum(
+            r.point_count * sum(_payload_widths(r.d, bit_depth, r.color_flag))
+            for r in stream.records
+        ),
+        naive_bits=3 * bit_depth * original_size,
+    )
+
+
 def bit_budget(
     plan: SlicePlan,
     bit_depth: int,
     slices: list[tuple[SliceSpec, PointCloud]],
 ) -> BitBudget:
-    """Bits of the records encode() writes for these extracted slices.
+    """`stream_budget` of the records encode() writes for these extracted slices.
 
-    The naive cost is 3*B bits per point of the original cloud, so overlap
-    duplication shows up as payload, not as naive inflation. Raises
-    EncodeError for a slice that encode() refuses.
+    Raises EncodeError for a slice that encode() refuses.
     """
-    records = [_record(spec, slice_cloud, bit_depth) for spec, slice_cloud in slices]
-    return BitBudget(
-        header_bits=len(records) * record_header_bits(bit_depth),
-        payload_bits=sum(
-            r.point_count * sum(_payload_widths(r.d, bit_depth, r.color_flag)) for r in records
-        ),
-        naive_bits=3 * bit_depth * plan.original_size,
-    )
+    return stream_budget(build_stream(plan, bit_depth, slices), plan.original_size)

@@ -18,7 +18,7 @@ from .cloud import PointCloud, distinct
 from .codec import bit_budget
 # best_plane is unused here but stays bound: the benchmark's tracer wraps metrics.best_plane
 from .projection import CaptureConfig, best_plane, label_components, simulate_capture  # noqa: F401
-from .slicer import SlicePlan, SlicerConfig, build_plan, extract_slices
+from .slicer import SlicePlan, SlicerConfig, SliceSpec, build_plan, extract_slices
 
 # capture layer mode -> the name of its whole-cloud baseline, in report order
 BASELINES = {"single": "single-layer", "dual": "dual-layer"}
@@ -81,13 +81,15 @@ def plan_loss(cloud: PointCloud, plan: SlicePlan) -> LossReport:
     Overlap bands participate in capture; duplicates across slices count
     once toward the captured total.
     """
+    return _slices_loss(len(cloud), extract_slices(cloud, plan))
+
+
+def _slices_loss(total: int, slices: list[tuple[SliceSpec, PointCloud]]) -> LossReport:
     single = CaptureConfig(layer_mode="single")
-    captured = [
-        _captured_keys(slice_cloud, single) for _, slice_cloud in extract_slices(cloud, plan)
-    ]
+    captured = [_captured_keys(slice_cloud, single) for _, slice_cloud in slices]
     return LossReport(
         strategy=PLAN_STRATEGY,
-        total=len(cloud),
+        total=total,
         captured=int(distinct(np.concatenate(captured)).shape[0]) if captured else 0,
     )
 
@@ -103,8 +105,9 @@ def compare(cloud: PointCloud, config: CompareConfig = CompareConfig()) -> list[
         rows.append(_row(report, slices=None, budget=None))
 
     plan = build_plan(cloud, config.slicer)
-    report = plan_loss(cloud, plan)
-    budget = bit_budget(plan, cloud.bit_depth, extract_slices(cloud, plan))
+    slices = extract_slices(cloud, plan)  # one replay for the loss and the budget
+    report = _slices_loss(len(cloud), slices)
+    budget = bit_budget(plan, cloud.bit_depth, slices)
     rows.append(_row(report, slices=len(plan.slices), budget=budget))
     return rows
 

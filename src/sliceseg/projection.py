@@ -160,22 +160,37 @@ def best_plane(cloud: PointCloud) -> tuple[Axis, int]:
     return Axis(int(axes[0])), int(areas[0])
 
 
+def pixel_keys(cloud: PointCloud) -> np.ndarray:
+    """(3, n) int64 table: row `axis` holds each point's pixel key on the plane dropping it."""
+    c = cloud.coords.T
+    return voxel_keys(0, c[PLANE_COLS[:, 0]].astype(np.int64), c[PLANE_COLS[:, 1]])
+
+
+def pixel_areas(labels: np.ndarray, pixels: np.ndarray, count: int) -> np.ndarray:
+    """(planes, count) distinct pixels of each label in 0..count-1 on each row of `pixels`.
+
+    `pixels` is a `pixel_keys` table, or some of its rows; a label no point
+    has gets area 0.
+    """
+    planes = pixels.shape[0]
+    keys = voxel_keys(labels.astype(np.int64), 0, 0) | pixels
+    # one key set for all planes: row p's labels move up by p * count. The
+    # steps work in place: each further (planes, n) temporary above glibc's
+    # mmap threshold costs a large cloud fresh page faults on every call
+    keys += voxel_keys(np.arange(planes)[:, None] * count, 0, 0)
+    found = distinct(keys.ravel())
+    found >>= 2 * KEY_FIELD_BITS
+    return np.bincount(found, minlength=planes * count).reshape(planes, count)
+
+
 def component_areas(
     cloud: PointCloud,
     labeling: ComponentLabeling,
     axis: Optional[Axis] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-component (axis, area) arrays: distinct pixels on the fixed plane or each best one."""
-    labels = labeling.labels.astype(np.int64)
-    c = cloud.coords.astype(np.int64)
     axes = np.arange(3) if axis is None else np.array([axis])
-    per_axis = []
-    for u, v in PLANE_COLS[axes]:
-        keys = voxel_keys(labels, c[:, u], c[:, v])
-        per_axis.append(
-            np.bincount(distinct(keys) >> (2 * KEY_FIELD_BITS), minlength=labeling.count)
-        )
-    stacked = np.stack(per_axis)
+    stacked = pixel_areas(labeling.labels, pixel_keys(cloud)[axes], labeling.count)
     best = np.argmax(stacked, axis=0)  # first max wins: ties go X < Y < Z
     return axes[best], stacked[best, np.arange(labeling.count)]
 

@@ -23,10 +23,11 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .cloud import Axis, AxisRange, PointCloud, Side, SIDES, axis_from_name, extract_range, remove_range
-from .projection import (
-    ComponentLabeling, component_areas, component_roots, compute_psi, neighbor_pairs
+# extract_range and remove_range stay bound here: bench/layers.py wraps slicer's names
+from .cloud import (  # noqa: F401
+    Axis, AxisRange, PointCloud, Side, SIDES, axis_from_name, extract_range, remove_range
 )
+from .projection import component_roots, compute_psi, neighbor_pairs, pixel_areas, pixel_keys
 
 PLANE_RULES = ("best-plane", "fixed-plane")
 
@@ -155,9 +156,61 @@ def _core_range(side: Side, mins: np.ndarray, maxs: np.ndarray, width: int) -> A
 # occupied coordinate) -> (count, lost); equal-count slabs of one side share
 # a key. Sound only across calls on one working cloud that shrinks between
 # them under one config: a range holding as many points as when it was
-# stored still holds the same points, so its loss is unchanged. Only
-# build_plan shares one across calls; every other caller gets a fresh one.
+# stored still holds the same points, so its loss is unchanged.
 _LossCache = dict[tuple[Axis, int, int], tuple[int, int]]
+
+
+class _Slab(NamedTuple):
+    """A side's widest slab, its points ordered by depth from the face."""
+
+    members: np.ndarray  # planned-cloud index of each point, by depth
+    # 26-adjacent pairs as positions in `members`; dst is the deeper end, so
+    # a pair lies in every prefix longer than its dst
+    src: np.ndarray
+    dst: np.ndarray
+    pixels: np.ndarray  # pixel keys of the members, on the requested planes
+
+
+class _PlanState:
+    """What every round of one plan shares, built once on the planned cloud.
+
+    The working cloud only ever loses points, so its 26-adjacent pairs and
+    pixel keys are the planned cloud's restricted to the points still there:
+    `index` holds the planned-cloud index of each working point, in working
+    order, and `src`/`dst` the pairs whose ends both remain. `losses` is the
+    loss cache. Only build_plan shares one across rounds; a direct
+    select_slice or best_width call builds its own.
+    """
+
+    def __init__(self, cloud: PointCloud) -> None:
+        self.src, self.dst = neighbor_pairs(cloud)
+        self.pixels = pixel_keys(cloud)
+        self.index = np.arange(len(cloud))
+        self.losses: _LossCache = {}
+
+    def slab(self, working: PointCloud, side: Side, band: AxisRange, planes: list[int]) -> _Slab:
+        """The working points in `band`, nearest to `side`'s face first."""
+        column = working.coords[:, band.axis]
+        inside = ((column >= band.lo) & (column < band.hi)).nonzero()[0]
+        members = self.index[inside[np.argsort(column[inside] * -side.sign)]]
+        position = np.full(self.pixels.shape[1], -1)
+        position[members] = np.arange(len(members))
+        a, b = position[self.src], position[self.dst]
+        both = ((a >= 0) & (b >= 0)).nonzero()[0]
+        a, b = a[both], b[both]
+        pixels = self.pixels[np.ix_(planes, members)]
+        return _Slab(members, np.minimum(a, b), np.maximum(a, b), pixels)
+
+    def remove(self, working: PointCloud, core: AxisRange) -> PointCloud:
+        """`working` without the points in `core`; the state drops them too."""
+        column = working.coords[:, core.axis]
+        kept = (column < core.lo) | (column >= core.hi)
+        self.index = self.index[kept]
+        alive = np.zeros(self.pixels.shape[1], dtype=bool)
+        alive[self.index] = True
+        both = (alive[self.src] & alive[self.dst]).nonzero()[0]
+        self.src, self.dst = self.src[both], self.dst[both]
+        return working.subset(kept)
 
 
 def best_width(
@@ -167,7 +220,7 @@ def best_width(
     original_size: int,
     incumbent: Optional[Candidate] = None,
     *,
-    _cache: Optional[_LossCache] = None,
+    _cache: Optional[_PlanState] = None,
 ) -> Optional[Candidate]:
     """Best slab width on one side: least loss, ties to the larger width.
 
@@ -202,32 +255,27 @@ def best_width(
         return None
     counts = counts.tolist()
 
-    cache = {} if _cache is None else _cache
-    fixed_axis = axis if config.plane_rule == "fixed-plane" else None
+    state = _PlanState(cloud) if _cache is None else _cache
+    planes = [axis] if config.plane_rule == "fixed-plane" else [0, 1, 2]
     lost: dict[int, int] = {}  # width -> lost points
     best = incumbent
     # Width w's slab is the first counts[w - 1] points of the w_max slab by
-    # depth from the face (built on the first cache miss); a pair joins the
-    # prefixes that hold its deeper point. Each prefix resumes the union-find
-    # from the longest shorter prefix labeled so far.
-    slab = None
+    # depth from the face (taken from the state on the first cache miss); a
+    # pair joins the prefixes that hold its deeper point. Each prefix resumes
+    # the union-find from the longest shorter prefix labeled so far.
+    slab: Optional[_Slab] = None
     roots = {0: np.arange(0)}  # prefix length -> roots of its points
 
     def prefix_lost(count: int) -> int:
         nonlocal slab
         if slab is None:
-            points = extract_range(cloud, _core_range(side, mins, maxs, w_max))
-            points = points.subset(np.argsort(points.coords[:, axis] * -side.sign))  # by depth
-            src, dst = neighbor_pairs(points)
-            slab = points, np.maximum(src, dst), src, dst
-        points, activation, src, dst = slab
+            slab = state.slab(cloud, side, _core_range(side, mins, maxs, w_max), planes)
         start = max(m for m in roots if m < count)
-        joining = ((activation >= start) & (activation < count)).nonzero()[0]
+        joining = ((slab.dst >= start) & (slab.dst < count)).nonzero()[0]
         parent = np.concatenate((roots[start], np.arange(start, count)))
-        roots[count] = component_roots(parent, src[joining], dst[joining])
-        labeling = ComponentLabeling(roots[count], count)  # a label no point has gets area 0
-        _, areas = component_areas(points.subset(slice(count)), labeling, fixed_axis)
-        return count - int(areas.sum())
+        roots[count] = component_roots(parent, slab.src[joining], slab.dst[joining])
+        areas = pixel_areas(roots[count], slab.pixels[:, :count], count)  # roots are labels
+        return count - int(areas.max(axis=0).sum())
 
     def evaluate(width: int) -> None:
         nonlocal best
@@ -235,9 +283,9 @@ def best_width(
         core = _core_range(side, mins, maxs, width)
         span = column[-count:] if side.positive else column[:count]  # the slab's coordinates
         key = (axis, int(span[0]), int(span[-1]))
-        hit = cache.get(key)
+        hit = state.losses.get(key)
         if hit is None or hit[0] != count:
-            hit = cache[key] = (count, prefix_lost(count))
+            hit = state.losses[key] = (count, prefix_lost(count))
         lost[width] = hit[1]
         if _beats(lost[width], count, width, best):
             best = Candidate(side, width, core, count, lost[width])
@@ -272,7 +320,7 @@ def select_slice(
     original_size: int,
     index: int = 0,
     *,
-    _cache: Optional[_LossCache] = None,
+    _cache: Optional[_PlanState] = None,
 ) -> Optional[SliceSpec]:
     """Best candidate over all six sides, or None when every side is exhausted.
 
@@ -282,9 +330,10 @@ def select_slice(
     """
     if len(cloud) == 0:
         raise ValueError("cannot slice an empty cloud")
+    state = _PlanState(cloud) if _cache is None else _cache
     best: Optional[Candidate] = None
     for side in SIDES:
-        cand = best_width(cloud, side, config, original_size, best, _cache=_cache)
+        cand = best_width(cloud, side, config, original_size, best, _cache=state)
         if cand is not None:
             best = cand
     if best is None:
@@ -331,17 +380,17 @@ def build_plan(cloud: PointCloud, config: SlicerConfig = SlicerConfig()) -> Slic
 
     slices: list[SliceSpec] = []
     working = cloud
-    cache: _LossCache = {}
+    state = _PlanState(cloud)
     while len(working) > 0:
         if len(working) < min_points:
             slices.append(_terminal_spec(working, config, len(slices)))
             break
-        spec = select_slice(working, config, original_size, index=len(slices), _cache=cache)
+        spec = select_slice(working, config, original_size, index=len(slices), _cache=state)
         if spec is None:
             slices.append(_terminal_spec(working, config, len(slices)))
             break
         slices.append(spec)
-        working = remove_range(working, spec.core)
+        working = state.remove(working, spec.core)
     return SlicePlan(config=config, original_size=original_size, slices=tuple(slices))
 
 

@@ -30,27 +30,32 @@ def gen_synthetic(kind: str, params: Mapping[str, int], seed: int = 0) -> PointC
     if not (0 < extent <= 1 << MAX_BIT_DEPTH):  # checked before any array is made
         raise ValueError(f"extent must be an integer in 1..{1 << MAX_BIT_DEPTH}")
 
-    if kind == "plane":
-        return _plane(extent, int(params.get("offset", extent // 2)))
-    if kind == "cube":
-        return _cube(extent)
-    if kind == "sphere-shell":
-        return _sphere_shell(extent)
-    if kind == "folded-sheet":
-        amplitude = int(params.get("amplitude", 8))
-        period = int(params.get("period", max(2, extent // 2)))
-        return _folded_sheet(extent, amplitude, period, seed)
-    # uniform-random
-    count = params.get("count")
-    if count is None:
-        density = params.get("density")
-        if density is None:
-            raise ValueError("uniform-random needs 'count' or 'density'")
-        expected = float(density) * extent**3
-        if not math.isfinite(expected):
-            raise ValueError(f"density {density} gives no finite point count")
-        count = int(round(expected))
-    return _uniform_random(extent, int(count), seed)
+    size = f"extent {extent}"
+    if kind == "uniform-random":
+        count = params.get("count")
+        if count is None:
+            density = params.get("density")
+            if density is None:
+                raise ValueError("uniform-random needs 'count' or 'density'")
+            expected = float(density) * extent**3
+            if not math.isfinite(expected):
+                raise ValueError(f"density {density} gives no finite point count")
+            count = int(round(expected))
+        size += f" and count {count}"
+    try:
+        if kind == "plane":
+            return _plane(extent, int(params.get("offset", extent // 2)))
+        if kind == "cube":
+            return _cube(extent)
+        if kind == "sphere-shell":
+            return _sphere_shell(extent)
+        if kind == "folded-sheet":
+            amplitude = int(params.get("amplitude", 8))
+            period = int(params.get("period", max(2, extent // 2)))
+            return _folded_sheet(extent, amplitude, period, seed)
+        return _uniform_random(extent, int(count), seed)
+    except MemoryError:  # a size within the bounds can still outgrow the machine
+        raise ValueError(f"{kind} of {size} does not fit in memory") from None
 
 
 def _plane(extent: int, offset: int) -> PointCloud:

@@ -97,6 +97,13 @@ class TestGen:
             (["--kind", "uniform-random", "--count", "100000000", "--extent", "8", "--seed", "1"],
              "cannot place 100000000 unique points in a 8^3 volume"),
             (["--kind", "cube", "--extent", "70000"], "extent must be an integer in 1..65536"),
+            # within the bounds, but past the 1 GiB cap: numpy's MemoryError
+            (["--kind", "cube", "--extent", "4096"], "cube of extent 4096 does not fit in memory"),
+            (["--kind", "plane", "--extent", "65536"],
+             "plane of extent 65536 does not fit in memory"),
+            (["--kind", "uniform-random", "--extent", "65536", "--count", "100000000",
+              "--seed", "1"],
+             "uniform-random of extent 65536 and count 100000000 does not fit in memory"),
         ],
     )
     def test_out_of_range_size_is_one_line_error(self, tmp_path, flags, message):

@@ -244,6 +244,24 @@ class TestComputePsi:
                     assert fixed_axes[k] == axis
                     assert fixed_areas[k] == len(brute_pixels(points, axis))
 
+    @pytest.mark.parametrize("plane_rule", ["best-plane", "fixed-plane"])
+    def test_pixel_areas_match_per_component_pixel_count(self, rng, plane_rule):
+        """Any labels in 0..count-1, some held by no point, as the planner's roots are."""
+        for _ in range(10):
+            cloud = random_cloud(rng, max_points=200)
+            count = int(rng.integers(1, len(cloud) + 2))
+            labels = rng.integers(0, count, size=len(cloud))
+            planes = list(Axis) if plane_rule == "best-plane" else [Axis(int(rng.integers(3)))]
+            areas = projection.pixel_areas(labels, projection.pixel_keys(cloud)[planes], count)
+            assert areas.shape == (len(planes), count)
+            points = cloud.coords.tolist()
+            for k in range(count):
+                members = [p for p, label in zip(points, labels) if label == k]
+                want = [len(brute_pixels(members, axis)) for axis in planes]
+                assert areas[:, k].tolist() == want
+                if plane_rule == "best-plane" and members:
+                    assert areas[:, k].max() == brute_best_plane(members)[1]
+
     def test_psi_zero_for_injective_components(self):
         two_planes = make_cloud(
             [(x, y, 0) for x in range(5) for y in range(5)]

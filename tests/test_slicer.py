@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -22,8 +23,10 @@ from sliceseg import (
     plan_to_json,
     select_slice,
 )
+from sliceseg import slicer
 from sliceseg.cloud import SIDES, Axis, AxisRange, Side, extract_range, remove_range
-from sliceseg.slicer import MIN_SLICE_POINTS
+from sliceseg.projection import neighbor_pairs, pixel_keys
+from sliceseg.slicer import MIN_SLICE_POINTS, _PlanState
 from sliceseg.synthetic import gen_synthetic
 
 from conftest import (
@@ -185,7 +188,7 @@ def test_prefix_losses_match_slabs_labeled_afresh(rng, plane_rule):
     """best_width labels each width as a depth-ordered prefix of its side's widest slab.
 
     Every loss it caches must equal compute_psi on the slab extracted anew.
-    A fresh cache per theta makes width theta one of the labeled widths,
+    A fresh plan state per theta makes width theta one of the labeled widths,
     resumed from the roots of the narrowest eligible width.
     """
     for _ in range(6):
@@ -193,8 +196,9 @@ def test_prefix_losses_match_slabs_labeled_afresh(rng, plane_rule):
         for side in SIDES:
             for theta in range(1, cloud.extent(side.axis) + 1):
                 config = cfg(theta=theta, threshold="0", plane_rule=plane_rule)
-                cache = {}
-                best_width(cloud, side, config, len(cloud), _cache=cache)
+                state = _PlanState(cloud)
+                best_width(cloud, side, config, len(cloud), _cache=state)
+                cache = state.losses
                 _, widest = slab(cloud, side, theta)
                 if len(widest) >= MIN_SLICE_POINTS:
                     span = widest.coords[:, side.axis]
@@ -202,6 +206,108 @@ def test_prefix_losses_match_slabs_labeled_afresh(rng, plane_rule):
                 for (axis, lo, hi), (count, lost) in cache.items():
                     sub = extract_range(cloud, AxisRange(axis, lo, hi + 1))
                     assert (len(sub), lost) == (count, slab_lost(sub, side, plane_rule))
+
+
+def _plan_checking_rounds(monkeypatch, cloud, config, check):
+    """build_plan with `check(working, original_size, state)` run before each round's search."""
+    select = slicer.select_slice
+
+    def checked(working, config, original_size, index=0, *, _cache=None):
+        check(working, original_size, _cache)
+        return select(working, config, original_size, index, _cache=_cache)
+
+    with monkeypatch.context() as m:
+        m.setattr(slicer, "select_slice", checked)
+        return build_plan(cloud, config)
+
+
+def _pair_set(coords, src, dst):
+    return {frozenset((tuple(coords[a]), tuple(coords[b]))) for a, b in zip(src, dst)}
+
+
+def test_plan_state_slabs_match_slabs_built_afresh(monkeypatch, rng):
+    """Each round, the plan's pairs and pixel keys restricted to a slab are the slab's own.
+
+    The state's pairs stand in for neighbor_pairs of every slab of every
+    round, so they must be exactly the slab's 26-adjacent pairs: none
+    missing, none with an end outside the slab or already sliced off.
+    """
+    rounds = 0
+
+    def check(working, original_size, state):
+        nonlocal rounds
+        rounds += 1
+        assert np.array_equal(cloud.coords[state.index], working.coords)
+        for side in SIDES:
+            extent = working.extent(side.axis)
+            for width in sorted({1, (extent + 1) // 2, extent}):
+                band, sub = slab(working, side, width)
+                got = state.slab(working, side, band, [0, 1, 2])
+                coords = cloud.coords[got.members].tolist()
+                assert len(coords) == len(sub) and set(map(tuple, coords)) == point_set(sub)
+                depth = cloud.coords[got.members, side.axis] * -side.sign
+                assert (np.diff(depth) >= 0).all()
+                assert np.array_equal(got.pixels, pixel_keys(cloud.subset(got.members)))
+                assert (got.src < got.dst).all()
+                want = _pair_set(sub.coords.tolist(), *neighbor_pairs(sub))
+                assert len(got.src) == len(want)
+                assert _pair_set(coords, got.src, got.dst) == want
+
+    for _ in range(6):
+        cloud = random_cloud(rng, max_points=300, extent_range=(4, 14))
+        _plan_checking_rounds(monkeypatch, cloud, cfg(theta=4), check)
+    assert rounds >= 12
+
+
+@pytest.mark.parametrize("plane_rule", ["best-plane", "fixed-plane"])
+def test_shared_state_best_width_matches_direct_call(monkeypatch, rng, plane_rule):
+    """Mid-plan, best_width on the plan's state finds what a call with a fresh one finds."""
+    for theta in (3, 8, 64):
+        cloud = random_cloud(rng, max_points=300, extent_range=(4, 14))
+        config = cfg(theta=theta, plane_rule=plane_rule)
+
+        def check(working, original_size, state):
+            for side in SIDES:
+                direct = best_width(working, side, config, original_size)
+                assert best_width(working, side, config, original_size, _cache=state) == direct
+
+        expect = plan_to_json(build_plan(cloud, config))
+        assert plan_to_json(_plan_checking_rounds(monkeypatch, cloud, config, check)) == expect
+
+
+# SHA-256 of plan_to_json on inputs too large for the exhaustive oracle:
+# the benchmark's plan-suite inputs at seed 1 and a 12,576-point shell,
+# recorded from the planner that built a neighbor grid for every slab.
+PINNED_PLAN_SHA256 = {
+    "folded-sheet-32": (
+        "folded-sheet", {"extent": 32, "amplitude": 8, "period": 16}, 7, "best-plane",
+        "4c6fbeba7be75be21e644ac879e37c9e357d2951902c5dee1a9c0e605360e603",
+    ),
+    "sphere-shell-20": (
+        "sphere-shell", {"extent": 20}, 0, "best-plane",
+        "b933e3bb732b7ef76ea2f411723763bb2258cb32a3527371c5415214f1ebd582",
+    ),
+    "sphere-shell-20-fixed": (
+        "sphere-shell", {"extent": 20}, 0, "fixed-plane",
+        "934a8fac4b98a4668ccd766ea8449df6bbdfd4c36646c8f4b59cdab02f09e3e4",
+    ),
+    "uniform-random-48": (
+        "uniform-random", {"extent": 48, "count": 1000}, 1, "best-plane",
+        "571850de698c183825d65826669ff750ce52375d710777ab75ad06cf5bc57831",
+    ),
+    "sphere-shell-64": (
+        "sphere-shell", {"extent": 64}, 0, "best-plane",
+        "11918ee925d13024011672e669555774bef8cbaf96ad432a7fc8c8deb92ded0d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PLAN_SHA256))
+def test_plan_bytes_are_pinned(name):
+    kind, params, seed, plane_rule, digest = PINNED_PLAN_SHA256[name]
+    cloud = gen_synthetic(kind, params, seed=seed)
+    config = SlicerConfig(theta=64, threshold_frac="0.05", overlap=2, plane_rule=plane_rule)
+    assert hashlib.sha256(plan_to_json(build_plan(cloud, config)).encode()).hexdigest() == digest
 
 
 PINNED_CLOUDS = {
