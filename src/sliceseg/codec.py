@@ -91,8 +91,11 @@ def _split_fields(bits: np.ndarray, widths: tuple[int, ...]) -> list[np.ndarray]
     """Values of consecutive fixed-width fields along the last axis; inverse of _field_bits."""
     values = []
     for width, end in zip(widths, accumulate(widths)):
-        weights = np.int64(1) << np.arange(width - 1, -1, -1, dtype=np.int64)
-        values.append(bits[..., end - width : end].astype(np.int64) @ weights)
+        field = np.zeros(bits.shape[:-1], dtype=np.int64)
+        for column in range(end - width, end):  # most significant bit first
+            field <<= 1
+            field |= bits[..., column]
+        values.append(field)
     return values
 
 

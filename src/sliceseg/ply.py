@@ -123,8 +123,7 @@ def write_ply(cloud: PointCloud, fmt: str = "ascii") -> bytes:
 
     if fmt == "ascii":
         table = cloud.coords if not has_color else np.hstack([cloud.coords, cloud.colors])
-        row = "%d %d %d %d %d %d\n" if has_color else "%d %d %d\n"
-        return header + ((row * len(cloud)) % tuple(table.ravel().tolist())).encode("ascii")
+        return header + _ascii_body(table)
 
     fields = [(n, "<f4") for n in _COORD_NAMES]
     if has_color:
@@ -136,6 +135,32 @@ def write_ply(cloud: PointCloud, fmt: str = "ascii") -> bytes:
         for k, name in enumerate(_COLOR_NAMES):
             rec[name] = cloud.colors[:, k]
     return header + rec.tobytes()
+
+
+def _ascii_body(table: np.ndarray) -> bytes:
+    """Decimal text of a table of non-negative integers: one line per row, spaces between.
+
+    Each value 0..max gets an 8-byte cell in a lookup table: its digits
+    right-aligned behind NUL padding, then a space. The body is the cells
+    gathered at the values, the last cell of each row ending in a newline
+    instead, with the NULs dropped. Values must be below 10**7, so that a
+    cell fits.
+    """
+    if not table.size:
+        return b""
+    top = int(table.max())
+    values = np.arange(top + 1)
+    cells = np.zeros((top + 1, 8), dtype=np.uint8)
+    cells[:, -1] = ord(" ")
+    for place in range(len(str(top))):  # the digit worth 10**place goes in column 6 - place
+        power = 10**place
+        first = power if place else 0  # values below 10**place have no such digit, but 0 has a 0
+        cells[first:, 6 - place] = values[first:] // power % 10 + ord("0")
+    text = cells.view(np.uint64).ravel()[table.ravel()].view(np.uint8)
+    text = text.reshape(table.shape[0], -1)
+    text[:, -1] = ord("\n")
+    text = text.ravel()
+    return text.compress(text != 0).tobytes()
 
 
 def _split_header(data: bytes):

@@ -407,9 +407,10 @@ def extract_slices(
             f"plan was built for {plan.original_size} points, cloud has {len(cloud)}"
         )
     out: list[tuple[SliceSpec, PointCloud]] = []
+    columns = np.ascontiguousarray(cloud.coords.T)  # one contiguous row per axis
     working = np.arange(len(cloud))  # indices of the points in no earlier core
     for spec in plan.slices:
-        column = cloud.coords[working, spec.core.axis]
+        column = columns[spec.core.axis].take(working)
         in_core = (column >= spec.core.lo) & (column < spec.core.hi)
         in_extended = (column >= spec.extended.lo) & (column < spec.extended.hi)
         core_count = int(np.count_nonzero(in_core))
@@ -418,8 +419,8 @@ def extract_slices(
                 f"slice {spec.index}: plan expects {spec.point_count} core points, "
                 f"replay found {core_count}"
             )
-        out.append((spec, cloud.subset(working[in_extended])))
-        working = working[~in_core]
+        out.append((spec, cloud.subset(working.compress(in_extended))))
+        working = working.compress(~in_core)
     if len(working) != 0:
         raise PlanMismatchError(f"plan leaves {len(working)} points uncovered")
     return out

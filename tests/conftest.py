@@ -8,15 +8,18 @@ library's pruned search must match exactly. The capture oracle projects
 one component at a time, which the library's one-pass capture must match.
 The ASCII PLY oracles read and write one vertex line at a time, which the
 library's whole-body reader and writer must match byte for byte and error
-for error. The SWSG oracle reads a stream one field at a time with a
-sequential bit reader, which the library's table-driven decoder must match
-record for record and error for error on every canonical stream. The
+for error; the writer must also match the earlier `%d` row format applied
+to the whole body at once. The SWSG oracle reads a stream one field at a
+time with a sequential bit reader, which the library's table-driven
+decoder must match record for record and error for error on every
+canonical stream. The
 labeling oracle runs scipy's csgraph over its own neighbor search, and
 `label_components` must give the same labels array for array.
 The key-set oracles are the library's earlier forms before its sort-based
 ones: dedup through `np.unique(return_index=True)`, slice replay through
-`extract_range`/`remove_range` on shrinking clouds, and the record point
-order through a three-column `np.lexsort`. The byte strategies draw inputs
+`extract_range`/`remove_range` on shrinking clouds and through boolean
+masks over the (N, 3) coordinates, and the record point order through a
+three-column `np.lexsort`. The byte strategies draw inputs
 for the readers' fuzz properties: mostly near-valid PLY files and SWSG
 streams, so that the draws reach past the magic checks.
 """
@@ -314,6 +317,31 @@ def oracle_extract_slices(cloud: PointCloud, plan: SlicePlan):
     return out
 
 
+def mask_extract_slices(cloud: PointCloud, plan: SlicePlan):
+    """Plan replay by boolean masks over a working index array, indexing the (N, 3) coords."""
+    if plan.original_size != len(cloud):
+        raise PlanMismatchError(
+            f"plan was built for {plan.original_size} points, cloud has {len(cloud)}"
+        )
+    out = []
+    working = np.arange(len(cloud))
+    for spec in plan.slices:
+        column = cloud.coords[working, spec.core.axis]
+        in_core = (column >= spec.core.lo) & (column < spec.core.hi)
+        in_extended = (column >= spec.extended.lo) & (column < spec.extended.hi)
+        core_count = int(np.count_nonzero(in_core))
+        if core_count != spec.point_count:
+            raise PlanMismatchError(
+                f"slice {spec.index}: plan expects {spec.point_count} core points, "
+                f"replay found {core_count}"
+            )
+        out.append((spec, cloud.subset(working[in_extended])))
+        working = working[~in_core]
+    if len(working) != 0:
+        raise PlanMismatchError(f"plan leaves {len(working)} points uncovered")
+    return out
+
+
 def oracle_record_order(offsets: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Point order of a record: by offset, then u, then v."""
     return np.lexsort((vs, us, offsets))
@@ -366,6 +394,13 @@ def oracle_ascii_body(cloud: PointCloud) -> bytes:
         else:
             out.append(f"{x} {y} {z}\n".encode("ascii"))
     return b"".join(out)
+
+
+def percent_ascii_body(cloud: PointCloud) -> bytes:
+    """ASCII PLY body from one `%d` row format repeated over every vertex, as a Python tuple."""
+    table = cloud.coords if cloud.colors is None else np.hstack([cloud.coords, cloud.colors])
+    row = "%d %d %d\n" if cloud.colors is None else "%d %d %d %d %d %d\n"
+    return ((row * len(cloud)) % tuple(table.ravel().tolist())).encode("ascii")
 
 
 def read_bits(data: bytes, bit_offset: int, nbits: int) -> int:

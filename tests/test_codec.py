@@ -98,6 +98,18 @@ class TestFieldBits:
         (back,) = _split_fields(bits, (width,))
         assert np.array_equal(back, values)
 
+    def test_split_fields_reads_shift_and_mask_rows_and_headers(self):
+        """Fields packed side by side, as records and as a header row, read back exactly."""
+        widths = tuple(range(1, 33)) + (5, 1, 16)
+        rng = np.random.default_rng(0)
+        values = [rng.integers(0, 1 << w, size=40) for w in widths]
+        values[-1][:2] = (0, (1 << 16) - 1)
+        bits = np.concatenate([shift_and_mask_bits(v, w) for v, w in zip(values, widths)], axis=1)
+        got = _split_fields(bits, widths)
+        assert all(g.dtype == np.int64 and np.array_equal(g, v) for g, v in zip(got, values))
+        row = _split_fields(bits[7], widths)
+        assert [int(g) for g in row] == [int(v[7]) for v in values]
+
     @pytest.mark.parametrize("value", [0, 1, True, 5, (1 << 32) - 1])
     def test_scalar_header_field(self, value):
         width = max(1, int(value).bit_length())

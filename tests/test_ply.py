@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliceseg import PlyParseError, read_ply, write_ply
+from sliceseg import PlyParseError, PointCloud, read_ply, write_ply
 from sliceseg.ply import _read_ascii_body
 from sliceseg.synthetic import gen_synthetic
 
@@ -14,6 +15,7 @@ from conftest import (
     make_cloud,
     oracle_ascii_body,
     oracle_read_ascii_body,
+    percent_ascii_body,
     ply_like_bytes,
     point_set,
     random_cloud,
@@ -319,6 +321,74 @@ def test_ascii_write_matches_per_vertex_oracle(colored, points):
     header, body = write_ply(cloud, "ascii").split(b"end_header\n")
     assert header.startswith(b"ply\nformat ascii 1.0\n")
     assert body == oracle_ascii_body(cloud)
+
+
+# the smallest and largest values of each decimal length a coordinate or colour can take
+COORD_BOUNDARIES = [0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 65535]
+COLOR_BOUNDARIES = [0, 9, 10, 99, 100, 255]
+
+
+def written_body(cloud: PointCloud) -> bytes:
+    return write_ply(cloud, "ascii").split(b"end_header\n")[1]
+
+
+def colors_for(count: int) -> np.ndarray:
+    """`count` colours running through every triple of colour boundaries."""
+    triples = list(itertools.product(COLOR_BOUNDARIES, repeat=3))
+    return np.array([triples[i % len(triples)] for i in range(count)], dtype=np.uint8).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("colored", [False, True])
+@pytest.mark.parametrize("points", [[], [(0, 0, 0)]], ids=["empty", "origin"])
+def test_ascii_write_matches_percent_format_on_tiny_clouds(points, colored):
+    cloud = make_cloud(points, colors=colors_for(len(points)) if colored else None)
+    body = written_body(cloud)
+    assert body == percent_ascii_body(cloud)
+    assert body == (b"0 0 0 0 0 0\n" if colored else b"0 0 0\n") * len(points)
+
+
+@pytest.mark.parametrize("colored", [False, True])
+def test_ascii_write_matches_percent_format_at_digit_boundaries(colored):
+    """Every boundary on each axis, next to every boundary on the other two."""
+    coords = list(itertools.product(COORD_BOUNDARIES, repeat=3))
+    cloud = make_cloud(coords, colors=colors_for(len(coords)) if colored else None)
+    body = written_body(cloud)
+    assert body == percent_ascii_body(cloud) == oracle_ascii_body(cloud)
+    assert b"\0" not in body and body.count(b"\n") == len(cloud)
+
+
+@pytest.mark.parametrize("top", COORD_BOUNDARIES)
+def test_ascii_write_matches_percent_format_below_each_largest_value(top):
+    """The digit table ends at the body's largest value, which takes each digit count here."""
+    values = sorted({0, top // 3, top // 2, top})
+    cloud = make_cloud([(a, b, top) for a in values for b in values])
+    assert written_body(cloud) == percent_ascii_body(cloud)
+
+
+@pytest.mark.parametrize("colored", [False, True])
+@pytest.mark.parametrize("seed, extent", [(1, 10), (2, 256), (3, 1000), (4, 1 << 16)])
+def test_ascii_write_matches_percent_format_on_random_clouds(seed, extent, colored):
+    rng = np.random.default_rng(seed)
+    coords = rng.integers(0, extent, size=(2000, 3), dtype=np.int64)
+    colors = rng.integers(0, 256, size=(2000, 3), dtype=np.uint8) if colored else None
+    cloud = make_cloud(coords, colors=colors)
+    assert written_body(cloud) == percent_ascii_body(cloud)
+
+
+_coordinate = st.integers(0, 65535) | st.sampled_from(COORD_BOUNDARIES)
+_color = st.integers(0, 255) | st.sampled_from(COLOR_BOUNDARIES)
+
+
+@given(
+    st.lists(st.tuples(_coordinate, _coordinate, _coordinate), max_size=40),
+    st.none() | st.lists(st.tuples(_color, _color, _color), min_size=40, max_size=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_ascii_write_matches_percent_format_property(points, colors):
+    if colors is not None:
+        colors = np.array(colors[: len(points)], dtype=np.uint8).reshape(-1, 3)
+    cloud = make_cloud(points, colors=colors)
+    assert written_body(cloud) == percent_ascii_body(cloud)
 
 
 @given(ply_like_bytes())

@@ -34,6 +34,7 @@ from conftest import (
     candidate_psi,
     cube_cloud,
     make_cloud,
+    mask_extract_slices,
     oracle_extract_slices,
     oracle_plan,
     point_set,
@@ -569,6 +570,48 @@ def test_extract_slices_mismatch_messages(fault, message):
     for replay in (extract_slices, oracle_extract_slices):
         with pytest.raises(PlanMismatchError, match=f"^{message}$"):
             replay(cube, plan)
+
+
+def turning_plans():
+    """Built plans whose slice axis changes between rounds: a shell and a coloured random cloud."""
+    shell = gen_synthetic("sphere-shell", {"extent": 20})
+    rng = np.random.default_rng(5)
+    scatter = PointCloud(rng.integers(0, 24, size=(1500, 3)), colors=rng.integers(0, 256, size=(1500, 3)))
+    for cloud in (shell, scatter):
+        for overlap in (0, 2):
+            plan = build_plan(cloud, cfg(overlap=overlap))
+            axes = [spec.side.axis for spec in plan.slices]
+            assert sum(a != b for a, b in zip(axes, axes[1:])) >= 5
+            yield cloud, plan
+
+
+def test_extract_slices_matches_mask_replay_on_built_plans():
+    for cloud, plan in turning_plans():
+        got, want = extract_slices(cloud, plan), mask_extract_slices(cloud, plan)
+        assert [spec for spec, _ in got] == [spec for spec, _ in want] == list(plan.slices)
+        for (_, ours), (_, theirs) in zip(got, want):
+            assert np.array_equal(ours.coords, theirs.coords)
+            assert ours.bit_depth == theirs.bit_depth
+            assert (ours.colors is None) == (cloud.colors is None)
+            assert cloud.colors is None or np.array_equal(ours.colors, theirs.colors)
+
+
+@pytest.mark.parametrize("fault", ["size", "core count", "uncovered"])
+def test_extract_slices_mismatch_text_matches_mask_replay(fault):
+    for cloud, plan in turning_plans():
+        specs = list(plan.slices)
+        if fault == "size":
+            plan = dataclasses.replace(plan, original_size=len(cloud) - 1)
+        elif fault == "core count":
+            specs[3] = dataclasses.replace(specs[3], point_count=specs[3].point_count - 1)
+            plan = dataclasses.replace(plan, slices=tuple(specs))
+        else:
+            plan = dataclasses.replace(plan, slices=tuple(specs[:-2]))
+        with pytest.raises(PlanMismatchError) as expected:
+            mask_extract_slices(cloud, plan)
+        with pytest.raises(PlanMismatchError) as e:
+            extract_slices(cloud, plan)
+        assert str(e.value) == str(expected.value)
 
 
 class TestPlanJson:
