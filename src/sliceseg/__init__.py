@@ -29,7 +29,6 @@ from .projection import (
     best_plane,
     compute_psi,
     label_components,
-    projected_area,
     simulate_capture,
 )
 from .slicer import (
@@ -37,12 +36,10 @@ from .slicer import (
     SlicePlan,
     SliceSpec,
     SlicerConfig,
-    best_width,
     build_plan,
     extract_slices,
     plan_from_json,
     plan_to_json,
-    select_slice,
 )
 from .synthetic import gen_synthetic
 
@@ -63,7 +60,6 @@ __all__ = [
     "SlicerConfig",
     "baseline_loss",
     "best_plane",
-    "best_width",
     "bit_budget",
     "build_plan",
     "compare",
@@ -77,13 +73,11 @@ __all__ = [
     "plan_from_json",
     "plan_loss",
     "plan_to_json",
-    "projected_area",
     "read_ply",
     "reencode",
     "remove_range",
     "render_csv",
     "render_json",
-    "select_slice",
     "simulate_capture",
     "write_ply",
 ]

@@ -14,6 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .cloud import Axis, PointCloud
 # encode is unused here but stays bound: bench/layers.py wraps cli.encode
 from .codec import build_stream, decode, encode, reencode, stream_budget  # noqa: F401
@@ -25,7 +27,7 @@ from .metrics import (
     compare as compare_strategies,
 )
 from .ply import read_ply, write_ply
-from .projection import compute_psi, projected_area
+from .projection import compute_psi, pixel_areas, pixel_keys
 from .slicer import (
     PLANE_RULES,
     SlicerConfig,
@@ -185,14 +187,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     cloud = _load_cloud(args.input)
     stats = compute_psi(cloud)
-    areas = {axis: projected_area(cloud, axis) for axis in (Axis.X, Axis.Y, Axis.Z)}
+    # the whole cloud as one label: row `axis` counts its pixels on the plane dropping `axis`
+    areas = pixel_areas(np.zeros(len(cloud), dtype=np.int64), pixel_keys(cloud), 1)[:, 0].tolist()
     doc = {
         "points": len(cloud),
         "bit_depth": cloud.bit_depth,
         "components": stats.component_count,
         "per_axis": {
             axis.name: {"projected_area": area, "occluded": len(cloud) - area}
-            for axis, area in areas.items()
+            for axis, area in zip(Axis, areas)
         },
         "loss": {"phi": stats.phi, "lost": stats.lost, "psi": stats.psi},
     }

@@ -177,33 +177,26 @@ class PointCloud:
                     f"coordinate {max_coord} does not fit {bit_depth}-bit grid"
                 )
 
-        coords32 = np.ascontiguousarray(arr, dtype=np.int32)
-        coords32.setflags(write=False)
-        if col is not None:
-            col = np.ascontiguousarray(col)
-            col.setflags(write=False)
-
-        self.coords = coords32
-        self.colors = col
-        self.bit_depth = int(bit_depth)
-        self.duplicates_merged = int(merged)
-        self._bbox = None
+        self._set(arr, col, bit_depth, merged)
 
     @classmethod
     def _from_trusted(cls, coords: np.ndarray, colors, bit_depth: int) -> "PointCloud":
         """Internal constructor for arrays already known unique and in range."""
         cloud = cls.__new__(cls)
-        coords = np.ascontiguousarray(coords, dtype=np.int32)
-        coords.setflags(write=False)
-        cloud.coords = coords
+        cloud._set(coords, colors, bit_depth, 0)
+        return cloud
+
+    def _set(self, coords: np.ndarray, colors, bit_depth: int, merged: int) -> None:
+        """Set every slot, the arrays contiguous and read-only."""
+        self.coords = np.ascontiguousarray(coords, dtype=np.int32)
+        self.coords.setflags(write=False)
         if colors is not None:
             colors = np.ascontiguousarray(colors)
             colors.setflags(write=False)
-        cloud.colors = colors
-        cloud.bit_depth = int(bit_depth)
-        cloud.duplicates_merged = 0
-        cloud._bbox = None
-        return cloud
+        self.colors = colors
+        self.bit_depth = int(bit_depth)
+        self.duplicates_merged = int(merged)
+        self._bbox = None
 
     def __len__(self) -> int:
         return self.coords.shape[0]

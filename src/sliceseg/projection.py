@@ -143,14 +143,6 @@ def component_roots(parent: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.
     return parent
 
 
-def projected_area(cloud: PointCloud, axis: Axis) -> int:
-    """Distinct pixels of the orthographic projection dropping `axis`."""
-    if len(cloud) == 0:
-        raise ValueError("projected_area of an empty cloud")
-    whole = ComponentLabeling(np.zeros(len(cloud), dtype=np.int32), 1)
-    return int(component_areas(cloud, whole, axis)[1][0])
-
-
 def best_plane(cloud: PointCloud) -> tuple[Axis, int]:
     """Axis whose projection keeps the most pixels; ties go X < Y < Z."""
     if len(cloud) == 0:

@@ -154,8 +154,8 @@ def _core_range(side: Side, mins: np.ndarray, maxs: np.ndarray, width: int) -> A
 
 # Lost-point counts of evaluated slabs, keyed by (axis, first and last
 # occupied coordinate) -> (count, lost); equal-count slabs of one side share
-# a key. Sound only across calls on one working cloud that shrinks between
-# them under one config: a range holding as many points as when it was
+# a key. Sound within one _PlanState, whose working cloud only shrinks and
+# whose config is fixed: a range holding as many points as when it was
 # stored still holds the same points, so its loss is unchanged.
 _LossCache = dict[tuple[Axis, int, int], tuple[int, int]]
 
@@ -172,25 +172,27 @@ class _Slab(NamedTuple):
 
 
 class _PlanState:
-    """What every round of one plan shares, built once on the planned cloud.
+    """The plan in progress: its working cloud and what every round shares.
 
     The working cloud only ever loses points, so its 26-adjacent pairs and
     pixel keys are the planned cloud's restricted to the points still there:
     `index` holds the planned-cloud index of each working point, in working
     order, and `src`/`dst` the pairs whose ends both remain. `losses` is the
-    loss cache. Only build_plan shares one across rounds; a direct
-    select_slice or best_width call builds its own.
+    loss cache.
     """
 
-    def __init__(self, cloud: PointCloud) -> None:
+    def __init__(self, cloud: PointCloud, config: SlicerConfig, original_size: int) -> None:
+        self.working = cloud
+        self.config = config
+        self.original_size = original_size
         self.src, self.dst = neighbor_pairs(cloud)
         self.pixels = pixel_keys(cloud)
         self.index = np.arange(len(cloud))
         self.losses: _LossCache = {}
 
-    def slab(self, working: PointCloud, side: Side, band: AxisRange, planes: list[int]) -> _Slab:
+    def slab(self, side: Side, band: AxisRange, planes: list[int]) -> _Slab:
         """The working points in `band`, nearest to `side`'s face first."""
-        column = working.coords[:, band.axis]
+        column = self.working.coords[:, band.axis]
         inside = ((column >= band.lo) & (column < band.hi)).nonzero()[0]
         members = self.index[inside[np.argsort(column[inside] * -side.sign)]]
         position = np.full(self.pixels.shape[1], -1)
@@ -201,26 +203,20 @@ class _PlanState:
         pixels = self.pixels[np.ix_(planes, members)]
         return _Slab(members, np.minimum(a, b), np.maximum(a, b), pixels)
 
-    def remove(self, working: PointCloud, core: AxisRange) -> PointCloud:
-        """`working` without the points in `core`; the state drops them too."""
-        column = working.coords[:, core.axis]
+    def remove(self, core: AxisRange) -> None:
+        """Drop the working points in `core`."""
+        column = self.working.coords[:, core.axis]
         kept = (column < core.lo) | (column >= core.hi)
         self.index = self.index[kept]
         alive = np.zeros(self.pixels.shape[1], dtype=bool)
         alive[self.index] = True
         both = (alive[self.src] & alive[self.dst]).nonzero()[0]
         self.src, self.dst = self.src[both], self.dst[both]
-        return working.subset(kept)
+        self.working = self.working.subset(kept)
 
 
 def best_width(
-    cloud: PointCloud,
-    side: Side,
-    config: SlicerConfig,
-    original_size: int,
-    incumbent: Optional[Candidate] = None,
-    *,
-    _cache: Optional[_PlanState] = None,
+    state: _PlanState, side: Side, incumbent: Optional[Candidate] = None
 ) -> Optional[Candidate]:
     """Best slab width on one side: least loss, ties to the larger width.
 
@@ -240,6 +236,7 @@ def best_width(
     when lost(a) == lost(b) (b is at least as good and wider) or when even
     lost(a) / count(b - 1) at width b - 1 cannot beat the best so far.
     """
+    cloud, config = state.working, state.config
     mins, maxs = cloud.bbox
     axis = side.axis
     w_max = min(config.theta, cloud.extent(axis))
@@ -250,12 +247,11 @@ def best_width(
     else:
         counts = np.searchsorted(column, int(mins[axis]) + widths, side="left")
     # counts[w - 1] is the point count at width w; eligible widths form a suffix
-    first = int(np.searchsorted(counts, math.ceil(config.min_points(original_size)))) + 1
+    first = int(np.searchsorted(counts, math.ceil(config.min_points(state.original_size)))) + 1
     if first > w_max:
         return None
     counts = counts.tolist()
 
-    state = _PlanState(cloud) if _cache is None else _cache
     planes = [axis] if config.plane_rule == "fixed-plane" else [0, 1, 2]
     lost: dict[int, int] = {}  # width -> lost points
     best = incumbent
@@ -269,7 +265,7 @@ def best_width(
     def prefix_lost(count: int) -> int:
         nonlocal slab
         if slab is None:
-            slab = state.slab(cloud, side, _core_range(side, mins, maxs, w_max), planes)
+            slab = state.slab(side, _core_range(side, mins, maxs, w_max), planes)
         start = max(m for m in roots if m < count)
         joining = ((slab.dst >= start) & (slab.dst < count)).nonzero()[0]
         parent = np.concatenate((roots[start], np.arange(start, count)))
@@ -314,32 +310,22 @@ def _extend_inward(
     return AxisRange(axis, core.lo, hi)
 
 
-def select_slice(
-    cloud: PointCloud,
-    config: SlicerConfig,
-    original_size: int,
-    index: int = 0,
-    *,
-    _cache: Optional[_PlanState] = None,
-) -> Optional[SliceSpec]:
+def select_slice(state: _PlanState, index: int = 0) -> Optional[SliceSpec]:
     """Best candidate over all six sides, or None when every side is exhausted.
 
     Ties break toward the larger width, then toward the fixed side order
     +X, -X, +Y, -Y, +Z, -Z. Each side's search is bounded by the best
     candidate of the sides before it.
     """
-    if len(cloud) == 0:
-        raise ValueError("cannot slice an empty cloud")
-    state = _PlanState(cloud) if _cache is None else _cache
     best: Optional[Candidate] = None
     for side in SIDES:
-        cand = best_width(cloud, side, config, original_size, best, _cache=state)
+        cand = best_width(state, side, best)
         if cand is not None:
             best = cand
     if best is None:
         return None
-    mins, maxs = cloud.bbox
-    extended = _extend_inward(best.side, best.core, mins, maxs, config.overlap)
+    mins, maxs = state.working.bbox
+    extended = _extend_inward(best.side, best.core, mins, maxs, state.config.overlap)
     return SliceSpec(
         index=index,
         side=best.side,
@@ -375,23 +361,17 @@ def build_plan(cloud: PointCloud, config: SlicerConfig = SlicerConfig()) -> Slic
     """
     if len(cloud) == 0:
         raise ValueError("cannot plan an empty cloud")
-    original_size = len(cloud)
-    min_points = config.min_points(original_size)
-
+    state = _PlanState(cloud, config, len(cloud))
+    min_points = config.min_points(len(cloud))
     slices: list[SliceSpec] = []
-    working = cloud
-    state = _PlanState(cloud)
-    while len(working) > 0:
-        if len(working) < min_points:
-            slices.append(_terminal_spec(working, config, len(slices)))
-            break
-        spec = select_slice(working, config, original_size, index=len(slices), _cache=state)
-        if spec is None:
-            slices.append(_terminal_spec(working, config, len(slices)))
+    while len(state.working) > 0:
+        spec = select_slice(state, len(slices)) if len(state.working) >= min_points else None
+        if spec is None:  # the remainder is below threshold or no side has a slab
+            slices.append(_terminal_spec(state.working, config, len(slices)))
             break
         slices.append(spec)
-        working = state.remove(working, spec.core)
-    return SlicePlan(config=config, original_size=original_size, slices=tuple(slices))
+        state.remove(spec.core)
+    return SlicePlan(config=config, original_size=len(cloud), slices=tuple(slices))
 
 
 def extract_slices(

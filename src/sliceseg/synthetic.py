@@ -76,14 +76,10 @@ def _cube(extent: int) -> PointCloud:
 
 
 def _sphere_shell(extent: int) -> PointCloud:
-    r = np.arange(extent)
-    xs, ys, zs = np.meshgrid(r, r, r, indexing="ij")
-    center = (extent - 1) / 2.0
-    radius = (extent - 1) / 2.0
-    dist = np.sqrt((xs - center) ** 2 + (ys - center) ** 2 + (zs - center) ** 2)
-    mask = np.abs(dist - radius) <= 0.5
-    coords = np.stack([xs[mask], ys[mask], zs[mask]], axis=1)
-    return PointCloud(coords)
+    radius = (extent - 1) / 2.0  # the center sits at (radius, radius, radius)
+    r = (np.arange(extent) - radius) ** 2
+    dist = np.sqrt(r[:, None, None] + r[None, :, None] + r[None, None, :])
+    return PointCloud(np.argwhere(np.abs(dist - radius) <= 0.5))
 
 
 def _folded_sheet(extent: int, amplitude: int, period: int, seed: int) -> PointCloud:

@@ -19,7 +19,8 @@ The key-set oracles are the library's earlier forms before its sort-based
 ones: dedup through `np.unique(return_index=True)`, slice replay through
 `extract_range`/`remove_range` on shrinking clouds and through boolean
 masks over the (N, 3) coordinates, and the record point order through a
-three-column `np.lexsort`. The byte strategies draw inputs
+three-column `np.lexsort`. The sphere-shell oracle is the generator's
+earlier form over three extent^3 meshgrids. The byte strategies draw inputs
 for the readers' fuzz properties: mostly near-valid PLY files and SWSG
 streams, so that the draws reach past the magic checks.
 """
@@ -193,6 +194,17 @@ def brute_psi(points) -> tuple[int, int]:
     return len(pts) - covered, len(pts)
 
 
+def meshgrid_sphere_shell(extent: int) -> np.ndarray:
+    """Sphere-shell coordinates from three extent^3 meshgrids, in the generator's order."""
+    r = np.arange(extent)
+    xs, ys, zs = np.meshgrid(r, r, r, indexing="ij")
+    center = (extent - 1) / 2.0
+    radius = (extent - 1) / 2.0
+    dist = np.sqrt((xs - center) ** 2 + (ys - center) ** 2 + (zs - center) ** 2)
+    mask = np.abs(dist - radius) <= 0.5
+    return np.stack([xs[mask], ys[mask], zs[mask]], axis=1)
+
+
 def random_cloud(rng: np.random.Generator, max_points: int = 400, extent_range=(6, 40)) -> PointCloud:
     """Unique random voxels in a small box; dense enough to form components."""
     extent = int(rng.integers(*extent_range))
@@ -242,9 +254,10 @@ def brute_best_width(cloud: PointCloud, side: Side, config, original_size: int):
     return min(cands, key=_rank, default=None)
 
 
-def brute_select_slice(cloud: PointCloud, config, original_size: int, index: int = 0, **_):
+def brute_select_slice(state, index: int = 0, **_):
     """Drop-in for `slicer.select_slice` that runs the exhaustive loop on every side."""
-    cands = [brute_best_width(cloud, side, config, original_size) for side in SIDES]
+    cloud, config = state.working, state.config
+    cands = [brute_best_width(cloud, side, config, state.original_size) for side in SIDES]
     best = min((c for c in cands if c is not None), key=_rank, default=None)
     if best is None:
         return None

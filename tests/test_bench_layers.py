@@ -7,15 +7,21 @@ The in-process workloads in `bench/workloads.py` also call the library's
 constructors and read result fields (`bit_budget(...).payload_bits`,
 `CaptureConfig(layer_mode=...)`, `label_components(c).count`, `SliceSpec(...)`);
 one setup and two operations of each must pass the workload's own check.
+A module may import a name it never uses only when `WRAPPED` lists it for
+that module: with no linter at hand, an `ast` scan stands in for one.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
+import sliceseg
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = Path(sliceseg.__file__).resolve().parent
 
 
 def _load(name: str):
@@ -47,3 +53,40 @@ def test_in_process_workload_runs_and_checks(name, tmp_path):
     first = workload.operate(state)
     second = workload.operate(state)
     assert workload.check(state, second, first) == []
+
+
+def unused_imports(source: str) -> set[str]:
+    """Names the module's imports bind that it never reads; names in `__all__` count as read."""
+    tree = ast.parse(source)
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and "__all__" in [
+            t.id for t in node.targets if isinstance(t, ast.Name)
+        ]:
+            used |= set(ast.literal_eval(node.value))
+    return imported - used
+
+
+def test_unused_imports_finds_names_bound_and_never_read():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\nimport os.path\nimport numpy as np\n"
+        "from .a import b, c as d, e\n"
+        "__all__ = ['e']\n"
+        "def f(x: d) -> None:\n    np.zeros(1)\n"
+    )
+    assert unused_imports(source) == {"os", "b"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_unused_imports_are_wrapped_names(path):
+    module = "sliceseg" if path.stem == "__init__" else f"sliceseg.{path.stem}"
+    wrapped = {attr for m, attr, _, _ in WRAPPED if m.__name__ == module}
+    stray = unused_imports(path.read_text()) - wrapped
+    assert not stray, f"{module} imports {sorted(stray)} and never uses them"

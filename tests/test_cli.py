@@ -23,9 +23,17 @@ from sliceseg import (
     write_ply,
 )
 from sliceseg.cli import _slicer_config, main, parse_args
+from sliceseg.cloud import Axis
 from sliceseg.slicer import PLANE_RULES
 
-from conftest import make_cloud, ply_like_bytes, point_set, swsg_like_bytes
+from conftest import (
+    brute_pixels,
+    make_cloud,
+    ply_like_bytes,
+    point_set,
+    random_cloud,
+    swsg_like_bytes,
+)
 
 
 def run_cli(*args):
@@ -270,7 +278,35 @@ class TestEncodeDecode:
         assert "record" in capsys.readouterr().err
 
 
+def analyze_areas(cloud, tmp_path) -> dict[str, int]:
+    """`analyze`'s per-axis projected areas of `cloud`, each checked against `brute_pixels`."""
+    ply, out = tmp_path / "c.ply", tmp_path / "a.json"
+    ply.write_bytes(write_ply(cloud, "ascii"))
+    assert run_cli("analyze", "--input", ply, "--out", out) == 0
+    per_axis = json.loads(out.read_text())["per_axis"]
+    areas = {name: entry["projected_area"] for name, entry in per_axis.items()}
+    points = cloud.coords.tolist()
+    assert areas == {axis.name: len(brute_pixels(points, axis)) for axis in Axis}
+    assert all(e["projected_area"] + e["occluded"] == len(cloud) for e in per_axis.values())
+    return areas
+
+
 class TestAnalyze:
+    def test_per_axis_areas_single_point(self, tmp_path):
+        assert analyze_areas(make_cloud([(0, 0, 0)]), tmp_path) == {"X": 1, "Y": 1, "Z": 1}
+
+    def test_per_axis_areas_collapse_only_along_stack_axis(self, tmp_path):
+        cloud = make_cloud([(0, 0, 0), (0, 0, 1)])
+        assert analyze_areas(cloud, tmp_path) == {"X": 2, "Y": 2, "Z": 1}
+
+    def test_per_axis_areas_injective_plane(self, tmp_path):
+        plane = gen_synthetic("plane", {"extent": 10})
+        assert analyze_areas(plane, tmp_path) == {"X": 10, "Y": 10, "Z": 100}
+
+    def test_per_axis_areas_match_bruteforce(self, rng, tmp_path):
+        for _ in range(10):
+            analyze_areas(random_cloud(rng, max_points=200), tmp_path)
+
     def test_whole_cloud_report(self, sheet_ply, tmp_path):
         out = tmp_path / "a.json"
         assert run_cli("analyze", "--input", sheet_ply, "--out", out) == 0

@@ -8,7 +8,6 @@ from sliceseg import (
     best_plane,
     compute_psi,
     label_components,
-    projected_area,
     simulate_capture,
 )
 from sliceseg import projection
@@ -136,28 +135,6 @@ def test_labels_match_csgraph_oracle(cloud, sorted_keys_only):
     # each root is its component's first point, so labels follow first occurrence
     assert np.array_equal(labeling.labels, want)
     assert labeling.labels.dtype == np.int32 and not labeling.labels.flags.writeable
-
-
-class TestProjectedArea:
-    def test_single_point(self):
-        assert projected_area(make_cloud([(0, 0, 0)]), Axis.Z) == 1
-
-    def test_pixel_collapse_only_along_stack_axis(self):
-        cloud = make_cloud([(0, 0, 0), (0, 0, 1)])
-        assert projected_area(cloud, Axis.Z) == 1
-        assert projected_area(cloud, Axis.X) == 2
-
-    def test_injective_plane(self):
-        plane = gen_synthetic("plane", {"extent": 10})
-        assert projected_area(plane, Axis.Z) == 100
-
-    def test_matches_bruteforce(self, rng):
-        for _ in range(10):
-            cloud = random_cloud(rng, max_points=200)
-            for axis in Axis:
-                assert projected_area(cloud, axis) == len(
-                    brute_pixels(cloud.coords.tolist(), axis)
-                )
 
 
 class TestBestPlane:

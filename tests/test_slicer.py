@@ -15,18 +15,16 @@ from sliceseg import (
     SlicePlan,
     SliceSpec,
     SlicerConfig,
-    best_width,
     build_plan,
     compute_psi,
     extract_slices,
     plan_from_json,
     plan_to_json,
-    select_slice,
 )
 from sliceseg import slicer
 from sliceseg.cloud import SIDES, Axis, AxisRange, Side, extract_range, remove_range
 from sliceseg.projection import neighbor_pairs, pixel_keys
-from sliceseg.slicer import MIN_SLICE_POINTS, _PlanState
+from sliceseg.slicer import MIN_SLICE_POINTS, _PlanState, best_width, select_slice
 from sliceseg.synthetic import gen_synthetic
 
 from conftest import (
@@ -121,7 +119,7 @@ class TestBestWidth:
             for w in (1, 2)
         }
         assert by_width == {1: (4, 0.0), 2: (8, 0.5)}
-        cand = best_width(cube_cloud(), Side(Axis.Z, -1), cfg(), 8)
+        cand = best_width(_PlanState(cube_cloud(), cfg(), 8), Side(Axis.Z, -1))
         assert (cand.width, cand.psi) == (1, 0.0)
 
     def test_parallel_planes_tie_breaks_to_larger_width(self):
@@ -133,17 +131,17 @@ class TestBestWidth:
         for w in range(1, 11):
             _, psi = candidate_psi(cloud, Side(Axis.Z, -1), w)
             assert psi == 0.0
-        cand = best_width(cloud, Side(Axis.Z, -1), cfg(), len(cloud))
+        cand = best_width(_PlanState(cloud, cfg(), len(cloud)), Side(Axis.Z, -1))
         assert cand.width == 10
 
     def test_exhausted_below_threshold(self):
         tiny = make_cloud([(0, 0, 0), (3, 3, 3), (6, 6, 6)])
         # threshold of 5 points: tau * N0 = 0.05 * 100
-        assert best_width(tiny, Side(Axis.X, -1), cfg(), 100) is None
+        assert best_width(_PlanState(tiny, cfg(), 100), Side(Axis.X, -1)) is None
 
     def test_widths_capped_at_extent(self):
         cloud = make_cloud([(x, 0, 0) for x in range(5)])
-        cand = best_width(cloud, Side(Axis.X, -1), cfg(theta=64), 5)
+        cand = best_width(_PlanState(cloud, cfg(theta=64), 5), Side(Axis.X, -1))
         assert cand.width <= 5
 
     @pytest.mark.parametrize("plane_rule", ["best-plane", "fixed-plane"])
@@ -154,16 +152,17 @@ class TestBestWidth:
                 config = cfg(theta=theta, threshold="0.05", plane_rule=plane_rule)
                 for side in SIDES:
                     expect = brute_best_width(cloud, side, config, len(cloud))
-                    assert best_width(cloud, side, config, len(cloud)) == expect
+                    assert best_width(_PlanState(cloud, config, len(cloud)), side) == expect
 
     def test_incumbent_that_cannot_be_beaten_returns_none(self):
         pts = [(x, y, 0) for x in range(10) for y in range(10)]
         pts += [(x, y, 9) for x in range(10) for y in range(10)]
         cloud = make_cloud(pts)
         # +Z's best (width 10, psi 0) is matched but not beaten by -Z's best
-        incumbent = best_width(cloud, Side(Axis.Z, +1), cfg(), len(cloud))
+        state = _PlanState(cloud, cfg(), len(cloud))
+        incumbent = best_width(state, Side(Axis.Z, +1))
         assert (incumbent.width, incumbent.lost) == (10, 0)
-        assert best_width(cloud, Side(Axis.Z, -1), cfg(), len(cloud), incumbent) is None
+        assert best_width(state, Side(Axis.Z, -1), incumbent) is None
 
 
 @given(
@@ -197,8 +196,8 @@ def test_prefix_losses_match_slabs_labeled_afresh(rng, plane_rule):
         for side in SIDES:
             for theta in range(1, cloud.extent(side.axis) + 1):
                 config = cfg(theta=theta, threshold="0", plane_rule=plane_rule)
-                state = _PlanState(cloud)
-                best_width(cloud, side, config, len(cloud), _cache=state)
+                state = _PlanState(cloud, config, len(cloud))
+                best_width(state, side)
                 cache = state.losses
                 _, widest = slab(cloud, side, theta)
                 if len(widest) >= MIN_SLICE_POINTS:
@@ -210,12 +209,12 @@ def test_prefix_losses_match_slabs_labeled_afresh(rng, plane_rule):
 
 
 def _plan_checking_rounds(monkeypatch, cloud, config, check):
-    """build_plan with `check(working, original_size, state)` run before each round's search."""
+    """build_plan with `check(state)` run on the plan's state before each round's search."""
     select = slicer.select_slice
 
-    def checked(working, config, original_size, index=0, *, _cache=None):
-        check(working, original_size, _cache)
-        return select(working, config, original_size, index, _cache=_cache)
+    def checked(state, index=0):
+        check(state)
+        return select(state, index)
 
     with monkeypatch.context() as m:
         m.setattr(slicer, "select_slice", checked)
@@ -235,15 +234,16 @@ def test_plan_state_slabs_match_slabs_built_afresh(monkeypatch, rng):
     """
     rounds = 0
 
-    def check(working, original_size, state):
+    def check(state):
         nonlocal rounds
         rounds += 1
+        working = state.working
         assert np.array_equal(cloud.coords[state.index], working.coords)
         for side in SIDES:
             extent = working.extent(side.axis)
             for width in sorted({1, (extent + 1) // 2, extent}):
                 band, sub = slab(working, side, width)
-                got = state.slab(working, side, band, [0, 1, 2])
+                got = state.slab(side, band, [0, 1, 2])
                 coords = cloud.coords[got.members].tolist()
                 assert len(coords) == len(sub) and set(map(tuple, coords)) == point_set(sub)
                 depth = cloud.coords[got.members, side.axis] * -side.sign
@@ -262,15 +262,15 @@ def test_plan_state_slabs_match_slabs_built_afresh(monkeypatch, rng):
 
 @pytest.mark.parametrize("plane_rule", ["best-plane", "fixed-plane"])
 def test_shared_state_best_width_matches_direct_call(monkeypatch, rng, plane_rule):
-    """Mid-plan, best_width on the plan's state finds what a call with a fresh one finds."""
+    """Mid-plan, best_width on the plan's state finds what it finds on a fresh state."""
     for theta in (3, 8, 64):
         cloud = random_cloud(rng, max_points=300, extent_range=(4, 14))
         config = cfg(theta=theta, plane_rule=plane_rule)
 
-        def check(working, original_size, state):
+        def check(state):
             for side in SIDES:
-                direct = best_width(working, side, config, original_size)
-                assert best_width(working, side, config, original_size, _cache=state) == direct
+                fresh = _PlanState(state.working, config, state.original_size)
+                assert best_width(state, side) == best_width(fresh, side)
 
         expect = plan_to_json(build_plan(cloud, config))
         assert plan_to_json(_plan_checking_rounds(monkeypatch, cloud, config, check)) == expect
@@ -335,23 +335,23 @@ def test_pruned_plans_match_exhaustive_oracle(monkeypatch, kind, plane_rule):
 
 class TestSelectSlice:
     def test_cube_tie_break_side_order(self):
-        spec = select_slice(cube_cloud(), cfg(), 8)
+        spec = select_slice(_PlanState(cube_cloud(), cfg(), 8))
         assert str(spec.side) == "+X"
         assert spec.core.width == 1
         assert spec.psi == 0.0
 
     def test_plane_zero_loss_wins(self):
         plane = gen_synthetic("plane", {"extent": 10})
-        spec = select_slice(plane, cfg(), 100)
+        spec = select_slice(_PlanState(plane, cfg(), 100))
         assert spec.psi == 0.0
 
     def test_all_exhausted_returns_none(self):
         tiny = make_cloud([(0, 0, 0), (3, 3, 3), (6, 6, 6)])
-        assert select_slice(tiny, cfg(), 100) is None
+        assert select_slice(_PlanState(tiny, cfg(), 100)) is None
 
     def test_extended_grows_inward_only(self):
         cloud = make_cloud([(x, 0, 0) for x in range(10)])
-        spec = select_slice(cloud, cfg(overlap=3), len(cloud))
+        spec = select_slice(_PlanState(cloud, cfg(overlap=3), len(cloud)))
         if spec.side.positive:
             assert spec.extended.hi == spec.core.hi
             assert spec.core.lo - spec.extended.lo <= 3

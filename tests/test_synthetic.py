@@ -7,7 +7,7 @@ from sliceseg import label_components
 from sliceseg.cloud import Axis
 from sliceseg.synthetic import gen_synthetic
 
-from conftest import brute_pixels, point_set
+from conftest import brute_pixels, meshgrid_sphere_shell, point_set
 
 
 def test_plane_construction():
@@ -27,6 +27,13 @@ def test_sphere_shell_is_hollow():
     center = np.array([4.0, 4.0, 4.0])
     dist = np.linalg.norm(cloud.coords - center, axis=1)
     assert dist.min() > 2.0  # no interior fill
+
+
+@pytest.mark.parametrize("extent", [*range(1, 13), 20, 33, 64, 100])
+def test_sphere_shell_matches_meshgrid_oracle(extent):
+    """Plan pins and benchmark inputs rest on these exact coordinates, in this order."""
+    cloud = gen_synthetic("sphere-shell", {"extent": extent})
+    assert np.array_equal(cloud.coords, meshgrid_sphere_shell(extent))
 
 
 def test_folded_sheet_determinism():
