@@ -87,6 +87,10 @@ class AxisRange:
     def width(self) -> int:
         return self.hi - self.lo
 
+    def holds(self, column: np.ndarray) -> np.ndarray:
+        """Boolean mask of the coordinates in `column` that lie in [lo, hi)."""
+        return (column >= self.lo) & (column < self.hi)
+
 
 # One bit more than a grid coordinate needs: the sorted-key neighbor search
 # keys neighbors of coordinates shifted by +1, up to 2^16 + 1, without a carry.
@@ -261,13 +265,9 @@ def _dedup_first(coords: np.ndarray, colors):
 
 def extract_range(cloud: PointCloud, axis_range: AxisRange) -> PointCloud:
     """Points whose coordinate on the range's axis lies in [lo, hi)."""
-    col = cloud.coords[:, axis_range.axis]
-    mask = (col >= axis_range.lo) & (col < axis_range.hi)
-    return cloud.subset(mask)
+    return cloud.subset(axis_range.holds(cloud.coords[:, axis_range.axis]))
 
 
 def remove_range(cloud: PointCloud, axis_range: AxisRange) -> PointCloud:
     """Complement of extract_range over the same cloud."""
-    col = cloud.coords[:, axis_range.axis]
-    mask = (col < axis_range.lo) | (col >= axis_range.hi)
-    return cloud.subset(mask)
+    return cloud.subset(~axis_range.holds(cloud.coords[:, axis_range.axis]))

@@ -153,15 +153,16 @@ def _record(spec: SliceSpec, slice_cloud: PointCloud, bit_depth: int) -> Decoded
     """The record encode() writes for one extracted slice."""
     base = spec.extended.lo
     width = spec.extended.width
-    if base >= (1 << bit_depth) or spec.extended.hi > (1 << bit_depth):
+    if spec.extended.hi > (1 << bit_depth):  # lo < hi, so this bounds the base too
         raise EncodeError(
             f"slice {spec.index}: range [{spec.extended.lo}, {spec.extended.hi}) "
             f"exceeds the {bit_depth}-bit grid"
         )
     c = slice_cloud.coords.astype(np.int64)
-    offsets = c[:, spec.side.axis] - base
-    if offsets.size and (offsets.min() < 0 or offsets.max() >= width):
+    column = c[:, spec.side.axis]
+    if not spec.extended.holds(column).all():
         raise EncodeError(f"slice {spec.index}: point outside its extended range")
+    offsets = column - base
     if len(slice_cloud) > 0xFFFFFFFF:
         raise EncodeError("slice point count exceeds 32 bits")
     u_col, v_col = PLANE_COLS[spec.side.axis]

@@ -24,7 +24,10 @@ from .slicer import SlicePlan, SlicerConfig, SliceSpec, build_plan, extract_slic
 BASELINES = {"single": "single-layer", "dual": "dual-layer"}
 PLAN_STRATEGY = "slice-plan"
 
-CSV_HEADER = "strategy,points,captured,lost,loss_fraction,slices,header_bits,payload_bits"
+# the report's columns, in CSV and JSON key order
+COLUMNS = ("strategy", "points", "captured", "lost", "loss_fraction", "slices",
+           "header_bits", "payload_bits")
+CSV_HEADER = ",".join(COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -113,33 +116,21 @@ def compare(cloud: PointCloud, config: CompareConfig = CompareConfig()) -> list[
 
 
 def _row(report: LossReport, slices, budget) -> dict:
-    return {
-        "strategy": report.strategy,
-        "points": report.total,
-        "captured": report.captured,
-        "lost": report.lost,
-        "loss_fraction": report.loss_fraction,
-        "slices": slices,
-        "header_bits": budget.header_bits if budget is not None else None,
-        "payload_bits": budget.payload_bits if budget is not None else None,
-    }
+    bits = (budget.header_bits, budget.payload_bits) if budget is not None else (None, None)
+    values = (report.strategy, report.total, report.captured, report.lost, report.loss_fraction)
+    return dict(zip(COLUMNS, values + (slices,) + bits))
+
+
+def _cell(key: str, value) -> str:
+    if value is None:
+        return ""
+    return f"{value:.6f}" if key == "loss_fraction" else str(value)
 
 
 def render_csv(rows: list[dict]) -> str:
     """Fixed schema, LF endings, 6-decimal loss fractions; blanks where n/a."""
     lines = [CSV_HEADER]
-    for row in rows:
-        cells = [
-            row["strategy"],
-            str(row["points"]),
-            str(row["captured"]),
-            str(row["lost"]),
-            f"{row['loss_fraction']:.6f}",
-            "" if row["slices"] is None else str(row["slices"]),
-            "" if row["header_bits"] is None else str(row["header_bits"]),
-            "" if row["payload_bits"] is None else str(row["payload_bits"]),
-        ]
-        lines.append(",".join(cells))
+    lines += [",".join(_cell(key, row[key]) for key in COLUMNS) for row in rows]
     return "\n".join(lines) + "\n"
 
 

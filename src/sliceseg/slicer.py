@@ -121,7 +121,6 @@ class Candidate(NamedTuple):
 
     side: Side
     width: int
-    core: AxisRange
     count: int
     lost: int
 
@@ -143,7 +142,8 @@ def _beats(lost: int, count: int, width: int, best: Optional[Candidate]) -> bool
     return ours < theirs or (ours == theirs and width > best.width)
 
 
-def _core_range(side: Side, mins: np.ndarray, maxs: np.ndarray, width: int) -> AxisRange:
+def _face_band(side: Side, mins: np.ndarray, maxs: np.ndarray, width: int) -> AxisRange:
+    """The `width` coordinates inward from `side`'s face of the box `mins`..`maxs`."""
     axis = side.axis
     if side.positive:
         hi = int(maxs[axis]) + 1
@@ -193,7 +193,7 @@ class _PlanState:
     def slab(self, side: Side, band: AxisRange, planes: list[int]) -> _Slab:
         """The working points in `band`, nearest to `side`'s face first."""
         column = self.working.coords[:, band.axis]
-        inside = ((column >= band.lo) & (column < band.hi)).nonzero()[0]
+        inside = band.holds(column).nonzero()[0]
         members = self.index[inside[np.argsort(column[inside] * -side.sign)]]
         position = np.full(self.pixels.shape[1], -1)
         position[members] = np.arange(len(members))
@@ -205,8 +205,7 @@ class _PlanState:
 
     def remove(self, core: AxisRange) -> None:
         """Drop the working points in `core`."""
-        column = self.working.coords[:, core.axis]
-        kept = (column < core.lo) | (column >= core.hi)
+        kept = ~core.holds(self.working.coords[:, core.axis])
         self.index = self.index[kept]
         alive = np.zeros(self.pixels.shape[1], dtype=bool)
         alive[self.index] = True
@@ -265,7 +264,7 @@ def best_width(
     def prefix_lost(count: int) -> int:
         nonlocal slab
         if slab is None:
-            slab = state.slab(side, _core_range(side, mins, maxs, w_max), planes)
+            slab = state.slab(side, _face_band(side, mins, maxs, w_max), planes)
         start = max(m for m in roots if m < count)
         joining = ((slab.dst >= start) & (slab.dst < count)).nonzero()[0]
         parent = np.concatenate((roots[start], np.arange(start, count)))
@@ -276,7 +275,6 @@ def best_width(
     def evaluate(width: int) -> None:
         nonlocal best
         count = counts[width - 1]
-        core = _core_range(side, mins, maxs, width)
         span = column[-count:] if side.positive else column[:count]  # the slab's coordinates
         key = (axis, int(span[0]), int(span[-1]))
         hit = state.losses.get(key)
@@ -284,7 +282,7 @@ def best_width(
             hit = state.losses[key] = (count, prefix_lost(count))
         lost[width] = hit[1]
         if _beats(lost[width], count, width, best):
-            best = Candidate(side, width, core, count, lost[width])
+            best = Candidate(side, width, count, lost[width])
 
     evaluate(first)
     evaluate(w_max)
@@ -297,17 +295,6 @@ def best_width(
         evaluate(mid)
         pending += [(a, mid), (mid, b)]
     return best if best is not incumbent else None
-
-
-def _extend_inward(
-    side: Side, core: AxisRange, mins: np.ndarray, maxs: np.ndarray, overlap: int
-) -> AxisRange:
-    axis = side.axis
-    if side.positive:
-        lo = max(core.lo - overlap, int(mins[axis]))
-        return AxisRange(axis, lo, core.hi)
-    hi = min(core.hi + overlap, int(maxs[axis]) + 1)
-    return AxisRange(axis, core.lo, hi)
 
 
 def select_slice(state: _PlanState, index: int = 0) -> Optional[SliceSpec]:
@@ -324,13 +311,14 @@ def select_slice(state: _PlanState, index: int = 0) -> Optional[SliceSpec]:
             best = cand
     if best is None:
         return None
-    mins, maxs = state.working.bbox
-    extended = _extend_inward(best.side, best.core, mins, maxs, state.config.overlap)
+    working, side = state.working, best.side
+    # the overlap band reaches `overlap` voxels further in, clipped to the box
+    widened = min(best.width + state.config.overlap, working.extent(side.axis))
     return SliceSpec(
         index=index,
-        side=best.side,
-        core=best.core,
-        extended=extended,
+        side=side,
+        core=_face_band(side, *working.bbox, best.width),
+        extended=_face_band(side, *working.bbox, widened),
         point_count=best.count,
         psi=best.psi,
     )
@@ -338,13 +326,13 @@ def select_slice(state: _PlanState, index: int = 0) -> Optional[SliceSpec]:
 
 def _terminal_spec(residue: PointCloud, config: SlicerConfig, index: int) -> SliceSpec:
     mins, maxs = residue.bbox
-    extents = maxs - mins + 1
-    axis = Axis(int(np.argmin(extents)))
-    core = AxisRange(axis, int(mins[axis]), int(maxs[axis]) + 1)
+    axis = Axis(int(np.argmin(maxs - mins)))
+    side = Side(axis, -1)
+    core = _face_band(side, mins, maxs, residue.extent(axis))
     fixed_axis = axis if config.plane_rule == "fixed-plane" else None
     return SliceSpec(
         index=index,
-        side=Side(axis, -1),
+        side=side,
         core=core,
         extended=core,
         point_count=len(residue),
@@ -391,8 +379,8 @@ def extract_slices(
     working = np.arange(len(cloud))  # indices of the points in no earlier core
     for spec in plan.slices:
         column = columns[spec.core.axis].take(working)
-        in_core = (column >= spec.core.lo) & (column < spec.core.hi)
-        in_extended = (column >= spec.extended.lo) & (column < spec.extended.hi)
+        in_core = spec.core.holds(column)
+        in_extended = spec.extended.holds(column)
         core_count = int(np.count_nonzero(in_core))
         if core_count != spec.point_count:
             raise PlanMismatchError(

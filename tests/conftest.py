@@ -247,10 +247,10 @@ def brute_best_width(cloud: PointCloud, side: Side, config, original_size: int):
     floor = config.min_points(original_size)
     cands = []
     for width in range(1, min(config.theta, cloud.extent(side.axis)) + 1):
-        core, sub = slab(cloud, side, width)
+        _, sub = slab(cloud, side, width)
         if len(sub) >= floor:
             lost = slab_lost(sub, side, config.plane_rule)
-            cands.append(Candidate(side, width, core, len(sub), lost))
+            cands.append(Candidate(side, width, len(sub), lost))
     return min(cands, key=_rank, default=None)
 
 
@@ -261,7 +261,8 @@ def brute_select_slice(state, index: int = 0, **_):
     best = min((c for c in cands if c is not None), key=_rank, default=None)
     if best is None:
         return None
-    core, axis = best.core, best.core.axis
+    core, _ = slab(cloud, best.side, best.width)
+    axis = core.axis
     mins, maxs = cloud.bbox
     if best.side.positive:
         extended = AxisRange(axis, max(core.lo - config.overlap, int(mins[axis])), core.hi)

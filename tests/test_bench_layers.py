@@ -8,7 +8,8 @@ constructors and read result fields (`bit_budget(...).payload_bits`,
 `CaptureConfig(layer_mode=...)`, `label_components(c).count`, `SliceSpec(...)`);
 one setup and two operations of each must pass the workload's own check.
 A module may import a name it never uses only when `WRAPPED` lists it for
-that module: with no linter at hand, an `ast` scan stands in for one.
+that module, and every module-level private name must be read somewhere in
+the package: with no linter at hand, `ast` scans stand in for one.
 """
 
 import ast
@@ -90,3 +91,48 @@ def test_unused_imports_are_wrapped_names(path):
     wrapped = {attr for m, attr, _, _ in WRAPPED if m.__name__ == module}
     stray = unused_imports(path.read_text()) - wrapped
     assert not stray, f"{module} imports {sorted(stray)} and never uses them"
+
+
+def unused_private_names(sources: list[str]) -> set[str]:
+    """Module-level `_name`s the sources define that none of them reads.
+
+    A `def`, `class` or assignment at module level whose name starts with
+    one underscore is read when any source loads it as a name, reads it as
+    an attribute or imports it.
+    """
+    defined, read = set(), set()
+    for tree in map(ast.parse, sources):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return {name for name in defined if name.startswith("_") and name[1:2] != "_"} - read
+
+
+def test_unused_private_names_finds_helpers_no_code_reads():
+    module = (
+        "import m\n"
+        "__all__ = []\n_A = 1\n_B: int = 2\n_C = 3\n"
+        "def _used() -> int:\n    return _A + m._attr\n"
+        "def _dead():\n    _local = 4\n"
+        "class _Gone:\n    def _method(self):\n        pass\n"
+        "def public():\n    return _used()\n"
+        "_attr = 5\n"
+    )
+    assert unused_private_names([module]) == {"_B", "_C", "_dead", "_Gone"}
+    assert unused_private_names([module, "from .a import _B, _C as c\n"]) == {"_dead", "_Gone"}
+
+
+def test_every_private_name_in_src_is_read():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    unused = unused_private_names(sources)
+    assert not unused, f"sliceseg defines {sorted(unused)} and never reads them"

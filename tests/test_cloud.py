@@ -71,6 +71,10 @@ def test_extract_range_half_open_semantics():
     assert sorted(point_set(low)) == [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
     assert len(extract_range(cube, AxisRange(Axis.Z, 0, 2))) == 8
     assert len(extract_range(cube, AxisRange(Axis.Z, 5, 6))) == 0
+    # the mask itself: lo is in, hi is out, and an empty column gives an empty mask
+    band = AxisRange(Axis.Z, 2, 4)
+    assert band.holds(np.array([1, 2, 3, 4])).tolist() == [False, True, True, False]
+    assert band.holds(np.array([], dtype=np.int32)).shape == (0,)
 
 
 def test_remove_range_complement():

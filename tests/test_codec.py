@@ -533,6 +533,17 @@ class TestEncodeErrors:
         with pytest.raises(EncodeError):
             encode(cloud, plan)
 
+    @pytest.mark.parametrize("z", [4, 8])
+    def test_slice_point_outside_its_extended_range(self, z):
+        # bit_budget takes the caller's slices, so one can disagree with its spec
+        cloud = make_cloud([(0, 0, 5), (0, 0, 7)])
+        plan = single_slice_plan(cloud, Axis.Z, 5, 8)
+        (spec,) = plan.slices
+        assert bit_budget(plan, cloud.bit_depth, [(spec, cloud)]).payload_bits > 0
+        stray = make_cloud([(0, 0, 5), (0, 0, z)])
+        with pytest.raises(EncodeError, match="^slice 0: point outside its extended range$"):
+            bit_budget(plan, cloud.bit_depth, [(spec, stray)])
+
 
 class TestBitBudget:
     """The budget against the records `decode` reads back and the README's layout."""

@@ -25,7 +25,6 @@ from sliceseg import (
     simulate_capture,
 )
 from sliceseg.cloud import Axis, AxisRange, Side
-from sliceseg.metrics import CSV_HEADER
 from sliceseg.synthetic import gen_synthetic
 
 from conftest import (
@@ -37,6 +36,9 @@ from conftest import (
     random_cloud,
     slab_plan,
 )
+
+# the report's header, written out so a change to metrics.COLUMNS shows here
+REPORT_HEADER = "strategy,points,captured,lost,loss_fraction,slices,header_bits,payload_bits"
 
 ORACLE_CLOUDS = {
     "cube": cube_cloud,
@@ -191,7 +193,7 @@ def test_csv_schema_and_format():
     rows = compare(cube_cloud(), CompareConfig(slicer=SlicerConfig(overlap=0)))
     text = render_csv(rows)
     lines = text.split("\n")
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == REPORT_HEADER
     assert lines[1].startswith("single-layer,8,4,4,0.500000,,,")
     assert text.endswith("\n")
     assert "\r" not in text
@@ -210,6 +212,8 @@ def test_json_mirror_matches_csv_rows():
     rows = compare(cube_cloud(), CompareConfig(slicer=SlicerConfig(overlap=0)))
     doc = json.loads(render_json(rows))
     assert doc == rows
+    # each JSON row keeps the CSV's columns as its keys, in column order
+    assert all(list(row) == REPORT_HEADER.split(",") for row in doc)
 
 
 @pytest.mark.parametrize("capture", ORACLE_CAPTURES, ids=lambda c: f"{c.layer_mode}{c.surface_thickness}")
