@@ -119,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument(
         "--baseline",
-        default="single,dual",
-        help="comma list from {single, dual}",
+        default=",".join(BASELINES),
+        help=f"comma list from {{{', '.join(BASELINES)}}}",
     )
     p.add_argument(
         "--thickness",
@@ -150,7 +150,7 @@ def parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
         except KeyError as exc:
             parser.error(f"unknown baseline {exc.args[0]!r} (choose from {', '.join(BASELINES)})")
         if not args.baseline_set:
-            parser.error("--baseline must name at least one of: single, dual")
+            parser.error(f"--baseline must name at least one of: {', '.join(BASELINES)}")
     return args
 
 

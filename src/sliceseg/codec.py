@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cloud import PLANE_COLS, Axis, PointCloud, voxel_keys
+from .cloud import MAX_BIT_DEPTH, MIN_BIT_DEPTH, PLANE_COLS, Axis, PointCloud, voxel_keys
 from .slicer import SlicePlan, SliceSpec, extract_slices
 
 MAGIC = b"SWSG"
@@ -237,7 +237,7 @@ def decode(data: bytes) -> DecodedStream:
         raise DecodeError(
             "unsupported version", f"unsupported version {version} (expected {VERSION})"
         )
-    if not (8 <= bit_depth <= 16):
+    if not (MIN_BIT_DEPTH <= bit_depth <= MAX_BIT_DEPTH):
         raise DecodeError("invalid header", f"bit depth {bit_depth} out of range")
     if theta == 0:  # encode writes SlicerConfig.theta, which is >= 1
         raise DecodeError("invalid header", "theta 0 out of range")

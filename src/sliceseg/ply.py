@@ -106,34 +106,24 @@ def write_ply(cloud: PointCloud, fmt: str = "ascii") -> bytes:
     """Serialize a cloud as PLY; read_ply(write_ply(c)) reproduces c's points."""
     if fmt not in ("ascii", "binary"):
         raise ValueError(f"format must be 'ascii' or 'binary', got {fmt!r}")
-    has_color = cloud.colors is not None
-
-    lines = ["ply"]
-    lines.append(
-        "format ascii 1.0" if fmt == "ascii" else "format binary_little_endian 1.0"
-    )
-    lines.append(f"element vertex {len(cloud)}")
-    for name in _COORD_NAMES:
-        lines.append(f"property float {name}")
-    if has_color:
-        for name in _COLOR_NAMES:
-            lines.append(f"property uchar {name}")
-    lines.append("end_header")
+    # the vertex properties, (name, PLY type), and their values, one column each
+    props, table = [(name, "float") for name in _COORD_NAMES], cloud.coords
+    if cloud.colors is not None:
+        props += [(name, "uchar") for name in _COLOR_NAMES]
+        table = np.hstack([cloud.coords, cloud.colors])
+    lines = [
+        "ply",
+        f"format {'ascii' if fmt == 'ascii' else 'binary_little_endian'} 1.0",
+        f"element vertex {len(cloud)}",
+        *(f"property {ptype} {name}" for name, ptype in props),
+        "end_header",
+    ]
     header = ("\n".join(lines) + "\n").encode("ascii")
-
     if fmt == "ascii":
-        table = cloud.coords if not has_color else np.hstack([cloud.coords, cloud.colors])
         return header + _ascii_body(table)
-
-    fields = [(n, "<f4") for n in _COORD_NAMES]
-    if has_color:
-        fields += [(n, "<u1") for n in _COLOR_NAMES]
-    rec = np.empty(len(cloud), dtype=np.dtype(fields))
-    for k, name in enumerate(_COORD_NAMES):
-        rec[name] = cloud.coords[:, k].astype(np.float32)
-    if has_color:
-        for k, name in enumerate(_COLOR_NAMES):
-            rec[name] = cloud.colors[:, k]
+    rec = np.empty(len(cloud), dtype=[(name, _SCALAR_DTYPES[ptype]) for name, ptype in props])
+    for k, (name, _) in enumerate(props):
+        rec[name] = table[:, k]
     return header + rec.tobytes()
 
 

@@ -214,14 +214,12 @@ def simulate_capture(
     if len(cloud) == 0:
         raise ValueError("cannot capture an empty cloud")
 
-    c = cloud.coords.astype(np.int64)
     axis = component_areas(cloud, labeling)[0][labeling.labels]  # its component's best plane
     rows = np.arange(len(cloud))
-    u, v = PLANE_COLS[axis].T
-    pix = voxel_keys(labeling.labels.astype(np.int64), c[rows, u], c[rows, v])
+    pix = voxel_keys(labeling.labels.astype(np.int64), 0, 0) | pixel_keys(cloud)[axis, rows]
     # voxels are unique, so points sharing a pixel always differ in depth;
     # nearest/farthest per pixel need no tie-breaking
-    depth = c[rows, axis]
+    depth = cloud.coords[rows, axis]
 
     order = np.argsort(pix)
     depth_sorted = depth[order]
@@ -230,7 +228,8 @@ def simulate_capture(
     near = np.repeat(np.minimum.reduceat(depth_sorted, starts), run_lengths)
     kept = depth_sorted == near
     if config.layer_mode == "dual":
-        in_window = np.where(depth_sorted <= near + config.surface_thickness, depth_sorted, -1)
+        # depth - near is below 2^16, so a thickness of any size compares without overflow
+        in_window = np.where(depth_sorted - near <= config.surface_thickness, depth_sorted, -1)
         # the nearest point is always in its window, so every pixel has a far one
         kept |= depth_sorted == np.repeat(np.maximum.reduceat(in_window, starts), run_lengths)
     return cloud.subset(np.sort(order[kept]))

@@ -394,40 +394,26 @@ def extract_slices(
     return out
 
 
-# The keys plan_to_json writes; plan_from_json rejects any other.
-_PLAN_KEYS = {"theta", "threshold_frac", "overlap", "plane_rule", "original_size", "slices"}
-_SLICE_KEYS = {
+# The keys plan_to_json writes, in written order; plan_from_json rejects any other.
+_PLAN_KEYS = ("theta", "threshold_frac", "overlap", "plane_rule", "original_size", "slices")
+_SLICE_KEYS = (
     "index", "axis", "sign", "core_lo", "core_hi", "ext_lo", "ext_hi", "points", "psi", "terminal"
-}
+)
 
 
 def plan_to_json(plan: SlicePlan) -> str:
     """Fixed-schema JSON; field names and order are part of the contract."""
-    t = plan.config.threshold_frac
-    doc = {
-        "theta": plan.config.theta,
-        # a number where its float reloads exactly, else the exact "p/q" string
-        "threshold_frac": float(t) if Fraction(str(float(t))) == t else str(t),
-        "overlap": plan.config.overlap,
-        "plane_rule": plan.config.plane_rule,
-        "original_size": plan.original_size,
-        "slices": [
-            {
-                "index": s.index,
-                "axis": s.side.axis.name,
-                "sign": "+" if s.side.positive else "-",
-                "core_lo": s.core.lo,
-                "core_hi": s.core.hi,
-                "ext_lo": s.extended.lo,
-                "ext_hi": s.extended.hi,
-                "points": s.point_count,
-                "psi": s.psi,
-                "terminal": s.terminal,
-            }
-            for s in plan.slices
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    c, t = plan.config, plan.config.threshold_frac
+    # threshold_frac: a number where its float reloads exactly, else the exact "p/q" string
+    threshold = float(t) if Fraction(str(float(t))) == t else str(t)
+    slices = [
+        dict(zip(_SLICE_KEYS, (s.index, s.side.axis.name, "+" if s.side.positive else "-",
+                               s.core.lo, s.core.hi, s.extended.lo, s.extended.hi,
+                               s.point_count, s.psi, s.terminal)))
+        for s in plan.slices
+    ]
+    values = (c.theta, threshold, c.overlap, c.plane_rule, plan.original_size, slices)
+    return json.dumps(dict(zip(_PLAN_KEYS, values)), indent=2) + "\n"
 
 
 def _expect(key: str, value, types: tuple[type, ...], what: str):
@@ -454,7 +440,7 @@ def _psi_field(doc: dict) -> float:
 
 
 def _slice_from_json(s: dict) -> SliceSpec:
-    if unknown := set(_expect("slice", s, (dict,), "an object")) - _SLICE_KEYS:
+    if unknown := set(_expect("slice", s, (dict,), "an object")).difference(_SLICE_KEYS):
         raise ValueError(f"unknown slice keys {sorted(unknown)}")
     axis = axis_from_name(_expect("axis", s["axis"], (str,), "a string"))
     if s["sign"] not in ("+", "-"):
@@ -474,7 +460,7 @@ def plan_from_json(text: str) -> SlicePlan:
     """Load a plan in `plan_to_json`'s schema; a malformed document raises ValueError."""
     try:
         doc = _expect("plan", json.loads(text), (dict,), "an object")
-        if unknown := set(doc) - _PLAN_KEYS:
+        if unknown := set(doc).difference(_PLAN_KEYS):
             raise ValueError(f"unknown keys {sorted(unknown)}")
         # plans written before the key existed were all best-plane
         plane_rule = doc.get("plane_rule", "best-plane")

@@ -553,6 +553,7 @@ class TestBitBudget:
         stream = encode(cloud, plan)
         ds = decode(stream)
         b = cloud.bit_depth
+        assert ds.bit_depth == b
         assert budget.header_bits == len(ds.records) * layout_header_bits(b)
         assert budget.payload_bits == sum(layout_payload_bits(r, b) for r in ds.records)
         assert budget.naive_bits == 3 * b * plan.original_size
@@ -578,7 +579,7 @@ class TestBitBudget:
         assert len(stream) == 13 + (58 + 26_000 + 7) // 8
 
     def test_budget_matches_measured_for_plans(self, rng):
-        for overlap, bit_depth in ((0, 10), (2, 10), (2, 12)):
+        for overlap, bit_depth in ((0, 10), (2, 10), (2, 12), (2, 8), (2, 16)):
             cloud = PointCloud(random_cloud(rng, max_points=300).coords, bit_depth=bit_depth)
             plan = build_plan(cloud, SlicerConfig(overlap=overlap))
             self.assert_budget_matches_stream(plan, cloud)

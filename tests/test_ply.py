@@ -149,6 +149,28 @@ def test_colors_parsed_from_ascii():
 def test_binary_round_trip_bytes_stable():
     cloud = cube_cloud()
     assert write_ply(cloud, "binary") == write_ply(cloud, "binary")
+    # the binary layout, written out: packed little-endian f4 x/y/z records,
+    # then u1 red/green/blue when coloured
+    coords = np.array([[0, 1, 65535], [7, 300, 2]])
+    colors = np.array([[255, 0, 9], [1, 128, 200]], dtype=np.uint8)
+    xyz = b"property float x\nproperty float y\nproperty float z\n"
+    rgb = b"property uchar red\nproperty uchar green\nproperty uchar blue\n"
+    xyz_fields = [("x", "<f4"), ("y", "<f4"), ("z", "<f4")]
+    rgb_fields = [("red", "u1"), ("green", "u1"), ("blue", "u1")]
+    for cloud, props, fields, vertex_bytes in (
+        (PointCloud(coords, colors), xyz + rgb, xyz_fields + rgb_fields, 15),
+        (PointCloud(coords), xyz, xyz_fields, 12),
+    ):
+        header = b"ply\nformat binary_little_endian 1.0\nelement vertex 2\n" + props + b"end_header\n"
+        data = write_ply(cloud, "binary")
+        assert data[: len(header)] == header
+        body = data[len(header) :]
+        assert len(body) == 2 * vertex_bytes
+        rec = np.frombuffer(body, dtype=np.dtype(fields))
+        assert np.column_stack([rec[n] for n in ("x", "y", "z")]).tolist() == coords.tolist()
+        if cloud.colors is not None:
+            rgb_values = np.column_stack([rec[n] for n in ("red", "green", "blue")])
+            assert rgb_values.tolist() == colors.tolist()
 
 
 def test_binary_truncated_and_trailing():

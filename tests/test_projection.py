@@ -295,6 +295,11 @@ class TestSimulateCapture:
         captured = capture(cloud, CaptureConfig("dual", 4))
         assert point_set(captured) == expected
 
+    def test_thickness_beyond_any_integer_type(self):
+        # the window compares depth - near, at most 2^16, with the thickness as given
+        for thickness in (1 << 31, 1 << 63, 10**30):
+            assert len(capture(cube_cloud(), CaptureConfig("dual", thickness))) == 8
+
     def test_matches_bruteforce(self, rng):
         for _ in range(10):
             for axis in Axis:
