@@ -132,25 +132,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="JSON mirror path (default: CSV path with .json)")
     _add_plan_flags(p)
 
+    for command in sub.choices.values():  # parse_args reports its checks through these
+        command.set_defaults(parser=command)
     return parser
 
 
 def parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    error = args.parser.error  # the command's parser: "sliceseg <command>: error: ..."
     if args.command == "gen":
         if args.kind in SEEDED_KINDS and args.seed is None:
-            parser.error(f"--seed is required for kind {args.kind!r}")
+            error(f"--seed is required for kind {args.kind!r}")
         if args.kind == "uniform-random" and args.count is None and args.density is None:
-            parser.error("uniform-random needs --count or --density")
+            error("uniform-random needs --count or --density")
     if args.command == "compare":
         names = [t.strip() for t in args.baseline.split(",") if t.strip()]
         try:
             args.baseline_set = tuple(BASELINES[n] for n in names)
         except KeyError as exc:
-            parser.error(f"unknown baseline {exc.args[0]!r} (choose from {', '.join(BASELINES)})")
+            error(f"unknown baseline {exc.args[0]!r} (choose from {', '.join(BASELINES)})")
         if not args.baseline_set:
-            parser.error(f"--baseline must name at least one of: {', '.join(BASELINES)}")
+            error(f"--baseline must name at least one of: {', '.join(BASELINES)}")
     return args
 
 

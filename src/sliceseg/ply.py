@@ -130,23 +130,24 @@ def write_ply(cloud: PointCloud, fmt: str = "ascii") -> bytes:
 def _ascii_body(table: np.ndarray) -> bytes:
     """Decimal text of a table of non-negative integers: one line per row, spaces between.
 
-    Each value 0..max gets an 8-byte cell in a lookup table: its digits
-    right-aligned behind NUL padding, then a space. The body is the cells
-    gathered at the values, the last cell of each row ending in a newline
-    instead, with the NULs dropped. Values must be below 10**7, so that a
-    cell fits.
+    Each value 0..max gets a cell in a lookup table, 4 bytes wide when max
+    is below 1,000 and 8 otherwise: its digits right-aligned behind NUL
+    padding, then a space. The body is the cells gathered at the values,
+    the last cell of each row ending in a newline instead, with the NULs
+    dropped. Values must be below 10**7, so that a cell fits.
     """
     if not table.size:
         return b""
     top = int(table.max())
+    width = 4 if top < 1000 else 8
     values = np.arange(top + 1)
-    cells = np.zeros((top + 1, 8), dtype=np.uint8)
+    cells = np.zeros((top + 1, width), dtype=np.uint8)
     cells[:, -1] = ord(" ")
-    for place in range(len(str(top))):  # the digit worth 10**place goes in column 6 - place
+    for place in range(len(str(top))):  # the 10**place digit goes in column width - 2 - place
         power = 10**place
         first = power if place else 0  # values below 10**place have no such digit, but 0 has a 0
-        cells[first:, 6 - place] = values[first:] // power % 10 + ord("0")
-    text = cells.view(np.uint64).ravel()[table.ravel()].view(np.uint8)
+        cells[first:, width - 2 - place] = values[first:] // power % 10 + ord("0")
+    text = cells.view(f"u{width}").ravel()[table.ravel()].view(np.uint8)
     text = text.reshape(table.shape[0], -1)
     text[:, -1] = ord("\n")
     text = text.ravel()

@@ -5,10 +5,12 @@ every width up to the configured maximum, scores each candidate by the
 fraction of points a single-layer projection would lose, takes the best
 one as the next slice, and recurses on the remainder. The width search is
 exact but pruned: loss is monotone in slab width, so most widths are
-bounded out without being labeled. Slices below the point-count threshold
-are never emitted; whatever remains at the end becomes one terminal
-segment so no point is ever dropped at planning stage. Extracted slices
-can be widened inward by a small overlap margin.
+bounded out without being labeled, and once a side has a lossless slab a
+later side labels only wider widths, up to its first lossy one. Slices
+below the point-count threshold are never emitted; whatever remains at
+the end becomes one terminal segment so no point is ever dropped at
+planning stage. Extracted slices can be widened inward by a small
+overlap margin.
 """
 
 from __future__ import annotations
@@ -185,6 +187,7 @@ class _PlanState:
         self.working = cloud
         self.config = config
         self.original_size = original_size
+        self.min_points = math.ceil(config.min_points(original_size))  # the point floor
         self.src, self.dst = neighbor_pairs(cloud)
         self.pixels = pixel_keys(cloud)
         self.index = np.arange(len(cloud))
@@ -234,6 +237,11 @@ def best_width(
     count(w) <= count(b - 1). The search bisects and skips the interval
     when lost(a) == lost(b) (b is at least as good and wider) or when even
     lost(a) / count(b - 1) at width b - 1 cannot beat the best so far.
+
+    Against a lossless incumbent only wider lossless widths compete. From
+    a lossless start the search gallops (a + 1, a + 3, a + 7, ...) out to a
+    lossy width b and bisects the last gap. Widths past the last probe b are
+    labeled, w_max first, only if lost(b) / count(w_max) at w_max could win.
     """
     cloud, config = state.working, state.config
     mins, maxs = cloud.bbox
@@ -246,7 +254,9 @@ def best_width(
     else:
         counts = np.searchsorted(column, int(mins[axis]) + widths, side="left")
     # counts[w - 1] is the point count at width w; eligible widths form a suffix
-    first = int(np.searchsorted(counts, math.ceil(config.min_points(state.original_size)))) + 1
+    first = int(np.searchsorted(counts, state.min_points)) + 1
+    if incumbent is not None and incumbent.lost == 0:  # only a wider lossless slab beats it
+        first = max(first, incumbent.width + 1)
     if first > w_max:
         return None
     counts = counts.tolist()
@@ -285,8 +295,14 @@ def best_width(
             best = Candidate(side, width, count, lost[width])
 
     evaluate(first)
-    evaluate(w_max)
-    pending = [(first, w_max)]
+    a, b, step = first, first, 1
+    while lost[b] == 0 and b < w_max:  # gallop out to a lossy width
+        a, b, step = b, min(b + step, w_max), step * 2
+        evaluate(b)
+    pending = [(a, b)]
+    if _beats(lost[b], counts[w_max - 1], w_max, best):  # may a width in (b, w_max] win?
+        evaluate(w_max)
+        pending.append((b, w_max))
     while pending:
         a, b = pending.pop()
         if b - a < 2 or lost[a] == lost[b] or not _beats(lost[a], counts[b - 2], b - 1, best):
@@ -350,10 +366,9 @@ def build_plan(cloud: PointCloud, config: SlicerConfig = SlicerConfig()) -> Slic
     if len(cloud) == 0:
         raise ValueError("cannot plan an empty cloud")
     state = _PlanState(cloud, config, len(cloud))
-    min_points = config.min_points(len(cloud))
     slices: list[SliceSpec] = []
     while len(state.working) > 0:
-        spec = select_slice(state, len(slices)) if len(state.working) >= min_points else None
+        spec = select_slice(state, len(slices)) if len(state.working) >= state.min_points else None
         if spec is None:  # the remainder is below threshold or no side has a slab
             slices.append(_terminal_spec(state.working, config, len(slices)))
             break

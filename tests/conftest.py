@@ -242,8 +242,8 @@ def _rank(cand: Candidate):
     return Fraction(cand.lost, cand.count), -cand.width, SIDES.index(cand.side)
 
 
-def brute_best_width(cloud: PointCloud, side: Side, config, original_size: int):
-    """Exhaustive width loop: every eligible width is labeled and ranked."""
+def brute_candidates(cloud: PointCloud, side: Side, config, original_size: int):
+    """Exhaustive width loop: one Candidate per eligible width, each labeled afresh."""
     floor = config.min_points(original_size)
     cands = []
     for width in range(1, min(config.theta, cloud.extent(side.axis)) + 1):
@@ -251,7 +251,12 @@ def brute_best_width(cloud: PointCloud, side: Side, config, original_size: int):
         if len(sub) >= floor:
             lost = slab_lost(sub, side, config.plane_rule)
             cands.append(Candidate(side, width, len(sub), lost))
-    return min(cands, key=_rank, default=None)
+    return cands
+
+
+def brute_best_width(cloud: PointCloud, side: Side, config, original_size: int):
+    """The best of `brute_candidates`: every eligible width is labeled and ranked."""
+    return min(brute_candidates(cloud, side, config, original_size), key=_rank, default=None)
 
 
 def brute_select_slice(state, index: int = 0, **_):

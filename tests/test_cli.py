@@ -80,6 +80,22 @@ class TestGen:
         assert run_cli("gen", "--bogus") == 2
 
     @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--kind", "folded-sheet"], "--seed is required for kind 'folded-sheet'"),
+            (["--kind", "uniform-random", "--seed", "1"],
+             "uniform-random needs --count or --density"),
+        ],
+    )
+    def test_checked_flags_report_through_gen(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "g.ply"
+        assert run_cli("gen", *flags, "--extent", "8", "--out", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: sliceseg gen ")
+        assert err[-1] == f"sliceseg gen: error: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flags, params",
         [
             ([], {"extent": 16}),
@@ -410,6 +426,23 @@ class TestCompare:
             "compare", "--input", "x.ply", "--baseline", "sixteen", "--out", "r.csv"
         ) == 2
         assert "unknown baseline 'sixteen' (choose from single, dual)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "baseline, message",
+        [
+            ("sixteen", "unknown baseline 'sixteen' (choose from single, dual)"),
+            (" , ", "--baseline must name at least one of: single, dual"),
+        ],
+    )
+    def test_baseline_errors_report_through_compare(self, tmp_path, capsys, baseline, message):
+        csv_path = tmp_path / "r.csv"
+        assert run_cli(
+            "compare", "--input", "x.ply", "--baseline", baseline, "--out", csv_path
+        ) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: sliceseg compare ")
+        assert err[-1] == f"sliceseg compare: error: {message}"
+        assert not csv_path.exists()
 
     @pytest.mark.parametrize("baseline, code", [("single", 0), ("dual", 1), ("single,dual", 1)])
     def test_thickness_zero_only_fails_a_dual_baseline(self, tmp_path, capsys, baseline, code):

@@ -29,6 +29,7 @@ from sliceseg.synthetic import gen_synthetic
 
 from conftest import (
     brute_best_width,
+    brute_candidates,
     candidate_psi,
     cube_cloud,
     make_cloud,
@@ -188,11 +189,15 @@ def test_prefix_losses_match_slabs_labeled_afresh(rng, plane_rule):
     """best_width labels each width as a depth-ordered prefix of its side's widest slab.
 
     Every loss it caches must equal compute_psi on the slab extracted anew.
-    A fresh plan state per theta makes width theta one of the labeled widths,
-    resumed from the roots of the narrowest eligible width.
+    With a fresh plan state per theta, width theta is one of the labeled
+    widths, resumed from the roots of a narrower prefix, whenever the
+    narrowest eligible width loses points (the search labels w_max next) or
+    no eligible width does (the gallop runs out to w_max). A plane, lossless
+    on every side under best-plane, gives the second case.
     """
-    for _ in range(6):
-        cloud = random_cloud(rng, max_points=300, extent_range=(4, 14))
+    clouds = [random_cloud(rng, max_points=300, extent_range=(4, 14)) for _ in range(6)]
+    clouds.append(gen_synthetic("plane", {"extent": 9}))
+    for cloud in clouds:
         for side in SIDES:
             for theta in range(1, cloud.extent(side.axis) + 1):
                 config = cfg(theta=theta, threshold="0", plane_rule=plane_rule)
@@ -201,11 +206,99 @@ def test_prefix_losses_match_slabs_labeled_afresh(rng, plane_rule):
                 cache = state.losses
                 _, widest = slab(cloud, side, theta)
                 if len(widest) >= MIN_SLICE_POINTS:
-                    span = widest.coords[:, side.axis]
-                    assert (side.axis, int(span.min()), int(span.max())) in cache
+                    narrowest = next(
+                        sub for w in range(1, theta + 1)
+                        if len((sub := slab(cloud, side, w)[1])) >= MIN_SLICE_POINTS
+                    )
+                    if slab_lost(narrowest, side, plane_rule) or not slab_lost(
+                        widest, side, plane_rule
+                    ):
+                        span = widest.coords[:, side.axis]
+                        assert (side.axis, int(span.min()), int(span.max())) in cache
                 for (axis, lo, hi), (count, lost) in cache.items():
                     sub = extract_range(cloud, AxisRange(axis, lo, hi + 1))
                     assert (len(sub), lost) == (count, slab_lost(sub, side, plane_rule))
+
+
+def _labeled_prefixes(monkeypatch) -> list[int]:
+    """The point count of each prefix best_width labels from now on (its pixel_areas calls)."""
+    counts: list[int] = []
+    areas = slicer.pixel_areas
+
+    def counted(roots, pixels, count):
+        counts.append(count)
+        return areas(roots, pixels, count)
+
+    monkeypatch.setattr(slicer, "pixel_areas", counted)
+    return counts
+
+
+@pytest.mark.parametrize("plane_rule", ["best-plane", "fixed-plane"])
+def test_incumbents_from_the_exhaustive_loop(monkeypatch, rng, plane_rule):
+    """best_width against an incumbent: the exhaustive best where that beats it, else None.
+
+    Incumbents are the exhaustive loop's candidates of every side and
+    width: lossless and lossy, narrower than, as wide as and wider than the
+    side's own best. A lossless incumbent that the side does not beat costs
+    it at most one labeled slab. When the side's best is a lossless width L,
+    no slab past the gallop's lossy probe is labeled: from its start width s
+    the probes s + 1, s + 3, s + 7, ... pass L by at most L - s + 1.
+    """
+    labeled = _labeled_prefixes(monkeypatch)
+    seen = set()
+    for _ in range(8):
+        cloud = random_cloud(rng, max_points=150, extent_range=(4, 11))
+        # a high threshold leaves only thick, lossy slabs eligible
+        threshold = str(rng.choice(["0.02", "0.3"]))
+        config = cfg(theta=int(rng.integers(3, 12)), threshold=threshold, plane_rule=plane_rule)
+        state = _PlanState(cloud, config, len(cloud))
+        cands = {side: brute_candidates(cloud, side, config, len(cloud)) for side in SIDES}
+        incumbents = {(c.lost, c.count, c.width): c for cs in cands.values() for c in cs}
+        for side in SIDES:
+            by_width = {c.width: c for c in cands[side]}
+            expect = brute_best_width(cloud, side, config, len(cloud))
+            for incumbent in incumbents.values():
+                state.losses.clear()  # each call labels afresh
+                labeled.clear()
+                got = best_width(state, side, incumbent)
+                wins = expect is not None and (
+                    (Fraction(expect.lost, expect.count), -expect.width)
+                    < (Fraction(incumbent.lost, incumbent.count), -incumbent.width)
+                )
+                assert got == (expect if wins else None)
+                start = min(by_width, default=0)
+                if incumbent.lost == 0:
+                    start = max(start, incumbent.width + 1)
+                    if got is None:
+                        assert len(labeled) <= 1
+                if got is not None and got.lost == 0:
+                    reach = min(2 * got.width - start + 1, max(by_width))
+                    assert max(labeled, default=0) <= by_width[reach].count
+                if expect is not None:
+                    seen.add((incumbent.lost == 0, np.sign(incumbent.width - expect.width)))
+    assert seen == {(lossless, order) for lossless in (True, False) for order in (-1, 0, 1)}
+
+
+# The benchmark's plan-suite inputs at seed 1 and the prefixes planning each
+# labels (pixel_areas calls) with the lossless-aware width search.
+_PLAN_SUITE = {
+    "folded-sheet-32": ("folded-sheet", {"extent": 32, "amplitude": 8, "period": 16}, 7, 34),
+    "sphere-shell-20": ("sphere-shell", {"extent": 20}, 0, 145),
+    "sphere-shell-20-fixed": ("sphere-shell", {"extent": 20}, 0, 137),
+    "uniform-random-48": ("uniform-random", {"extent": 48, "count": 1000}, 1, 7),
+}
+
+
+@pytest.mark.parametrize("name", _PLAN_SUITE)
+def test_plan_suite_labels_no_more_prefixes(monkeypatch, name):
+    """A width search that labels more prefixes than these bounds has lost a pruning rule."""
+    kind, params, seed, bound = _PLAN_SUITE[name]
+    cloud = gen_synthetic(kind, params, seed=seed)
+    rule = "fixed-plane" if name.endswith("fixed") else "best-plane"
+    config = SlicerConfig(theta=64, threshold_frac="0.05", overlap=2, plane_rule=rule)
+    labeled = _labeled_prefixes(monkeypatch)
+    build_plan(cloud, config)
+    assert len(labeled) <= bound
 
 
 def _plan_checking_rounds(monkeypatch, cloud, config, check):
