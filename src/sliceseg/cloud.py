@@ -23,9 +23,6 @@ class Axis(IntEnum):
     Y = 1
     Z = 2
 
-    def __str__(self) -> str:
-        return self.name
-
 
 # (u, v) columns of the projection that drops each axis; row = Axis value.
 PLANE_COLS = np.array([(1, 2), (0, 2), (0, 1)], dtype=np.int64)
@@ -123,16 +120,6 @@ def distinct(keys: np.ndarray) -> np.ndarray:
     return ordered[run_starts(ordered)]
 
 
-def min_bit_depth_for(max_coord: int) -> int:
-    """Smallest depth in {8..16} covering max_coord, floored at the 10-bit default."""
-    if max_coord < 0:
-        raise ValueError("coordinates must be non-negative")
-    needed = max(int(max_coord).bit_length(), MIN_BIT_DEPTH)
-    if needed > MAX_BIT_DEPTH:
-        raise ValueError(f"coordinate {max_coord} exceeds {MAX_BIT_DEPTH}-bit grid")
-    return max(needed, DEFAULT_BIT_DEPTH)
-
-
 class PointCloud:
     """Immutable set of voxel points with optional per-point 8-bit RGB color.
 
@@ -141,7 +128,7 @@ class PointCloud:
     coordinates, keeping the first occurrence and its color).
     """
 
-    __slots__ = ("coords", "colors", "bit_depth", "duplicates_merged", "_bbox")
+    __slots__ = ("coords", "colors", "bit_depth", "duplicates_merged")
 
     def __init__(
         self,
@@ -171,8 +158,8 @@ class PointCloud:
         arr, col, merged = _dedup_first(arr, col)
 
         max_coord = int(arr.max()) if arr.size else 0
-        if bit_depth is None:
-            bit_depth = min_bit_depth_for(max_coord)
+        if bit_depth is None:  # the smallest of 10..16 bits covering the coordinates
+            bit_depth = max(max_coord.bit_length(), DEFAULT_BIT_DEPTH)
         else:
             if not (MIN_BIT_DEPTH <= bit_depth <= MAX_BIT_DEPTH):
                 raise ValueError(f"bit depth must be in [{MIN_BIT_DEPTH}, {MAX_BIT_DEPTH}]")
@@ -200,28 +187,21 @@ class PointCloud:
         self.colors = colors
         self.bit_depth = int(bit_depth)
         self.duplicates_merged = int(merged)
-        self._bbox = None
 
     def __len__(self) -> int:
         return self.coords.shape[0]
 
     @property
-    def bbox(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """(mins, maxs) per axis, or None for an empty cloud."""
-        if self._bbox is None:
-            if len(self) == 0:
-                return None
-            # per-column reductions: axis=0 over (N, 3) rows runs 10x slower
-            columns = np.ascontiguousarray(self.coords.T)
-            self._bbox = (columns.min(axis=1), columns.max(axis=1))
-        return self._bbox
+    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mins, maxs) per axis of a non-empty cloud."""
+        # per-column reductions: axis=0 over (N, 3) rows runs 10x slower
+        columns = np.ascontiguousarray(self.coords.T)
+        return columns.min(axis=1), columns.max(axis=1)
 
     def extent(self, axis: Axis) -> int:
         """Number of occupied coordinate positions spanned along axis."""
-        box = self.bbox
-        if box is None:
-            return 0
-        return int(box[1][axis] - box[0][axis]) + 1
+        mins, maxs = self.bbox
+        return int(maxs[axis] - mins[axis]) + 1
 
     def coordinate_keys(self) -> np.ndarray:
         """int64 key per point, unique per voxel; usable for set operations."""
@@ -234,8 +214,6 @@ class PointCloud:
         return self.coords[np.argsort(self.coordinate_keys())]
 
     def same_points(self, other: "PointCloud") -> bool:
-        if len(self) != len(other):
-            return False
         return bool(np.array_equal(self.sorted_coords(), other.sorted_coords()))
 
     def subset(self, mask: np.ndarray) -> "PointCloud":

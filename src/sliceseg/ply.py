@@ -51,8 +51,8 @@ _ASCII_WS = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
 def read_ply(data: bytes) -> PointCloud:
     """Parse PLY bytes into a deduplicated PointCloud.
 
-    Bit depth is chosen automatically: the smallest of 8..16 covering the
-    input, minimum 10.
+    Bit depth is chosen automatically: the smallest of 10..16 bits covering
+    the input.
     """
     header_lines, body_start, line_count = _split_header(data)
     fmt, count, props = _parse_header(header_lines)

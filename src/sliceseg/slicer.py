@@ -144,14 +144,11 @@ def _beats(lost: int, count: int, width: int, best: Optional[Candidate]) -> bool
     return ours < theirs or (ours == theirs and width > best.width)
 
 
-def _face_band(side: Side, mins: np.ndarray, maxs: np.ndarray, width: int) -> AxisRange:
-    """The `width` coordinates inward from `side`'s face of the box `mins`..`maxs`."""
-    axis = side.axis
+def _face_band(side: Side, lo: int, hi: int, width: int) -> AxisRange:
+    """The `width` coordinates inward from `side`'s face of the span `lo`..`hi`."""
     if side.positive:
-        hi = int(maxs[axis]) + 1
-        return AxisRange(axis, hi - width, hi)
-    lo = int(mins[axis])
-    return AxisRange(axis, lo, lo + width)
+        return AxisRange(side.axis, hi + 1 - width, hi + 1)
+    return AxisRange(side.axis, lo, lo + width)
 
 
 # Lost-point counts of evaluated slabs, keyed by (axis, first and last
@@ -174,32 +171,39 @@ class _Slab(NamedTuple):
 
 
 class _PlanState:
-    """The plan in progress: its working cloud and what every round shares.
+    """The plan in progress: its working points and what every round shares.
 
-    The working cloud only ever loses points, so its 26-adjacent pairs and
-    pixel keys are the planned cloud's restricted to the points still there:
-    `index` holds the planned-cloud index of each working point, in working
-    order, and `src`/`dst` the pairs whose ends both remain. `losses` is the
-    loss cache.
+    The working points only ever shrink, so every round reads the planned
+    cloud's tables restricted to the points still there. `columns` holds
+    the planned cloud's coordinates, one row per axis, and `order[a]` the
+    planned-cloud indices of the working points sorted by coordinate `a`,
+    so a side's slab is a run at one end of its axis order. `src`/`dst` are
+    the 26-adjacent pairs whose ends both remain and `pixels` the pixel
+    keys of every planned point. `losses` is the loss cache.
     """
 
     def __init__(self, cloud: PointCloud, config: SlicerConfig, original_size: int) -> None:
-        self.working = cloud
+        self.cloud = cloud
         self.config = config
         self.original_size = original_size
         self.min_points = math.ceil(config.min_points(original_size))  # the point floor
+        self.columns = np.ascontiguousarray(cloud.coords.T)
+        self.order = [np.argsort(column, kind="stable") for column in self.columns]
         self.src, self.dst = neighbor_pairs(cloud)
         self.pixels = pixel_keys(cloud)
-        self.index = np.arange(len(cloud))
         self.losses: _LossCache = {}
 
-    def slab(self, side: Side, band: AxisRange, planes: list[int]) -> _Slab:
-        """The working points in `band`, nearest to `side`'s face first."""
-        column = self.working.coords[:, band.axis]
-        inside = band.holds(column).nonzero()[0]
-        members = self.index[inside[np.argsort(column[inside] * -side.sign)]]
+    @property
+    def working(self) -> PointCloud:
+        """The working points as a cloud, in planned-cloud order."""
+        return self.cloud.subset(np.sort(self.order[0]))
+
+    def slab(self, side: Side, count: int, planes: list[int]) -> _Slab:
+        """The `count` working points nearest to `side`'s face, nearest first."""
+        order = self.order[side.axis]
+        members = order[::-1][:count] if side.positive else order[:count]
         position = np.full(self.pixels.shape[1], -1)
-        position[members] = np.arange(len(members))
+        position[members] = np.arange(count)
         a, b = position[self.src], position[self.dst]
         both = ((a >= 0) & (b >= 0)).nonzero()[0]
         a, b = a[both], b[both]
@@ -208,13 +212,10 @@ class _PlanState:
 
     def remove(self, core: AxisRange) -> None:
         """Drop the working points in `core`."""
-        kept = ~core.holds(self.working.coords[:, core.axis])
-        self.index = self.index[kept]
-        alive = np.zeros(self.pixels.shape[1], dtype=bool)
-        alive[self.index] = True
-        both = (alive[self.src] & alive[self.dst]).nonzero()[0]
+        gone = core.holds(self.columns[core.axis])
+        self.order = [order.compress(~gone.take(order)) for order in self.order]
+        both = ~(gone[self.src] | gone[self.dst])
         self.src, self.dst = self.src[both], self.dst[both]
-        self.working = self.working.subset(kept)
 
 
 def best_width(
@@ -243,16 +244,15 @@ def best_width(
     lossy width b and bisects the last gap. Widths past the last probe b are
     labeled, w_max first, only if lost(b) / count(w_max) at w_max could win.
     """
-    cloud, config = state.working, state.config
-    mins, maxs = cloud.bbox
-    axis = side.axis
-    w_max = min(config.theta, cloud.extent(axis))
-    column = np.sort(cloud.coords[:, axis])
+    config, axis = state.config, side.axis
+    column = state.columns[axis].take(state.order[axis])  # the working coordinates, ascending
+    lo, hi = int(column[0]), int(column[-1])
+    w_max = min(config.theta, hi - lo + 1)
     widths = np.arange(1, w_max + 1)
     if side.positive:
-        counts = len(column) - np.searchsorted(column, int(maxs[axis]) + 1 - widths, side="left")
+        counts = len(column) - np.searchsorted(column, hi + 1 - widths, side="left")
     else:
-        counts = np.searchsorted(column, int(mins[axis]) + widths, side="left")
+        counts = np.searchsorted(column, lo + widths, side="left")
     # counts[w - 1] is the point count at width w; eligible widths form a suffix
     first = int(np.searchsorted(counts, state.min_points)) + 1
     if incumbent is not None and incumbent.lost == 0:  # only a wider lossless slab beats it
@@ -274,7 +274,7 @@ def best_width(
     def prefix_lost(count: int) -> int:
         nonlocal slab
         if slab is None:
-            slab = state.slab(side, _face_band(side, mins, maxs, w_max), planes)
+            slab = state.slab(side, counts[-1], planes)
         start = max(m for m in roots if m < count)
         joining = ((slab.dst >= start) & (slab.dst < count)).nonzero()[0]
         parent = np.concatenate((roots[start], np.arange(start, count)))
@@ -327,14 +327,15 @@ def select_slice(state: _PlanState, index: int = 0) -> Optional[SliceSpec]:
             best = cand
     if best is None:
         return None
-    working, side = state.working, best.side
-    # the overlap band reaches `overlap` voxels further in, clipped to the box
-    widened = min(best.width + state.config.overlap, working.extent(side.axis))
+    side, order = best.side, state.order[best.side.axis]
+    lo, hi = int(state.columns[side.axis, order[0]]), int(state.columns[side.axis, order[-1]])
+    # the overlap band reaches `overlap` voxels further in, clipped to the span
+    widened = min(best.width + state.config.overlap, hi - lo + 1)
     return SliceSpec(
         index=index,
         side=side,
-        core=_face_band(side, *working.bbox, best.width),
-        extended=_face_band(side, *working.bbox, widened),
+        core=_face_band(side, lo, hi, best.width),
+        extended=_face_band(side, lo, hi, widened),
         point_count=best.count,
         psi=best.psi,
     )
@@ -343,12 +344,11 @@ def select_slice(state: _PlanState, index: int = 0) -> Optional[SliceSpec]:
 def _terminal_spec(residue: PointCloud, config: SlicerConfig, index: int) -> SliceSpec:
     mins, maxs = residue.bbox
     axis = Axis(int(np.argmin(maxs - mins)))
-    side = Side(axis, -1)
-    core = _face_band(side, mins, maxs, residue.extent(axis))
+    core = AxisRange(axis, int(mins[axis]), int(maxs[axis]) + 1)
     fixed_axis = axis if config.plane_rule == "fixed-plane" else None
     return SliceSpec(
         index=index,
-        side=side,
+        side=Side(axis, -1),
         core=core,
         extended=core,
         point_count=len(residue),
@@ -367,8 +367,8 @@ def build_plan(cloud: PointCloud, config: SlicerConfig = SlicerConfig()) -> Slic
         raise ValueError("cannot plan an empty cloud")
     state = _PlanState(cloud, config, len(cloud))
     slices: list[SliceSpec] = []
-    while len(state.working) > 0:
-        spec = select_slice(state, len(slices)) if len(state.working) >= state.min_points else None
+    while (size := len(state.order[0])) > 0:
+        spec = select_slice(state, len(slices)) if size >= state.min_points else None
         if spec is None:  # the remainder is below threshold or no side has a slab
             slices.append(_terminal_spec(state.working, config, len(slices)))
             break

@@ -20,6 +20,7 @@ from sliceseg import (
     decode,
     gen_synthetic,
     read_ply,
+    synthetic,
     write_ply,
 )
 from sliceseg.cli import _slicer_config, main, parse_args
@@ -110,6 +111,33 @@ class TestGen:
         ) == 0
         assert out.read_bytes() == write_ply(gen_synthetic("folded-sheet", params, seed=3))
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--kind", "plane", "--offset", "-1"], "plane offset must be non-negative"),
+            (["--kind", "uniform-random", "--count", "0", "--seed", "1"],
+             "count must be a positive integer"),
+        ],
+        ids=["negative-offset", "zero-count"],
+    )
+    def test_generator_errors_report_through_gen(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "g.ply"
+        assert run_cli("gen", *flags, "--extent", "8", "--out", out) == 1
+        assert capsys.readouterr().err == f"sliceseg gen: error: {message}\n"
+        assert not out.exists()
+
+    def test_generator_memory_error_is_one_line_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(synthetic, "_sphere_shell", exhausted)
+        out = tmp_path / "g.ply"
+        assert run_cli("gen", "--kind", "sphere-shell", "--extent", "8", "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "sliceseg gen: error: sphere-shell of extent 8 does not fit in memory\n"
+        )
+        assert not out.exists()
+
     def test_unknown_command_is_usage_error(self):
         assert run_cli("frobnicate") == 2
 
@@ -166,6 +194,17 @@ class TestSlice:
             assert parse_args([*argv, "--plane-rule", rule]).plane_rule == rule
         with pytest.raises(SystemExit):
             parse_args([*argv, "--plane-rule", "diagonal"])
+
+    def test_duplicate_vertices_are_reported(self, tmp_path, capsys):
+        cloud_path, plan = tmp_path / "dup.ply", tmp_path / "p.json"
+        vertices = ["0 0 0", "1 0 0", "0 0 0", "1 1 0", "1 0 0"]
+        header = ["ply", "format ascii 1.0", "element vertex 5", "property float x",
+                  "property float y", "property float z", "end_header"]
+        cloud_path.write_text("\n".join(header + vertices) + "\n")
+        assert run_cli("slice", "--input", cloud_path, "--plan", plan) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"loaded 3 points from {cloud_path} (2 duplicates merged)"
+        assert json.loads(plan.read_text())["original_size"] == 3
 
     def test_plan_written_with_defaults(self, sheet_ply, tmp_path):
         plan_path = tmp_path / "plan.json"
@@ -373,6 +412,21 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"sliceseg analyze: error: malformed plan JSON: {message}")
+        assert not out.exists()
+
+    def test_extended_range_outside_the_core_is_one_line_error(self, tmp_path, capsys):
+        cube, plan, out = tmp_path / "cube.ply", tmp_path / "p.json", tmp_path / "a.json"
+        assert run_cli("gen", "--kind", "cube", "--extent", "4", "--out", cube) == 0
+        assert run_cli("slice", "--input", cube, "--plan", plan) == 0
+        doc = json.loads(plan.read_text())
+        first = doc["slices"][0]
+        first["ext_lo"], first["ext_hi"] = first["core_hi"], first["core_hi"] + 1
+        plan.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("analyze", "--input", cube, "--plan", plan, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "sliceseg analyze: error: malformed plan JSON: extended range must contain the core\n"
+        )
         assert not out.exists()
 
     def test_unknown_plane_rule_in_plan_is_runtime_error(self, sheet_ply, tmp_path, capsys):

@@ -39,6 +39,22 @@ def test_negative_coordinates_rejected():
         make_cloud([(-1, 0, 0)])
 
 
+@pytest.mark.parametrize(
+    "coords, colors, message",
+    [
+        (np.zeros((2, 2)), None, "coords must be (N, 3), got shape (2, 2)"),
+        ([(0, 0, 0), (1, 1, 1)], np.zeros((2, 4)), "colors must be (N, 3) matching coords"),
+        ([(0, 0, 0), (1, 1, 1)], np.zeros((1, 3)), "colors must be (N, 3) matching coords"),
+        ([(65536, 0, 0)], None, "coordinate 65536 exceeds 16-bit grid"),
+    ],
+    ids=["two-columns", "four-channels", "one-color-for-two-points", "beyond-16-bits"],
+)
+def test_constructor_rejects_malformed_arrays(coords, colors, message):
+    with pytest.raises(ValueError) as e:
+        PointCloud(coords, colors)
+    assert str(e.value) == message
+
+
 def test_bbox_is_tight():
     cloud = make_cloud([(1, 5, 2), (7, 5, 9), (3, 6, 2)])
     mins, maxs = cloud.bbox

@@ -22,6 +22,8 @@ from sliceseg import (
 from sliceseg.cloud import Axis, AxisRange, PointCloud, Side
 from sliceseg.codec import (
     STREAM_HEADER_BYTES,
+    DecodedRecord,
+    DecodedStream,
     _field_bits,
     _record,
     _split_fields,
@@ -311,6 +313,35 @@ class TestDecodeErrors:
         with pytest.raises(DecodeError, match="inconsistent") as e:
             decode(bytes(stream))
         assert e.value.kind == "invalid record"
+
+
+    @staticmethod
+    def record(base, width_field, d, offset):
+        """A one-point Z record at `base` holding `offset`, colourless."""
+        return DecodedRecord(
+            axis=Axis.Z, sign=-1, terminal=False, base=base, width_field=width_field, d=d,
+            color_flag=False, offsets=np.array([offset]), us=np.array([0]), vs=np.array([0]),
+            colors=None,
+        )
+
+    def test_narrow_range_past_the_grid(self):
+        # record 1 claims [1020, 1028) on a 10-bit grid
+        records = (self.record(0, 2, 1, 0), self.record(1020, 8, 3, 0))
+        stream = reencode(DecodedStream(bit_depth=10, theta=64, overlap=0, records=records))
+        with pytest.raises(DecodeError, match="slice range exceeds the coordinate grid") as e:
+            decode(stream)
+        assert (e.value.kind, e.value.record_index) == ("invalid record", 1)
+
+    def test_wide_offset_past_the_grid(self):
+        # a wide record (width field 0) bounds offsets by 2^d only: 1000 + 100 >= 1024
+        records = (self.record(0, 2, 1, 0), self.record(1000, 0, 7, 100))
+        stream = reencode(DecodedStream(bit_depth=10, theta=64, overlap=0, records=records))
+        with pytest.raises(DecodeError, match="offset 100 pushes coordinate past the grid") as e:
+            decode(stream)
+        assert (e.value.kind, e.value.record_index) == ("offset out of range", 1)
+        wide = self.record(1000, 0, 7, 23)  # 1023 is the last coordinate on the grid
+        stream = reencode(DecodedStream(bit_depth=10, theta=64, overlap=0, records=(wide,)))
+        assert decode(stream).cloud.coords.tolist() == [[0, 0, 1023]]
 
 
 class TestNoncanonicalStreams:

@@ -194,6 +194,39 @@ def test_header_errors():
         read_ply(b"ply\nformat ascii 1.0\nelement vertex 1\nproperty list uchar int vertex_indices\nend_header\n")
 
 
+HEADER = "ply\nformat ascii 1.0\n"
+XYZ = "property float x\nproperty float y\nproperty float z\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("plyx\nformat ascii 1.0\nend_header\n", "first line must be 'ply' (line 1)"),
+        (HEADER + "element vertex abc\n" + XYZ + "end_header\n",
+         "bad vertex count 'abc' (line 3)"),
+        (HEADER + "element vertex -1\n" + XYZ + "end_header\n", "negative vertex count (line 3)"),
+        (HEADER + "element vertex 1\nproperty float\nend_header\n",
+         "malformed property line (line 4)"),
+        (HEADER + "element vertex 0\n" + XYZ + "camera 1\nend_header\n",
+         "unknown header keyword 'camera' (line 7)"),
+        (HEADER + "element vertex 0\nend_header\n", "vertex element declares no properties"),
+        (HEADER + "element vertex 1\n" + XYZ + "end_header\nnan 0 0\n",
+         "non-finite coordinate in vertex body"),
+    ],
+    ids=["magic-suffix", "count-not-integer", "count-negative", "property-without-name",
+         "unknown-keyword", "no-properties", "nan-coordinate"],
+)
+def test_reader_error_names_the_fault(text, message):
+    with pytest.raises(PlyParseError) as e:
+        read_ply(text.encode())
+    assert str(e.value) == message
+
+
+def test_write_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match="format must be 'ascii' or 'binary', got 'xml'"):
+        write_ply(cube_cloud(), "xml")
+
+
 def test_error_names_line_number():
     # header occupies lines 1-7; the bad second vertex sits on line 9
     data = ascii_ply([(0, 0, 0), ("oops", 1, 1)])

@@ -159,6 +159,17 @@ class TestBestPlane:
             assert best_plane(cloud) == brute_best_plane(cloud.coords.tolist())
 
 
+def test_empty_cloud_and_unknown_layer_mode_are_refused():
+    empty = PointCloud(np.empty((0, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match="^best_plane of an empty cloud$"):
+        best_plane(empty)
+    whole = projection.ComponentLabeling(np.zeros(0, dtype=np.int32), 0)
+    with pytest.raises(ValueError, match="^cannot capture an empty cloud$"):
+        simulate_capture(empty, whole, CaptureConfig())
+    with pytest.raises(ValueError, match="^layer_mode must be 'single' or 'dual', got 'triple'$"):
+        CaptureConfig(layer_mode="triple")
+
+
 class TestComputePsi:
     def test_single_point_psi_zero(self):
         stats = compute_psi(make_cloud([(4, 4, 4)]))

@@ -301,6 +301,24 @@ def test_plan_suite_labels_no_more_prefixes(monkeypatch, name):
     assert len(labeled) <= bound
 
 
+@pytest.mark.parametrize("name", _PLAN_SUITE)
+def test_plan_builds_no_cloud_per_round(monkeypatch, name):
+    """Rounds select from the plan state's depth orders; only the terminal residue is a cloud."""
+    kind, params, seed, _ = _PLAN_SUITE[name]
+    cloud = gen_synthetic(kind, params, seed=seed)
+    rule = "fixed-plane" if name.endswith("fixed") else "best-plane"
+    config = SlicerConfig(theta=64, threshold_frac="0.05", overlap=2, plane_rule=rule)
+    subset, calls = PointCloud.subset, []
+
+    def counted(self, mask):
+        calls.append(mask)
+        return subset(self, mask)
+
+    monkeypatch.setattr(PointCloud, "subset", counted)
+    plan = build_plan(cloud, config)
+    assert len(calls) == plan.slices[-1].terminal  # at most one per plan
+
+
 def _plan_checking_rounds(monkeypatch, cloud, config, check):
     """build_plan with `check(state)` run on the plan's state before each round's search."""
     select = slicer.select_slice
@@ -323,20 +341,30 @@ def test_plan_state_slabs_match_slabs_built_afresh(monkeypatch, rng):
 
     The state's pairs stand in for neighbor_pairs of every slab of every
     round, so they must be exactly the slab's 26-adjacent pairs: none
-    missing, none with an end outside the slab or already sliced off.
+    missing, none with an end outside the slab or already sliced off. Each
+    axis order must hold exactly the points no earlier core removed.
     """
     rounds = 0
+    remove = _PlanState.remove
+
+    def removing(state, core):
+        nonlocal expected
+        expected = remove_range(expected, core)
+        remove(state, core)
 
     def check(state):
         nonlocal rounds
         rounds += 1
         working = state.working
-        assert np.array_equal(cloud.coords[state.index], working.coords)
+        assert np.array_equal(working.coords, expected.coords)
+        for axis, order in enumerate(state.order):
+            assert np.array_equal(np.sort(order), np.sort(state.order[0]))
+            assert (np.diff(cloud.coords[order, axis]) >= 0).all()
         for side in SIDES:
             extent = working.extent(side.axis)
             for width in sorted({1, (extent + 1) // 2, extent}):
-                band, sub = slab(working, side, width)
-                got = state.slab(side, band, [0, 1, 2])
+                _, sub = slab(working, side, width)
+                got = state.slab(side, len(sub), [0, 1, 2])
                 coords = cloud.coords[got.members].tolist()
                 assert len(coords) == len(sub) and set(map(tuple, coords)) == point_set(sub)
                 depth = cloud.coords[got.members, side.axis] * -side.sign
@@ -347,8 +375,9 @@ def test_plan_state_slabs_match_slabs_built_afresh(monkeypatch, rng):
                 assert len(got.src) == len(want)
                 assert _pair_set(coords, got.src, got.dst) == want
 
+    monkeypatch.setattr(_PlanState, "remove", removing)
     for _ in range(6):
-        cloud = random_cloud(rng, max_points=300, extent_range=(4, 14))
+        cloud = expected = random_cloud(rng, max_points=300, extent_range=(4, 14))
         _plan_checking_rounds(monkeypatch, cloud, cfg(theta=4), check)
     assert rounds >= 12
 
@@ -781,6 +810,15 @@ class TestPlanJson:
             text = plan_to_json(plan)
             assert json.loads(text)["threshold_frac"] == float(threshold)
             assert plan_from_json(text).config == plan.config
+
+    def test_extended_range_must_contain_the_core(self):
+        doc = json.loads(plan_to_json(build_plan(cube_cloud(), cfg())))
+        first = doc["slices"][0]
+        first["ext_lo"], first["ext_hi"] = first["core_hi"], first["core_hi"] + 1
+        with pytest.raises(
+            ValueError, match="^malformed plan JSON: extended range must contain the core$"
+        ):
+            plan_from_json(json.dumps(doc))
 
     def test_unknown_plane_rule_rejected(self):
         doc = json.loads(plan_to_json(build_plan(cube_cloud(), cfg())))

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from sliceseg import label_components
+from sliceseg import label_components, synthetic
 from sliceseg.cloud import Axis
 from sliceseg.synthetic import gen_synthetic
 
@@ -95,6 +95,20 @@ def test_unknown_kind_and_bad_extent():
         gen_synthetic("cube", {"extent": 0})
     with pytest.raises(ValueError):
         gen_synthetic("uniform-random", {"extent": 2, "count": 1000}, seed=1)
+
+
+def test_uniform_random_needs_a_size():
+    with pytest.raises(ValueError, match="^uniform-random needs 'count' or 'density'$"):
+        gen_synthetic("uniform-random", {"extent": 8})
+
+
+def test_memory_error_becomes_a_size_error(monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(synthetic, "_cube", exhausted)
+    with pytest.raises(ValueError, match="^cube of extent 8 does not fit in memory$"):
+        gen_synthetic("cube", {"extent": 8})
 
 
 def test_extent_and_density_bounds():
