@@ -51,9 +51,6 @@ class Side:
     def positive(self) -> bool:
         return self.sign > 0
 
-    def __str__(self) -> str:
-        return f"{'+' if self.positive else '-'}{self.axis.name}"
-
 
 # Fixed evaluation / tie-break order.
 SIDES: tuple[Side, ...] = (
@@ -197,11 +194,6 @@ class PointCloud:
         # per-column reductions: axis=0 over (N, 3) rows runs 10x slower
         columns = np.ascontiguousarray(self.coords.T)
         return columns.min(axis=1), columns.max(axis=1)
-
-    def extent(self, axis: Axis) -> int:
-        """Number of occupied coordinate positions spanned along axis."""
-        mins, maxs = self.bbox
-        return int(maxs[axis] - mins[axis]) + 1
 
     def coordinate_keys(self) -> np.ndarray:
         """int64 key per point, unique per voxel; usable for set operations."""

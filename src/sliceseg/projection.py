@@ -11,7 +11,6 @@ psi = (phi - sum of component areas) / phi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -176,27 +175,20 @@ def pixel_areas(labels: np.ndarray, pixels: np.ndarray, count: int) -> np.ndarra
 
 
 def component_areas(
-    cloud: PointCloud,
-    labeling: ComponentLabeling,
-    axis: Optional[Axis] = None,
+    cloud: PointCloud, labeling: ComponentLabeling
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-component (axis, area) arrays: distinct pixels on the fixed plane or each best one."""
-    axes = np.arange(3) if axis is None else np.array([axis])
-    stacked = pixel_areas(labeling.labels, pixel_keys(cloud)[axes], labeling.count)
+    """Per-component (axis, area) arrays: distinct pixels on each component's best plane."""
+    stacked = pixel_areas(labeling.labels, pixel_keys(cloud), labeling.count)
     best = np.argmax(stacked, axis=0)  # first max wins: ties go X < Y < Z
-    return axes[best], stacked[best, np.arange(labeling.count)]
+    return best, stacked[best, np.arange(labeling.count)]
 
 
-def compute_psi(cloud: PointCloud, axis: Optional[Axis] = None) -> ProjectionStats:
-    """Loss fraction of single-layer projection over the cloud's components.
-
-    By default each component projects on its own best plane; passing `axis`
-    forces every component onto that plane instead.
-    """
+def compute_psi(cloud: PointCloud) -> ProjectionStats:
+    """Loss fraction of single-layer projection, each component on its own best plane."""
     if len(cloud) == 0:
         raise ValueError("cannot compute projection loss of an empty cloud")
     labeling = label_components(cloud)
-    _, areas = component_areas(cloud, labeling, axis)
+    _, areas = component_areas(cloud, labeling)
     phi = len(cloud)
     return ProjectionStats(phi=phi, lost=phi - int(areas.sum()), component_count=labeling.count)
 

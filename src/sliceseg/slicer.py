@@ -25,11 +25,13 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-# extract_range and remove_range stay bound here: bench/layers.py wraps slicer's names
+# compute_psi, extract_range and remove_range stay bound here: bench/layers.py wraps slicer's names
 from .cloud import (  # noqa: F401
     Axis, AxisRange, PointCloud, Side, SIDES, axis_from_name, extract_range, remove_range
 )
-from .projection import component_roots, compute_psi, neighbor_pairs, pixel_areas, pixel_keys
+from .projection import (  # noqa: F401
+    component_roots, compute_psi, neighbor_pairs, pixel_areas, pixel_keys
+)
 
 PLANE_RULES = ("best-plane", "fixed-plane")
 
@@ -167,7 +169,7 @@ class _Slab(NamedTuple):
     # a pair lies in every prefix longer than its dst
     src: np.ndarray
     dst: np.ndarray
-    pixels: np.ndarray  # pixel keys of the members, on the requested planes
+    pixels: np.ndarray  # pixel keys of the members, on the planes the plane rule scores
 
 
 class _PlanState:
@@ -183,7 +185,6 @@ class _PlanState:
     """
 
     def __init__(self, cloud: PointCloud, config: SlicerConfig, original_size: int) -> None:
-        self.cloud = cloud
         self.config = config
         self.original_size = original_size
         self.min_points = math.ceil(config.min_points(original_size))  # the point floor
@@ -193,12 +194,12 @@ class _PlanState:
         self.pixels = pixel_keys(cloud)
         self.losses: _LossCache = {}
 
-    @property
-    def working(self) -> PointCloud:
-        """The working points as a cloud, in planned-cloud order."""
-        return self.cloud.subset(np.sort(self.order[0]))
+    def span(self, axis: Axis) -> tuple[int, int]:
+        """The first and last occupied coordinate of the working points along `axis`."""
+        order = self.order[axis]
+        return int(self.columns[axis, order[0]]), int(self.columns[axis, order[-1]])
 
-    def slab(self, side: Side, count: int, planes: list[int]) -> _Slab:
+    def slab(self, side: Side, count: int) -> _Slab:
         """The `count` working points nearest to `side`'s face, nearest first."""
         order = self.order[side.axis]
         members = order[::-1][:count] if side.positive else order[:count]
@@ -207,6 +208,7 @@ class _PlanState:
         a, b = position[self.src], position[self.dst]
         both = ((a >= 0) & (b >= 0)).nonzero()[0]
         a, b = a[both], b[both]
+        planes = [side.axis] if self.config.plane_rule == "fixed-plane" else [0, 1, 2]
         pixels = self.pixels[np.ix_(planes, members)]
         return _Slab(members, np.minimum(a, b), np.maximum(a, b), pixels)
 
@@ -216,6 +218,20 @@ class _PlanState:
         self.order = [order.compress(~gone.take(order)) for order in self.order]
         both = ~(gone[self.src] | gone[self.dst])
         self.src, self.dst = self.src[both], self.dst[both]
+
+
+def _prefix_lost(slab: _Slab, roots: dict[int, np.ndarray], count: int) -> int:
+    """Lost points of the slab's first `count` points, whose roots it adds to `roots`.
+
+    The union-find resumes from the longest shorter prefix in `roots`, which
+    maps prefix lengths to roots (the roots serve as labels).
+    """
+    start = max(m for m in roots if m < count)
+    joining = ((slab.dst >= start) & (slab.dst < count)).nonzero()[0]
+    parent = np.concatenate((roots[start], np.arange(start, count)))
+    roots[count] = component_roots(parent, slab.src[joining], slab.dst[joining])
+    areas = pixel_areas(roots[count], slab.pixels[:, :count], count)
+    return count - int(areas.max(axis=0).sum())
 
 
 def best_width(
@@ -261,35 +277,23 @@ def best_width(
         return None
     counts = counts.tolist()
 
-    planes = [axis] if config.plane_rule == "fixed-plane" else [0, 1, 2]
     lost: dict[int, int] = {}  # width -> lost points
     best = incumbent
     # Width w's slab is the first counts[w - 1] points of the w_max slab by
-    # depth from the face (taken from the state on the first cache miss); a
-    # pair joins the prefixes that hold its deeper point. Each prefix resumes
-    # the union-find from the longest shorter prefix labeled so far.
+    # depth from the face, taken from the state on the first cache miss.
     slab: Optional[_Slab] = None
     roots = {0: np.arange(0)}  # prefix length -> roots of its points
 
-    def prefix_lost(count: int) -> int:
-        nonlocal slab
-        if slab is None:
-            slab = state.slab(side, counts[-1], planes)
-        start = max(m for m in roots if m < count)
-        joining = ((slab.dst >= start) & (slab.dst < count)).nonzero()[0]
-        parent = np.concatenate((roots[start], np.arange(start, count)))
-        roots[count] = component_roots(parent, slab.src[joining], slab.dst[joining])
-        areas = pixel_areas(roots[count], slab.pixels[:, :count], count)  # roots are labels
-        return count - int(areas.max(axis=0).sum())
-
     def evaluate(width: int) -> None:
-        nonlocal best
+        nonlocal best, slab
         count = counts[width - 1]
         span = column[-count:] if side.positive else column[:count]  # the slab's coordinates
         key = (axis, int(span[0]), int(span[-1]))
         hit = state.losses.get(key)
         if hit is None or hit[0] != count:
-            hit = state.losses[key] = (count, prefix_lost(count))
+            if slab is None:
+                slab = state.slab(side, counts[-1])
+            hit = state.losses[key] = (count, _prefix_lost(slab, roots, count))
         lost[width] = hit[1]
         if _beats(lost[width], count, width, best):
             best = Candidate(side, width, count, lost[width])
@@ -327,8 +331,7 @@ def select_slice(state: _PlanState, index: int = 0) -> Optional[SliceSpec]:
             best = cand
     if best is None:
         return None
-    side, order = best.side, state.order[best.side.axis]
-    lo, hi = int(state.columns[side.axis, order[0]]), int(state.columns[side.axis, order[-1]])
+    side, (lo, hi) = best.side, state.span(best.side.axis)
     # the overlap band reaches `overlap` voxels further in, clipped to the span
     widened = min(best.width + state.config.overlap, hi - lo + 1)
     return SliceSpec(
@@ -341,18 +344,20 @@ def select_slice(state: _PlanState, index: int = 0) -> Optional[SliceSpec]:
     )
 
 
-def _terminal_spec(residue: PointCloud, config: SlicerConfig, index: int) -> SliceSpec:
-    mins, maxs = residue.bbox
-    axis = Axis(int(np.argmin(maxs - mins)))
-    core = AxisRange(axis, int(mins[axis]), int(maxs[axis]) + 1)
-    fixed_axis = axis if config.plane_rule == "fixed-plane" else None
+def _terminal_spec(state: _PlanState, index: int) -> SliceSpec:
+    """The working points as one slice across their narrowest axis, scored like a slab."""
+    spans = [state.span(axis) for axis in Axis]
+    axis = Axis(int(np.argmin([hi - lo for lo, hi in spans])))  # ties go X < Y < Z
+    core = AxisRange(axis, spans[axis][0], spans[axis][1] + 1)
+    count = len(state.order[0])
+    lost = _prefix_lost(state.slab(Side(axis, -1), count), {0: np.arange(0)}, count)
     return SliceSpec(
         index=index,
         side=Side(axis, -1),
         core=core,
         extended=core,
-        point_count=len(residue),
-        psi=compute_psi(residue, axis=fixed_axis).psi,
+        point_count=count,
+        psi=lost / count,
         terminal=True,
     )
 
@@ -370,7 +375,7 @@ def build_plan(cloud: PointCloud, config: SlicerConfig = SlicerConfig()) -> Slic
     while (size := len(state.order[0])) > 0:
         spec = select_slice(state, len(slices)) if size >= state.min_points else None
         if spec is None:  # the remainder is below threshold or no side has a slab
-            slices.append(_terminal_spec(state.working, config, len(slices)))
+            slices.append(_terminal_spec(state, len(slices)))
             break
         slices.append(spec)
         state.remove(spec.core)

@@ -78,8 +78,12 @@ def _cube(extent: int) -> PointCloud:
 def _sphere_shell(extent: int) -> PointCloud:
     radius = (extent - 1) / 2.0  # the center sits at (radius, radius, radius)
     r = (np.arange(extent) - radius) ** 2
-    dist = np.sqrt(r[:, None, None] + r[None, :, None] + r[None, None, :])
-    return PointCloud(np.argwhere(np.abs(dist - radius) <= 0.5))
+    step = max(1, (1 << 20) // extent**2)  # x-planes per block: temporaries of ~2^20 values
+    blocks = []
+    for x in range(0, extent, step):
+        dist = np.sqrt(r[x : x + step, None, None] + r[None, :, None] + r[None, None, :])
+        blocks.append(np.argwhere(np.abs(dist - radius) <= 0.5) + (x, 0, 0))
+    return PointCloud(np.concatenate(blocks))
 
 
 def _folded_sheet(extent: int, amplitude: int, period: int, seed: int) -> PointCloud:

@@ -4,8 +4,10 @@ The oracles here deliberately avoid the library's vectorized paths: pixel
 sets via Python sets, components via pairwise union-find, capture via a
 per-pixel depth dict. Tests freeze expectations against these. The width
 search oracle labels every eligible width on every side, which the
-library's pruned search must match exactly. The capture oracle projects
-one component at a time, which the library's one-pass capture must match.
+library's pruned search must match exactly; it scores a fixed-plane slab
+by its distinct (component, pixel) pairs on the plane facing the side.
+The capture oracle projects one component at a time, which the library's
+one-pass capture must match.
 The ASCII PLY oracles read and write one vertex line at a time, which the
 library's whole-body reader and writer must match byte for byte and error
 for error; the writer must also match the earlier `%d` row format applied
@@ -213,11 +215,22 @@ def random_cloud(rng: np.random.Generator, max_points: int = 400, extent_range=(
     return PointCloud(coords)
 
 
+def extent(cloud: PointCloud, axis: Axis) -> int:
+    """Number of occupied coordinate positions spanned along `axis`."""
+    mins, maxs = cloud.bbox
+    return int(maxs[axis] - mins[axis]) + 1
+
+
+def working_cloud(state) -> PointCloud:
+    """A plan state's working points as a cloud, in planned-cloud order."""
+    return PointCloud(state.columns[:, np.sort(state.order[0])].T)
+
+
 def slab(cloud: PointCloud, side: Side, width: int) -> tuple[AxisRange, PointCloud]:
     """Core range and points of the width-`width` slab inward from `side`'s face."""
     mins, maxs = cloud.bbox
     axis = side.axis
-    width = min(width, cloud.extent(axis))
+    width = min(width, extent(cloud, axis))
     if side.positive:
         core = AxisRange(axis, int(maxs[axis]) + 1 - width, int(maxs[axis]) + 1)
     else:
@@ -226,7 +239,16 @@ def slab(cloud: PointCloud, side: Side, width: int) -> tuple[AxisRange, PointClo
 
 
 def slab_lost(sub: PointCloud, side: Side, plane_rule: str) -> int:
-    return compute_psi(sub, axis=side.axis if plane_rule == "fixed-plane" else None).lost
+    """Lost points of a slab: each component on its best plane, or on the plane facing `side`.
+
+    A fixed-plane slab's components keep one point per distinct pixel they
+    cover on that plane, counted here as a set of (label, u, v) tuples.
+    """
+    if plane_rule == "best-plane":
+        return compute_psi(sub).lost
+    u, v = PLANE_COLS[side.axis]
+    labels = label_components(sub).labels.tolist()
+    return len(sub) - len({(k, p[u], p[v]) for k, p in zip(labels, sub.coords.tolist())})
 
 
 def candidate_psi(cloud: PointCloud, side: Side, width: int, plane_rule: str = "best-plane"):
@@ -246,7 +268,7 @@ def brute_candidates(cloud: PointCloud, side: Side, config, original_size: int):
     """Exhaustive width loop: one Candidate per eligible width, each labeled afresh."""
     floor = config.min_points(original_size)
     cands = []
-    for width in range(1, min(config.theta, cloud.extent(side.axis)) + 1):
+    for width in range(1, min(config.theta, extent(cloud, side.axis)) + 1):
         _, sub = slab(cloud, side, width)
         if len(sub) >= floor:
             lost = slab_lost(sub, side, config.plane_rule)
@@ -261,7 +283,7 @@ def brute_best_width(cloud: PointCloud, side: Side, config, original_size: int):
 
 def brute_select_slice(state, index: int = 0, **_):
     """Drop-in for `slicer.select_slice` that runs the exhaustive loop on every side."""
-    cloud, config = state.working, state.config
+    cloud, config = working_cloud(state), state.config
     cands = [brute_best_width(cloud, side, config, state.original_size) for side in SIDES]
     best = min((c for c in cands if c is not None), key=_rank, default=None)
     if best is None:

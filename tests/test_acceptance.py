@@ -42,7 +42,7 @@ from sliceseg.cloud import Axis, AxisRange, PointCloud, Side, extract_range, rem
 from sliceseg.codec import STREAM_HEADER_BYTES, offset_bits_for, record_header_bits
 from sliceseg.synthetic import gen_synthetic
 
-from conftest import brute_best_plane, brute_capture, make_cloud, point_set, read_bits
+from conftest import brute_best_plane, brute_capture, extent, make_cloud, point_set, read_bits
 
 
 def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -231,7 +231,7 @@ def test_c6_width_search_optimality():
                 chosen = compute_psi(extract_range(working, spec.core))
                 mins, maxs = working.bbox
                 axis = spec.side.axis
-                w_max = min(config.theta, working.extent(axis))
+                w_max = min(config.theta, extent(working, axis))
                 for w in range(1, w_max + 1):
                     if spec.side.positive:
                         r = AxisRange(axis, int(maxs[axis]) + 1 - w, int(maxs[axis]) + 1)

@@ -76,7 +76,9 @@ def test_axis_range_validation():
 
 def test_side_enumeration():
     assert len(SIDES) == 6
-    assert [str(s) for s in SIDES] == ["+X", "-X", "+Y", "-Y", "+Z", "-Z"]
+    assert [(s.axis, s.sign) for s in SIDES] == [
+        (Axis.X, +1), (Axis.X, -1), (Axis.Y, +1), (Axis.Y, -1), (Axis.Z, +1), (Axis.Z, -1)
+    ]
     with pytest.raises(ValueError):
         Side(Axis.X, 0)
 

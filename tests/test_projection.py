@@ -11,7 +11,9 @@ from sliceseg import (
     simulate_capture,
 )
 from sliceseg import projection
-from sliceseg.cloud import PLANE_COLS, Axis, AxisRange, PointCloud, extract_range, remove_range
+from sliceseg.cloud import (
+    PLANE_COLS, Axis, AxisRange, PointCloud, Side, extract_range, remove_range
+)
 from sliceseg.projection import component_areas, neighbor_pairs
 from sliceseg.synthetic import gen_synthetic
 
@@ -27,6 +29,7 @@ from conftest import (
     point_set,
     random_cloud,
     relabel_first_occurrence,
+    slab_lost,
 )
 
 
@@ -194,9 +197,10 @@ class TestComputePsi:
             compute_psi(make_cloud([]))
 
     def test_fixed_plane_variant(self):
+        """The fixed-plane loss oracle the planner's fixed-plane searches are checked against."""
         cloud = make_cloud([(0, 0, 0), (0, 0, 1)])
-        assert compute_psi(cloud, axis=Axis.Z).psi == 0.5
-        assert compute_psi(cloud, axis=Axis.X).psi == 0.0
+        assert slab_lost(cloud, Side(Axis.Z, -1), "fixed-plane") / len(cloud) == 0.5
+        assert slab_lost(cloud, Side(Axis.X, +1), "fixed-plane") / len(cloud) == 0.0
 
     def test_matches_bruteforce(self, rng):
         for _ in range(15):
@@ -224,13 +228,14 @@ class TestComputePsi:
             cloud = random_cloud(rng, max_points=200)
             labeling = label_components(cloud)
             axes, areas = component_areas(cloud, labeling)
-            fixed = {axis: component_areas(cloud, labeling, axis) for axis in Axis}
+            fixed = {axis: 0 for axis in Axis}  # pixels of every component on one plane
             for k in range(labeling.count):
                 points = cloud.subset(labeling.labels == k).coords.tolist()
                 assert (Axis(axes[k]), areas[k]) == brute_best_plane(points)
-                for axis, (fixed_axes, fixed_areas) in fixed.items():
-                    assert fixed_axes[k] == axis
-                    assert fixed_areas[k] == len(brute_pixels(points, axis))
+                for axis in Axis:
+                    fixed[axis] += len(brute_pixels(points, axis))
+            for axis, area in fixed.items():
+                assert slab_lost(cloud, Side(axis, -1), "fixed-plane") == len(cloud) - area
 
     @pytest.mark.parametrize("plane_rule", ["best-plane", "fixed-plane"])
     def test_pixel_areas_match_per_component_pixel_count(self, rng, plane_rule):

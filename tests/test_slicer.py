@@ -32,6 +32,7 @@ from conftest import (
     brute_candidates,
     candidate_psi,
     cube_cloud,
+    extent,
     make_cloud,
     mask_extract_slices,
     oracle_extract_slices,
@@ -40,6 +41,7 @@ from conftest import (
     random_cloud,
     slab,
     slab_lost,
+    working_cloud,
 )
 
 
@@ -179,7 +181,7 @@ def test_lost_points_non_decreasing_in_width(points, plane_rule):
     for side in SIDES:
         losses = [
             slab_lost(slab(cloud, side, w)[1], side, plane_rule)
-            for w in range(1, cloud.extent(side.axis) + 1)
+            for w in range(1, extent(cloud, side.axis) + 1)
         ]
         assert losses == sorted(losses)
 
@@ -199,7 +201,7 @@ def test_prefix_losses_match_slabs_labeled_afresh(rng, plane_rule):
     clouds.append(gen_synthetic("plane", {"extent": 9}))
     for cloud in clouds:
         for side in SIDES:
-            for theta in range(1, cloud.extent(side.axis) + 1):
+            for theta in range(1, extent(cloud, side.axis) + 1):
                 config = cfg(theta=theta, threshold="0", plane_rule=plane_rule)
                 state = _PlanState(cloud, config, len(cloud))
                 best_width(state, side)
@@ -291,19 +293,34 @@ _PLAN_SUITE = {
 
 @pytest.mark.parametrize("name", _PLAN_SUITE)
 def test_plan_suite_labels_no_more_prefixes(monkeypatch, name):
-    """A width search that labels more prefixes than these bounds has lost a pruning rule."""
+    """A width search that labels more prefixes than these bounds has lost a pruning rule.
+
+    The terminal residue, if any, is labeled once more, as one prefix of all its points.
+    """
     kind, params, seed, bound = _PLAN_SUITE[name]
     cloud = gen_synthetic(kind, params, seed=seed)
     rule = "fixed-plane" if name.endswith("fixed") else "best-plane"
     config = SlicerConfig(theta=64, threshold_frac="0.05", overlap=2, plane_rule=rule)
     labeled = _labeled_prefixes(monkeypatch)
-    build_plan(cloud, config)
+    terminal, by_terminal = slicer._terminal_spec, []
+
+    def counted(state, index):
+        before = len(labeled)
+        spec = terminal(state, index)
+        by_terminal.extend(labeled[before:])
+        del labeled[before:]
+        return spec
+
+    monkeypatch.setattr(slicer, "_terminal_spec", counted)
+    plan = build_plan(cloud, config)
+    last = plan.slices[-1]
+    assert by_terminal == ([last.point_count] if last.terminal else [])
     assert len(labeled) <= bound
 
 
 @pytest.mark.parametrize("name", _PLAN_SUITE)
 def test_plan_builds_no_cloud_per_round(monkeypatch, name):
-    """Rounds select from the plan state's depth orders; only the terminal residue is a cloud."""
+    """Rounds and the terminal residue read the plan state's depth orders: no cloud is built."""
     kind, params, seed, _ = _PLAN_SUITE[name]
     cloud = gen_synthetic(kind, params, seed=seed)
     rule = "fixed-plane" if name.endswith("fixed") else "best-plane"
@@ -315,8 +332,33 @@ def test_plan_builds_no_cloud_per_round(monkeypatch, name):
         return subset(self, mask)
 
     monkeypatch.setattr(PointCloud, "subset", counted)
-    plan = build_plan(cloud, config)
-    assert len(calls) == plan.slices[-1].terminal  # at most one per plan
+    build_plan(cloud, config)
+    assert calls == []
+
+
+@pytest.mark.parametrize("plane_rule", ["best-plane", "fixed-plane"])
+def test_terminal_psi_is_the_oracle_loss_on_the_residue(rng, plane_rule):
+    """A terminal slice's psi is the oracle's loss on the points no earlier core took.
+
+    The oracle scores each component of the residue on its best plane or,
+    under fixed-plane, on the plane facing the terminal's side.
+    """
+    inputs = [case for name, case in _PLAN_SUITE.items() if not name.endswith("fixed")]
+    clouds = [gen_synthetic(kind, params, seed=seed) for kind, params, seed, _ in inputs]
+    clouds += [random_cloud(rng, max_points=300, extent_range=(4, 14)) for _ in range(8)]
+    terminals = lossy = 0
+    for cloud in clouds:
+        for theta, threshold in ((64, "0.05"), (4, "0.3")):
+            plan = build_plan(cloud, cfg(theta, threshold, overlap=2, plane_rule=plane_rule))
+            *cores, last = plan.slices
+            residue = cloud
+            for spec in cores:
+                residue = remove_range(residue, spec.core)
+            if last.terminal:
+                terminals, lossy = terminals + 1, lossy + (last.psi > 0)
+                assert last.point_count == len(residue)
+                assert last.psi == slab_lost(residue, last.side, plane_rule) / len(residue)
+    assert terminals >= 10 and lossy >= 4
 
 
 def _plan_checking_rounds(monkeypatch, cloud, config, check):
@@ -355,16 +397,16 @@ def test_plan_state_slabs_match_slabs_built_afresh(monkeypatch, rng):
     def check(state):
         nonlocal rounds
         rounds += 1
-        working = state.working
+        working = working_cloud(state)
         assert np.array_equal(working.coords, expected.coords)
         for axis, order in enumerate(state.order):
             assert np.array_equal(np.sort(order), np.sort(state.order[0]))
             assert (np.diff(cloud.coords[order, axis]) >= 0).all()
         for side in SIDES:
-            extent = working.extent(side.axis)
-            for width in sorted({1, (extent + 1) // 2, extent}):
+            span = extent(working, side.axis)
+            for width in sorted({1, (span + 1) // 2, span}):
                 _, sub = slab(working, side, width)
-                got = state.slab(side, len(sub), [0, 1, 2])
+                got = state.slab(side, len(sub))
                 coords = cloud.coords[got.members].tolist()
                 assert len(coords) == len(sub) and set(map(tuple, coords)) == point_set(sub)
                 depth = cloud.coords[got.members, side.axis] * -side.sign
@@ -391,7 +433,7 @@ def test_shared_state_best_width_matches_direct_call(monkeypatch, rng, plane_rul
 
         def check(state):
             for side in SIDES:
-                fresh = _PlanState(state.working, config, state.original_size)
+                fresh = _PlanState(working_cloud(state), config, state.original_size)
                 assert best_width(state, side) == best_width(fresh, side)
 
         expect = plan_to_json(build_plan(cloud, config))
@@ -400,7 +442,10 @@ def test_shared_state_best_width_matches_direct_call(monkeypatch, rng, plane_rul
 
 # SHA-256 of plan_to_json on inputs too large for the exhaustive oracle:
 # the benchmark's plan-suite inputs at seed 1 and a 12,576-point shell,
-# recorded from the planner that built a neighbor grid for every slab.
+# recorded from the planner that built a neighbor grid for every slab; and
+# at frame scale, a 50,768-point shell under both plane rules and 20,000
+# random points, each ending in a terminal residue, recorded from the
+# planner that scored that residue as a cloud of its own.
 PINNED_PLAN_SHA256 = {
     "folded-sheet-32": (
         "folded-sheet", {"extent": 32, "amplitude": 8, "period": 16}, 7, "best-plane",
@@ -421,6 +466,18 @@ PINNED_PLAN_SHA256 = {
     "sphere-shell-64": (
         "sphere-shell", {"extent": 64}, 0, "best-plane",
         "11918ee925d13024011672e669555774bef8cbaf96ad432a7fc8c8deb92ded0d",
+    ),
+    "sphere-shell-128": (
+        "sphere-shell", {"extent": 128}, 0, "best-plane",
+        "ec7a9d1edc90e8f8c690c7f3e10ae67bc8cb2beca229697b755ca5414eb00320",
+    ),
+    "sphere-shell-128-fixed": (
+        "sphere-shell", {"extent": 128}, 0, "fixed-plane",
+        "4204a6fa1e3634f46571b199d910e13d75ac95b0e04fc7d1e115af94230636de",
+    ),
+    "uniform-random-48-20k": (
+        "uniform-random", {"extent": 48, "count": 20_000}, 1, "best-plane",
+        "7cd8d40df054d52eacf8f58de75bc86129cceb6cdf7e6fda82a39efe80890dc4",
     ),
 }
 
@@ -458,7 +515,7 @@ def test_pruned_plans_match_exhaustive_oracle(monkeypatch, kind, plane_rule):
 class TestSelectSlice:
     def test_cube_tie_break_side_order(self):
         spec = select_slice(_PlanState(cube_cloud(), cfg(), 8))
-        assert str(spec.side) == "+X"
+        assert spec.side == Side(Axis.X, +1)
         assert spec.core.width == 1
         assert spec.psi == 0.0
 
@@ -494,7 +551,7 @@ class TestBuildPlan:
         assert all(s.psi == 0.0 for s in plan.slices)
         assert sum(s.point_count for s in plan.slices) == 8
         first = plan.slices[0]
-        assert str(first.side) == "+X" and first.core.width == 1
+        assert first.side == Side(Axis.X, +1) and first.core.width == 1
 
     def test_empty_cloud_errors(self):
         with pytest.raises(ValueError):
@@ -556,7 +613,7 @@ class TestBuildPlan:
                 if not spec.terminal:
                     chosen = extract_range(working, spec.core)
                     chosen_stats = compute_psi(chosen)
-                    w_max = min(config.theta, working.extent(spec.side.axis))
+                    w_max = min(config.theta, extent(working, spec.side.axis))
                     for w in range(1, w_max + 1):
                         mins, maxs = working.bbox
                         if spec.side.positive:

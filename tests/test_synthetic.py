@@ -29,7 +29,7 @@ def test_sphere_shell_is_hollow():
     assert dist.min() > 2.0  # no interior fill
 
 
-@pytest.mark.parametrize("extent", [*range(1, 13), 20, 33, 64, 100])
+@pytest.mark.parametrize("extent", [*range(1, 13), 20, 33, 64, 100, 128])
 def test_sphere_shell_matches_meshgrid_oracle(extent):
     """Plan pins and benchmark inputs rest on these exact coordinates, in this order."""
     cloud = gen_synthetic("sphere-shell", {"extent": extent})
