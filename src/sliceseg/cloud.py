@@ -92,12 +92,16 @@ KEY_FIELD_BITS = MAX_BIT_DEPTH + 1
 
 
 def voxel_keys(a, b, c) -> np.ndarray:
-    """int64 key `a << 34 | b << 17 | c` of non-negative int64 columns (or scalars).
+    """int64 key `a << 34 | b << 17 | c` of non-negative integer columns (or scalars).
 
     `b` and `c` must fit 17 bits; `a` may use the remaining 29. Keys are
-    equal exactly when all three columns are, and order by (a, b, c).
+    equal exactly when all three columns are, and order by (a, b, c). One
+    int64 array is built and shifted in place: `c` must fit the shape of `a | b`.
     """
-    return (a << (2 * KEY_FIELD_BITS)) | (b << KEY_FIELD_BITS) | c
+    keys = np.bitwise_or(np.left_shift(a, KEY_FIELD_BITS, dtype=np.int64), b, dtype=np.int64)
+    keys <<= KEY_FIELD_BITS
+    keys |= c
+    return keys
 
 
 # Sets of keys go through np.sort: np.unique, np.union1d and stable or
@@ -133,7 +137,9 @@ class PointCloud:
         colors=None,
         bit_depth: Optional[int] = None,
     ) -> None:
-        arr = np.asarray(coords, dtype=np.int64)
+        # int32 rows are checked and keyed as they are, without an int64 copy
+        int32 = isinstance(coords, np.ndarray) and coords.dtype == np.int32
+        arr = coords if int32 else np.asarray(coords, dtype=np.int64)
         if arr.size == 0:
             arr = arr.reshape(0, 3)
         if arr.ndim != 2 or arr.shape[1] != 3:
@@ -153,6 +159,8 @@ class PointCloud:
                 raise ValueError("colors must be (N, 3) matching coords")
 
         arr, col, merged = _dedup_first(arr, col)
+        if int32 and not merged:  # the cloud owns its rows, however the caller holds them
+            arr = arr.copy()
 
         max_coord = int(arr.max()) if arr.size else 0
         if bit_depth is None:  # the smallest of 10..16 bits covering the coordinates
@@ -197,16 +205,12 @@ class PointCloud:
 
     def coordinate_keys(self) -> np.ndarray:
         """int64 key per point, unique per voxel; usable for set operations."""
-        c = self.coords.astype(np.int64)
-        return voxel_keys(c[:, 0], c[:, 1], c[:, 2])
-
-    def sorted_coords(self) -> np.ndarray:
-        """Coordinates in lexicographic (x, y, z) order, for comparisons."""
-        # keys order by (x, y, z) and are unique per voxel, so any sort will do
-        return self.coords[np.argsort(self.coordinate_keys())]
+        return voxel_keys(*self.coords.T)
 
     def same_points(self, other: "PointCloud") -> bool:
-        return bool(np.array_equal(self.sorted_coords(), other.sorted_coords()))
+        # keys are one-to-one with voxels: equal sorted keys are equal point sets
+        ours, theirs = np.sort(self.coordinate_keys()), np.sort(other.coordinate_keys())
+        return bool(np.array_equal(ours, theirs))
 
     def subset(self, mask: np.ndarray) -> "PointCloud":
         """The points a boolean mask, an index array or a slice selects, in that order."""
@@ -217,20 +221,20 @@ class PointCloud:
         return f"PointCloud({len(self)} points, B={self.bit_depth})"
 
 
+def first_occurrences(keys: np.ndarray):
+    """Ascending index of each distinct key's first occurrence; all as a slice if none repeats."""
+    starts = run_starts(np.sort(keys))  # a sort alone tells: 3x faster than an argsort
+    if starts.all():
+        return slice(None)
+    # the argsort is not stable, so each run's first occurrence is its least index
+    return np.sort(np.minimum.reduceat(np.argsort(keys), np.flatnonzero(starts)))
+
+
 def _dedup_first(coords: np.ndarray, colors):
     """Drop duplicate coordinates keeping first occurrence; return merge count."""
-    n = coords.shape[0]
-    if n == 0:
-        return coords, colors, 0
-    keys = voxel_keys(coords[:, 0], coords[:, 1], coords[:, 2])
-    order = np.argsort(keys)
-    starts = run_starts(keys[order])
-    if starts.all():
-        return coords, colors, 0
-    # the sort is not stable, so each run's first occurrence is its least index
-    first_idx = np.sort(np.minimum.reduceat(order, np.flatnonzero(starts)))
-    kept_colors = colors[first_idx] if colors is not None else None
-    return coords[first_idx], kept_colors, n - first_idx.shape[0]
+    first = first_occurrences(voxel_keys(*coords.T))
+    kept = coords[first]
+    return kept, None if colors is None else colors[first], coords.shape[0] - kept.shape[0]
 
 
 def extract_range(cloud: PointCloud, axis_range: AxisRange) -> PointCloud:

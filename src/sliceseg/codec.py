@@ -121,7 +121,7 @@ class DecodedRecord:
 
     def coords(self) -> np.ndarray:
         """(N, 3) global coordinates in stored order."""
-        out = np.empty((self.point_count, 3), dtype=np.int64)
+        out = np.empty((self.point_count, 3), dtype=np.int32)
         u_col, v_col = PLANE_COLS[self.axis]
         out[:, self.axis] = self.base + self.offsets
         out[:, u_col] = self.us
@@ -141,7 +141,7 @@ class DecodedStream:
     @property
     def cloud(self) -> PointCloud:
         if not self.records:
-            return PointCloud(np.empty((0, 3), dtype=np.int64), bit_depth=self.bit_depth)
+            return PointCloud(np.empty((0, 3), dtype=np.int32), bit_depth=self.bit_depth)
         coords = np.concatenate([r.coords() for r in self.records], axis=0)
         colors = None
         if self.records[0].color_flag:  # decode admits one flag for all records

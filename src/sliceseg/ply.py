@@ -46,13 +46,17 @@ _COORD_NAMES = ("x", "y", "z")
 _COLOR_NAMES = ("red", "green", "blue")
 # str.split() also splits on the separators \x1c-\x1f, which bytes.split() keeps
 _ASCII_WS = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
+# The ASCII reader takes the body about this many bytes at a time, and the
+# writer this many rows: their temporaries follow the chunk, not the cloud.
+_CHUNK_BYTES = 1 << 18
+_BLOCK_ROWS = 1 << 14
 
 
 def read_ply(data: bytes) -> PointCloud:
     """Parse PLY bytes into a deduplicated PointCloud.
 
     Bit depth is chosen automatically: the smallest of 10..16 bits covering
-    the input.
+    the input. Structure errors outrank value errors, which rank by kind, then vertex.
     """
     header_lines, body_start, line_count = _split_header(data)
     fmt, count, props = _parse_header(header_lines)
@@ -64,42 +68,48 @@ def read_ply(data: bytes) -> PointCloud:
     has_color = all(c in names for c in _COLOR_NAMES)
 
     if fmt == "ascii":
-        raw = _read_ascii_body(data[body_start:], count, props, line_count)
+        capacity = min(count, data.count(b"\n", body_start) + 1)  # a vertex a line at most
+        tables = _read_ascii_body(data, body_start, count, props, line_count)
     else:
-        raw = _read_binary_body(data[body_start:], count, props, body_start)
+        capacity, tables = count, [_read_binary_body(data, body_start, count, props)]
+    kept = _COORD_NAMES + (_COLOR_NAMES if has_color else ())
+    rows = np.empty((capacity, len(kept)), dtype=np.int32)
+    faults: dict[int, str] = {}  # the first fault of each kind of value error, by rank
+    done = 0
+    for columns in tables:  # structure errors raise here, before any value error
+        block = slice(done, done + len(columns["x"]))
+        done = block.stop
+        for rank, (message, bad) in enumerate(_value_checks(columns, props, has_color, fmt)):
+            if bad.any():
+                faults.setdefault(rank, message.format(block.start + int(np.argmax(bad))))
+        # cast only values in range (1e30 would wrap); the cast floors non-negative ones
+        for k, name in enumerate(() if faults else kept):
+            rows[block, k] = columns[name]
+    if faults:
+        raise PlyParseError(faults[min(faults)])
+    return PointCloud(rows[:, :3], rows[:, 3:] if has_color else None)
 
-    coords = np.stack([raw[c] for c in _COORD_NAMES], axis=1)
-    if not np.isfinite(coords).all():
-        raise PlyParseError("non-finite coordinate in vertex body")
-    coords = np.floor(coords)  # cast only once in range: 1e30 would wrap
 
-    if coords.size and coords.min() < 0:
-        bad = int(np.argwhere((coords < 0).any(axis=1))[0][0])
-        raise PlyParseError(f"negative coordinate at vertex {bad}")
-    if coords.size and coords.max() >= (1 << MAX_BIT_DEPTH):
-        bad = int(np.argwhere((coords >= (1 << MAX_BIT_DEPTH)).any(axis=1))[0][0])
-        raise PlyParseError(
-            f"coordinate at vertex {bad} exceeds {MAX_BIT_DEPTH}-bit grid"
-        )
-    coords = coords.astype(np.int64)
+def _value_checks(columns, props, has_color: bool, fmt: str):
+    """(message, bad rows) of each kind of value error in rank order; {} takes the vertex.
 
-    colors = None
+    Coordinates are checked before they are floored: floor(v) < 0 exactly
+    when v < 0, and floor(v) >= 2**16 exactly when v >= 2**16.
+    """
+    xyz = [columns[name] for name in _COORD_NAMES]
+    anywhere = np.logical_or.reduce  # the rows where any of the masks is set
+    yield "non-finite coordinate in vertex body", anywhere([~np.isfinite(v) for v in xyz])
+    yield "negative coordinate at vertex {}", anywhere([v < 0 for v in xyz])
+    off_grid = f"coordinate at vertex {{}} exceeds {MAX_BIT_DEPTH}-bit grid"
+    yield off_grid, anywhere([v >= (1 << MAX_BIT_DEPTH) for v in xyz])
     if has_color:
-        colors = np.stack([raw[c] for c in _COLOR_NAMES], axis=1)
-        bad = ~((colors >= 0) & (colors <= 255)).all(axis=1)
-        if bad.any():
-            raise PlyParseError(f"color outside 0..255 at vertex {int(np.argmax(bad))}")
-        colors = colors.astype(np.uint8)
+        rgb = [columns[name] for name in _COLOR_NAMES]
+        yield "color outside 0..255 at vertex {}", anywhere([~((v >= 0) & (v <= 255)) for v in rgb])
     for name, dtype in props if fmt == "ascii" else ():  # binary values fit their type
         if np.dtype(dtype).kind in "iu":
-            info, values = np.iinfo(dtype), raw[name]
-            bad = ~((values >= info.min) & (values <= info.max) & (values == np.floor(values)))
-            if bad.any():
-                raise PlyParseError(
-                    f"{name} at vertex {int(np.argmax(bad))} is not an integer "
-                    f"in {info.min}..{info.max}"
-                )
-    return PointCloud(coords, colors)
+            info, values = np.iinfo(dtype), columns[name]
+            fits = (values >= info.min) & (values <= info.max) & (values == np.floor(values))
+            yield f"{name} at vertex {{}} is not an integer in {info.min}..{info.max}", ~fits
 
 
 def write_ply(cloud: PointCloud, fmt: str = "ascii") -> bytes:
@@ -107,10 +117,10 @@ def write_ply(cloud: PointCloud, fmt: str = "ascii") -> bytes:
     if fmt not in ("ascii", "binary"):
         raise ValueError(f"format must be 'ascii' or 'binary', got {fmt!r}")
     # the vertex properties, (name, PLY type), and their values, one column each
-    props, table = [(name, "float") for name in _COORD_NAMES], cloud.coords
+    props, tables = [(name, "float") for name in _COORD_NAMES], [cloud.coords]
     if cloud.colors is not None:
         props += [(name, "uchar") for name in _COLOR_NAMES]
-        table = np.hstack([cloud.coords, cloud.colors])
+        tables.append(cloud.colors)
     lines = [
         "ply",
         f"format {'ascii' if fmt == 'ascii' else 'binary_little_endian'} 1.0",
@@ -120,25 +130,26 @@ def write_ply(cloud: PointCloud, fmt: str = "ascii") -> bytes:
     ]
     header = ("\n".join(lines) + "\n").encode("ascii")
     if fmt == "ascii":
-        return header + _ascii_body(table)
+        return b"".join([header, *_ascii_body(tables)])
     rec = np.empty(len(cloud), dtype=[(name, _SCALAR_DTYPES[ptype]) for name, ptype in props])
-    for k, (name, _) in enumerate(props):
-        rec[name] = table[:, k]
+    for (name, _), column in zip(props, np.hstack(tables).T):
+        rec[name] = column
     return header + rec.tobytes()
 
 
-def _ascii_body(table: np.ndarray) -> bytes:
-    """Decimal text of a table of non-negative integers: one line per row, spaces between.
+def _ascii_body(tables: list[np.ndarray]):
+    """Decimal text of side-by-side tables of non-negative integers: one line per row.
 
     Each value 0..max gets a cell in a lookup table, 4 bytes wide when max
     is below 1,000 and 8 otherwise: its digits right-aligned behind NUL
-    padding, then a space. The body is the cells gathered at the values,
-    the last cell of each row ending in a newline instead, with the NULs
-    dropped. Values must be below 10**7, so that a cell fits.
+    padding, then a space. Each block of `_BLOCK_ROWS` rows is the cells
+    gathered at its values, the last cell of each row ending in a newline
+    instead, with the NULs dropped. Values must be below 10**7, so that a
+    cell fits.
     """
-    if not table.size:
-        return b""
-    top = int(table.max())
+    if not tables[0].size:
+        return
+    top = max(int(table.max()) for table in tables)
     width = 4 if top < 1000 else 8
     values = np.arange(top + 1)
     cells = np.zeros((top + 1, width), dtype=np.uint8)
@@ -147,11 +158,13 @@ def _ascii_body(table: np.ndarray) -> bytes:
         power = 10**place
         first = power if place else 0  # values below 10**place have no such digit, but 0 has a 0
         cells[first:, width - 2 - place] = values[first:] // power % 10 + ord("0")
-    text = cells.view(f"u{width}").ravel()[table.ravel()].view(np.uint8)
-    text = text.reshape(table.shape[0], -1)
-    text[:, -1] = ord("\n")
-    text = text.ravel()
-    return text.compress(text != 0).tobytes()
+    cells = cells.view(f"u{width}").ravel()
+    for first in range(0, tables[0].shape[0], _BLOCK_ROWS):
+        rows = np.hstack([table[first : first + _BLOCK_ROWS] for table in tables])
+        text = cells[rows].view(np.uint8)
+        text[:, -1] = ord("\n")
+        text = text.ravel()
+        yield text.compress(text != 0)
 
 
 def _split_header(data: bytes):
@@ -235,51 +248,65 @@ def _parse_header(lines: list[str]):
     return fmt, count, props
 
 
-def _read_ascii_body(body: bytes, count: int, props, header_lines: int):
-    """Vertex values of an ASCII body, one line per vertex; blank lines skipped.
+def _read_ascii_body(data: bytes, start: int, count: int, props, header_lines: int):
+    """Vertex values of the ASCII body data[start:], one line per vertex; blank lines skipped.
 
-    Whitespace and line breaks are those of str.split() and str.split("\\n") on
-    the ASCII-decoded text; values are whatever float() accepts. Tokens are
-    found with byte comparisons. When every vertex token is a string of at
-    most 18 ASCII digits (as write_ply writes them), the values are built
-    digit by digit in int64, which is exact, and cast to float64, which
-    rounds as float() does; any other body goes through float() per token.
+    Yields one float64 column per property, a chunk of lines at a time: a
+    chunk is the whole lines in the next `_CHUNK_BYTES`, or the next line if
+    it is longer. Structure errors raise when their chunk is read; line
+    numbers count from the file's start. Whitespace and line breaks are those of str.split() and
+    str.split("\\n") on the ASCII-decoded text; values are whatever float()
+    accepts. Tokens are found with byte comparisons. When every vertex
+    token of a chunk is a string of at most 18 ASCII digits (as write_ply
+    writes them), the values are built digit by digit in int64, which is
+    exact, and cast to float64, which rounds as float() does; any other
+    chunk goes through float() per token.
     """
-    body = body.translate(_ASCII_WS)
-    raw = np.frombuffer(body, dtype=np.uint8)
-    ws = ((raw - np.uint8(9)) < 5) | (raw == ord(" "))  # \t \n \v \f \r and space
-    edges = np.flatnonzero(np.diff(ws, prepend=True, append=True))
-    starts, ends = edges[0::2], edges[1::2]  # each token is raw[start:end]
-    newlines = np.flatnonzero(raw == ord("\n"))
-    per_line = np.diff(np.searchsorted(starts, newlines), prepend=0, append=len(starts))
-    filled = np.flatnonzero(per_line)  # body line index of each non-blank line
-    lineno = filled + header_lines + 1  # and its line number in the file
-    widths = per_line[filled[:count]]  # values on each vertex line
-    wrong = np.flatnonzero(widths != len(props))
-    good = int(wrong[0]) if wrong.size else len(widths)
-    parsed = good * len(props)  # the tokens of the vertex lines before any bad width
-    values = _digit_values(raw, ws, starts[:parsed], ends[:parsed])
-    if values is None:
-        tokens = body.split()
-        del tokens[parsed:]
-        try:
-            values = np.fromiter(map(float, tokens), dtype=np.float64, count=parsed)
-        except ValueError:
-            bad = next(i for i, t in enumerate(tokens) if not _is_float(t)) // len(props)
-            raise PlyParseError(f"non-numeric vertex value (line {lineno[bad]})") from None
-    if wrong.size:
+    # vertices, lines and the last vertex line's number so far
+    done, lines, last = 0, header_lines, header_lines
+    while start < len(data):
+        end = start + _CHUNK_BYTES
+        if end < len(data):  # end the chunk at a line break
+            end = data.rfind(b"\n", start, end) + 1 or data.find(b"\n", end) + 1 or len(data)
+        chunk = data[start:end].translate(_ASCII_WS)
+        start = end
+        raw = np.frombuffer(chunk, dtype=np.uint8)
+        ws = ((raw - np.uint8(9)) < 5) | (raw == ord(" "))  # \t \n \v \f \r and space
+        edges = np.flatnonzero(np.diff(ws, prepend=True, append=True))
+        starts, ends = edges[0::2], edges[1::2]  # each token is raw[start:end]
+        newlines = np.flatnonzero(raw == ord("\n"))
+        per_line = np.diff(np.searchsorted(starts, newlines), prepend=0, append=len(starts))
+        filled = np.flatnonzero(per_line)  # chunk line index of each non-blank line
+        lineno = filled + lines + 1  # and its line number in the file
+        lines += len(newlines)
+        widths = per_line[filled[: count - done]]  # values on each vertex line
+        wrong = np.flatnonzero(widths != len(props))
+        good = int(wrong[0]) if wrong.size else len(widths)
+        parsed = good * len(props)  # the tokens of the vertex lines before any bad width
+        values = _digit_values(raw, ws, starts[:parsed], ends[:parsed])
+        if values is None:
+            tokens = chunk.split()
+            del tokens[parsed:]
+            try:
+                values = np.fromiter(map(float, tokens), dtype=np.float64, count=parsed)
+            except ValueError:
+                bad = next(i for i, t in enumerate(tokens) if not _is_float(t)) // len(props)
+                raise PlyParseError(f"non-numeric vertex value (line {lineno[bad]})") from None
+        if wrong.size:
+            raise PlyParseError(
+                f"expected {len(props)} values, got {widths[good]} (line {lineno[good]})"
+            )
+        if len(filled) > len(widths):
+            after = lineno[len(widths) - 1] + 1 if len(widths) else last + 1
+            raise PlyParseError(f"trailing data after {count} vertices (line {after})")
+        if len(widths):
+            done, last = done + len(widths), lineno[-1]
+            table = values.reshape(-1, len(props))
+            yield {name: table[:, i] for i, (name, _) in enumerate(props)}
+    if done < count:
         raise PlyParseError(
-            f"expected {len(props)} values, got {widths[good]} (line {lineno[good]})"
+            f"truncated body: header declares {count} vertices, found {done}"
         )
-    if len(widths) < count:
-        raise PlyParseError(
-            f"truncated body: header declares {count} vertices, found {len(widths)}"
-        )
-    if len(filled) > count:
-        after = lineno[count - 1] + 1 if count else header_lines + 1
-        raise PlyParseError(f"trailing data after {count} vertices (line {after})")
-    table = values.reshape(count, len(props))
-    return {name: table[:, i] for i, (name, _) in enumerate(props)}
 
 
 def _digit_values(raw: np.ndarray, ws: np.ndarray, starts: np.ndarray, ends: np.ndarray):
@@ -307,18 +334,20 @@ def _is_float(token: bytes) -> bool:
     return True
 
 
-def _read_binary_body(body: bytes, count: int, props, body_start: int):
+def _read_binary_body(data: bytes, start: int, count: int, props):
+    """Vertex columns of the binary body data[start:], views into `data`."""
     dtype = np.dtype([(name, dt) for name, dt in props])
     expected = dtype.itemsize * count
-    if len(body) < expected:
+    found = len(data) - start
+    if found < expected:
         raise PlyParseError(
             f"truncated body: need {expected} bytes for {count} vertices, "
-            f"found {len(body)} (byte {body_start + len(body)})"
+            f"found {found} (byte {len(data)})"
         )
-    if len(body) > expected:
+    if found > expected:
         raise PlyParseError(
-            f"trailing data: {len(body) - expected} bytes after vertex body "
-            f"(byte {body_start + expected})"
+            f"trailing data: {found - expected} bytes after vertex body "
+            f"(byte {start + expected})"
         )
-    rec = np.frombuffer(body, dtype=dtype, count=count)
+    rec = np.frombuffer(data, dtype=dtype, count=count, offset=start)
     return {name: rec[name] for name, _ in props}

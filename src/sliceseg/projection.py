@@ -38,6 +38,8 @@ _HALF_OFFSETS = np.array(
 # The same offsets as voxel key differences: adding one to a key moves the
 # voxel by (dx, dy, dz) while every field stays in 0..2^17-1.
 _HALF_KEY_STEPS = _HALF_OFFSETS @ (voxel_keys(1, 0, 0), voxel_keys(0, 1, 0), 1)
+# label * _LABEL_KEY is voxel_keys(label, 0, 0) in one pass, for the planner's hot loop
+_LABEL_KEY = voxel_keys(1, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -108,15 +110,15 @@ def neighbor_pairs(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
             dst_list.append(hits.ravel()[found])
         return np.concatenate(src_list), np.concatenate(dst_list).astype(np.intp)
 
-    c = coords.astype(np.int64) + 1  # neighbor fields stay in 0..2^16+1: no borrow or carry
-    keys = voxel_keys(c[:, 0], c[:, 1], c[:, 2])
+    keys = cloud.coordinate_keys()
+    keys += voxel_keys(1, 1, 1)  # each field moves up one: neighbor fields stay in 0..2^16+1
     order = np.argsort(keys)  # keys are unique: no order among equals to keep
-    sorted_keys = keys[order]
+    keys = keys[order]  # sorted, and the unsorted keys are freed
     src_list, dst_list = [], []
     for step in _HALF_KEY_STEPS.tolist():
-        nb_keys = sorted_keys + step  # sorted queries keep searchsorted cache-friendly
-        pos = np.minimum(np.searchsorted(sorted_keys, nb_keys), n - 1)
-        hit = np.flatnonzero(sorted_keys[pos] == nb_keys)
+        nb_keys = keys + step  # sorted queries keep searchsorted cache-friendly
+        pos = np.minimum(np.searchsorted(keys, nb_keys), n - 1)
+        hit = np.flatnonzero(keys[pos] == nb_keys)
         src_list.append(order[hit])
         dst_list.append(order[pos[hit]])
     return np.concatenate(src_list), np.concatenate(dst_list)
@@ -154,7 +156,7 @@ def best_plane(cloud: PointCloud) -> tuple[Axis, int]:
 def pixel_keys(cloud: PointCloud) -> np.ndarray:
     """(3, n) int64 table: row `axis` holds each point's pixel key on the plane dropping it."""
     c = cloud.coords.T
-    return voxel_keys(0, c[PLANE_COLS[:, 0]].astype(np.int64), c[PLANE_COLS[:, 1]])
+    return voxel_keys(0, c[PLANE_COLS[:, 0]], c[PLANE_COLS[:, 1]])
 
 
 def pixel_areas(labels: np.ndarray, pixels: np.ndarray, count: int) -> np.ndarray:
@@ -164,11 +166,11 @@ def pixel_areas(labels: np.ndarray, pixels: np.ndarray, count: int) -> np.ndarra
     has gets area 0.
     """
     planes = pixels.shape[0]
-    keys = voxel_keys(labels.astype(np.int64), 0, 0) | pixels
+    keys = labels * _LABEL_KEY | pixels
     # one key set for all planes: row p's labels move up by p * count. The
     # steps work in place: each further (planes, n) temporary above glibc's
     # mmap threshold costs a large cloud fresh page faults on every call
-    keys += voxel_keys(np.arange(planes)[:, None] * count, 0, 0)
+    keys += np.arange(planes)[:, None] * (count * _LABEL_KEY)
     found = distinct(keys.ravel())
     found >>= 2 * KEY_FIELD_BITS
     return np.bincount(found, minlength=planes * count).reshape(planes, count)
@@ -208,7 +210,7 @@ def simulate_capture(
 
     axis = component_areas(cloud, labeling)[0][labeling.labels]  # its component's best plane
     rows = np.arange(len(cloud))
-    pix = voxel_keys(labeling.labels.astype(np.int64), 0, 0) | pixel_keys(cloud)[axis, rows]
+    pix = labeling.labels * _LABEL_KEY | pixel_keys(cloud)[axis, rows]
     # voxels are unique, so points sharing a pixel always differ in depth;
     # nearest/farthest per pixel need no tie-breaking
     depth = cloud.coords[rows, axis]

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .cloud import MAX_BIT_DEPTH, PointCloud, _dedup_first
+from .cloud import KEY_FIELD_BITS, MAX_BIT_DEPTH, PointCloud, first_occurrences, voxel_keys
 
 KINDS = ("plane", "cube", "sphere-shell", "folded-sheet", "uniform-random")
 
@@ -141,16 +141,20 @@ def _uniform_random(extent: int, count: int, seed: int) -> PointCloud:
     if count > extent**3:  # before oversampling count * 2 rows
         raise ValueError(f"cannot place {count} unique points in a {extent}^3 volume")
     rng = np.random.default_rng(seed)
-    # Oversample, then dedup to the requested count; coordinates stay unique.
-    coords = rng.integers(0, extent, size=(count * 2 + 16, 3), dtype=np.int64)
-    unique = _dedup_first(coords, None)[0]
+
+    def draw(rows: int) -> np.ndarray:  # the voxel keys of `rows` random points
+        return voxel_keys(*rng.integers(0, extent, size=(rows, 3), dtype=np.int64).T)
+
+    # Oversample, then keep each key's first occurrence; coordinates stay unique.
+    keys = draw(count * 2 + 16)
+    keys = keys[first_occurrences(keys)]
     attempts = 0
-    while unique.shape[0] < count and attempts < 32:
-        extra = rng.integers(0, extent, size=(count, 3), dtype=np.int64)
-        unique = _dedup_first(np.concatenate([unique, extra], axis=0), None)[0]
+    while keys.shape[0] < count and attempts < 32:
+        keys = np.concatenate([keys, draw(count)])
+        keys = keys[first_occurrences(keys)]
         attempts += 1
-    if unique.shape[0] < count:
-        raise ValueError(
-            f"cannot place {count} unique points in a {extent}^3 volume"
-        )
-    return PointCloud(unique[:count])
+    if keys.shape[0] < count:
+        raise ValueError(f"cannot place {count} unique points in a {extent}^3 volume")
+    fields = keys[:count, None] >> np.array([2 * KEY_FIELD_BITS, KEY_FIELD_BITS, 0])
+    fields &= (1 << KEY_FIELD_BITS) - 1  # the (x, y, z) of each key
+    return PointCloud(fields)

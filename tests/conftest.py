@@ -9,9 +9,10 @@ by its distinct (component, pixel) pairs on the plane facing the side.
 The capture oracle projects one component at a time, which the library's
 one-pass capture must match.
 The ASCII PLY oracles read and write one vertex line at a time, which the
-library's whole-body reader and writer must match byte for byte and error
-for error; the writer must also match the earlier `%d` row format applied
-to the whole body at once. The SWSG oracle reads a stream one field at a
+library's chunked reader and block-wise writer must match byte for byte and
+error for error, at their own chunk and block sizes and at tiny ones; the
+writer must also match the earlier `%d` row format applied to the whole
+body at once. The SWSG oracle reads a stream one field at a
 time with a sequential bit reader, which the library's table-driven
 decoder must match record for record and error for error on every
 canonical stream. The
@@ -30,6 +31,7 @@ streams, so that the draws reach past the magic checks.
 from __future__ import annotations
 
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -711,3 +713,22 @@ def swsg_like_bytes(draw) -> bytes:
     elif fault == 7:
         data += draw(st.binary(min_size=1, max_size=4))
     return data
+
+
+def traced_peak(fn, *args):
+    """fn(*args), and the most bytes it held allocated at once, as tracemalloc counts them.
+
+    tracemalloc sees numpy's buffers, so the figure is the same on every run,
+    where a process's peak RSS is not.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()

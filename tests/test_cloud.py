@@ -181,6 +181,8 @@ def test_dedup_first_matches_np_unique_oracle(seed, count, extent, with_colors):
 
 
 def test_sorted_coords_is_lexicographic(rng):
+    """Keys order by (x, y, z): sorting points by key sorts their coordinates."""
     cloud = random_cloud(rng, max_points=300)
     c = cloud.coords
-    assert np.array_equal(cloud.sorted_coords(), c[np.lexsort((c[:, 2], c[:, 1], c[:, 0]))])
+    by_key = c[np.argsort(cloud.coordinate_keys())]
+    assert np.array_equal(by_key, c[np.lexsort((c[:, 2], c[:, 1], c[:, 0]))])

@@ -1,0 +1,75 @@
+"""Allocation budgets of the frame path's whole-cloud steps.
+
+Each step runs once on bulk-codec's frame, 200,000 uniform-random points at
+extent 256, and may hold at most its budget in bytes per point at once, as
+`traced_peak` counts them. Before the ASCII body was read and written in
+chunks and the int64/float64 copies of the cloud went, the same steps held
+198 (ASCII read), 61 (binary read), 120 (ASCII write), 145 (generator),
+90 (sparse labeling), 78 (decoded cloud) and 52 (same_points) bytes per
+point, so each budget fails on that code.
+"""
+
+import numpy as np
+import pytest
+
+from sliceseg import codec, projection
+from sliceseg.cloud import Axis
+from sliceseg.ply import read_ply, write_ply
+from sliceseg.synthetic import gen_synthetic
+
+from conftest import slab_plan, traced_peak
+
+POINTS = 200_000
+FRAME = ("uniform-random", {"extent": 256, "count": POINTS}, 1)
+
+
+@pytest.fixture(scope="module")
+def frame():
+    return gen_synthetic(*FRAME)
+
+
+def per_point(peak: int) -> float:
+    return peak / POINTS
+
+
+def test_generator_budget():
+    cloud, peak = traced_peak(gen_synthetic, *FRAME)
+    assert len(cloud) == POINTS
+    assert per_point(peak) <= 96
+
+
+@pytest.mark.parametrize("fmt, budget", [("ascii", 60), ("binary", 45)])
+def test_read_budget(frame, fmt, budget):
+    data = write_ply(frame, fmt)
+    cloud, peak = traced_peak(read_ply, data)
+    assert np.array_equal(cloud.coords, frame.coords)
+    assert per_point(peak) <= budget
+
+
+def test_ascii_write_budget(frame):
+    data, peak = traced_peak(write_ply, frame, "ascii")
+    assert len(data) > 10 * POINTS  # the body is about 10.7 bytes a point
+    assert per_point(peak) <= 32
+
+
+def test_sparse_labeling_budget(frame):
+    mins, maxs = frame.bbox
+    cells = int(np.prod(maxs.astype(np.int64) - mins + 3))
+    assert cells > projection._GRID_CELL_LIMIT  # too large a box for the grid: sorted keys
+    labeling, peak = traced_peak(projection.label_components, frame)
+    assert labeling.labels.shape == (POINTS,)
+    assert per_point(peak) <= 72
+
+
+def test_decoded_cloud_budget(frame):
+    decoded = codec.decode(codec.encode(frame, slab_plan(frame, Axis.Z, 16, 2)))
+    cloud, peak = traced_peak(lambda: decoded.cloud)
+    assert cloud.same_points(frame)
+    assert per_point(peak) <= 60
+
+
+def test_same_points_budget(frame):
+    copy = read_ply(write_ply(frame, "binary"))
+    same, peak = traced_peak(frame.same_points, copy)
+    assert same
+    assert per_point(peak) <= 32

@@ -1,12 +1,13 @@
 import itertools
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliceseg import PlyParseError, PointCloud, read_ply, write_ply
+from sliceseg import PlyParseError, PointCloud, ply, read_ply, write_ply
 from sliceseg.ply import _read_ascii_body
 from sliceseg.synthetic import gen_synthetic
 
@@ -341,6 +342,12 @@ def token_soups(draw):
     return body, count, [(f"p{i}", "<f4") for i in range(width)], draw(st.integers(1, 12))
 
 
+def read_ascii_body(body, count, props, header_lines):
+    """The reader's chunks of a bare body, joined into one float64 column per property."""
+    chunks = list(_read_ascii_body(body, 0, count, props, header_lines))
+    return {name: np.concatenate([np.zeros(0)] + [c[name] for c in chunks]) for name, _ in props}
+
+
 def _outcome(read, body, count, props, header_lines):
     try:
         table = read(body, count, props, header_lines)
@@ -353,7 +360,7 @@ def _outcome(read, body, count, props, header_lines):
 @settings(max_examples=600, deadline=None)
 def test_ascii_body_matches_line_by_line_oracle(soup):
     """Same arrays, or the same exception type and message, as the per-line reader."""
-    assert _outcome(_read_ascii_body, *soup) == _outcome(oracle_read_ascii_body, *soup)
+    assert _outcome(read_ascii_body, *soup) == _outcome(oracle_read_ascii_body, *soup)
 
 
 @pytest.mark.parametrize("token", DIGIT_STRINGS + [b"1:0", b"/1", b"12a", b"0" * 18 + b"1"])
@@ -361,9 +368,76 @@ def test_ascii_token_next_to_digits_matches_oracle(token):
     """Each token in a valid three-row body: the values of float() or its error, bit for bit."""
     body = b"1 2 3\n4 %s 6\n%s 00 9\n" % (token, token)
     props = [(name, "<f4") for name in "xyz"]
-    outcome = _outcome(_read_ascii_body, body, 3, props, 5)
+    outcome = _outcome(read_ascii_body, body, 3, props, 5)
     assert outcome == _outcome(oracle_read_ascii_body, body, 3, props, 5)
     assert isinstance(outcome, dict) == token.isdigit()
+
+
+# a few bytes a chunk: every chunk is one line, or the part of a line past a boundary
+TINY_CHUNK = 3
+
+
+@given(token_soups())
+@settings(max_examples=600, deadline=None)
+def test_ascii_body_in_tiny_chunks_matches_line_by_line_oracle(soup):
+    with mock.patch.object(ply, "_CHUNK_BYTES", TINY_CHUNK):
+        assert _outcome(read_ascii_body, *soup) == _outcome(oracle_read_ascii_body, *soup)
+
+
+@pytest.mark.parametrize("token", DIGIT_STRINGS + [b"1:0", b"/1", b"12a", b"0" * 18 + b"1"])
+def test_ascii_token_next_to_digits_in_tiny_chunks_matches_oracle(monkeypatch, token):
+    monkeypatch.setattr(ply, "_CHUNK_BYTES", TINY_CHUNK)
+    test_ascii_token_next_to_digits_matches_oracle(token)
+
+
+def read_outcome(data: bytes):
+    try:
+        cloud = read_ply(data)
+    except PlyParseError as err:
+        return str(err)
+    colors = None if cloud.colors is None else cloud.colors.tobytes()
+    return cloud.coords.tobytes(), colors, cloud.duplicates_merged
+
+
+# At 8 bytes a chunk, each short line below is a chunk of its own; an x/y/z
+# header takes lines 1-7. A structure fault in any chunk outranks a value
+# fault in any other, value faults rank by kind before vertex, and lines and
+# vertices count from the file's start.
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (ascii_ply([(-1, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)], count=3),
+         "trailing data after 3 vertices (line 11)"),
+        (ascii_ply([(-1, 0, 0), (1, 1, 1)], count=3),
+         "truncated body: header declares 3 vertices, found 2"),
+        (ascii_ply([(1, 1, 1), (2, 2), (3, "x", 3)]), "expected 3 values, got 2 (line 9)"),
+        (ascii_ply([(1, 1, 1), (2, "x", 2), (3, 3)]), "non-numeric vertex value (line 9)"),
+        (ascii_ply([(70000, 0, 0), (1, 1, 1), (2, -2, 2)]), "negative coordinate at vertex 2"),
+        (ascii_ply([(0, 0, 0, 0, 0, 300), ("nan", 0, 0, 0, 0, 0)], props=COLOR_PROPS),
+         "non-finite coordinate in vertex body"),
+        (ascii_ply([(0.5, 0, 0, 0), (1, 1, 1, 1), (2, 2, 2)], props=("x", "y", "z", "w"),
+                   types=["int", "float", "float", "float"]),
+         "expected 4 values, got 3 (line 11)"),
+        (HEADER.encode() + b"element vertex 3\n" + XYZ.encode() + b"end_header\n"
+         b"1 2 3\r\n\r\n\n4 5 6\r\n \r\n7 8\r\n", "expected 3 values, got 2 (line 13)"),
+    ],
+    ids=["range-then-trailing", "range-then-truncated", "width-then-token", "token-then-width",
+         "grid-then-negative", "color-then-nan", "integer-then-width", "crlf-blank-lines"],
+)
+def test_faults_in_different_chunks_keep_their_rank(monkeypatch, data, message):
+    assert read_outcome(data) == message
+    monkeypatch.setattr(ply, "_CHUNK_BYTES", 8)
+    assert read_outcome(data) == message
+
+
+def test_crlf_and_blank_lines_on_chunk_boundaries(monkeypatch):
+    data = (HEADER.encode() + b"element vertex 3\n" + XYZ.encode() + b"end_header\n"
+            b"1 2 3\r\n\r\n\n4 5 6\r\n \r\n7 8 9\r\n\r\n")
+    whole = read_outcome(data)
+    assert whole[0] == np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9]], dtype=np.int32).tobytes()
+    for chunk in (1, 2, 5, 6, 7, 8):
+        monkeypatch.setattr(ply, "_CHUNK_BYTES", chunk)
+        assert read_outcome(data) == whole
 
 
 @pytest.mark.parametrize("colored", [False, True])
@@ -459,3 +533,22 @@ def test_any_bytes_read_to_a_cloud_or_a_parse_error(data):
     assert caught == []
     if cloud is not None:
         assert read_ply(write_ply(cloud)).same_points(cloud)
+
+
+@pytest.mark.parametrize("colored", [False, True])
+def test_ascii_write_one_row_per_block_matches_per_vertex_oracle(monkeypatch, colored):
+    monkeypatch.setattr(ply, "_BLOCK_ROWS", 1)
+    test_ascii_write_matches_per_vertex_oracle(colored, 300)
+
+
+@given(ply_like_bytes())
+@settings(max_examples=400, deadline=None)
+def test_any_bytes_read_alike_in_tiny_chunks(data):
+    """The same cloud or the same error whatever the chunk size, and no warning on the way."""
+    whole = read_outcome(data)
+    with warnings.catch_warnings(record=True) as caught, mock.patch.object(
+        ply, "_CHUNK_BYTES", TINY_CHUNK
+    ):
+        warnings.simplefilter("always")
+        assert read_outcome(data) == whole
+    assert caught == []

@@ -51,6 +51,8 @@ def test_folded_sheet_determinism():
         (48, 1000, 1, "79c9ee77c441edb9a80b072dd8ddf8f687beef9646770d22fdb7483049f2212b"),
         # 1016 draws over 512 cells leave fewer than 500 unique: runs the retry loop
         (8, 500, 3, "345c1eeee7a7c81898df5180f7fe6d31c137e3c06745db31dd0a240a73c0cf05"),
+        # the benchmark's 200,000-point frame
+        (256, 200_000, 1, "58d40c276dc9e1008c5797884256072c87f3328400971ac2df4d02dbc7ae688f"),
     ],
 )
 def test_uniform_random_points_pinned(extent, count, seed, digest):
