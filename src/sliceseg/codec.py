@@ -11,9 +11,10 @@ record per slice. A record is a header of `_header_widths` bit fields, then
 per point the `_payload_widths` fields, points sorted by (offset, u, v);
 bit fields are packed MSB-first and each record is zero-padded to a byte.
 Those two tables are the whole record layout: the writer and the parser
-read them, and `stream_budget` sizes the records `encode` builds
-(`build_stream`) by the same header and per-point rule the parser uses to
-find a record's length.
+read them, and `stream_budget` sizes records by the parser's rule. Fields
+travel as words, never one bit at a time: the header is one Python int, a
+point's (offset, u, v) one uint64 word of at most 48 bits and its color a
+second, moved in and out through eight strided 64-bit views (`_phases`).
 
 The 7-bit width field holds the extended width when it fits (1..127);
 value 0 marks a wide record (terminal residues can span the whole grid)
@@ -29,12 +30,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
-from .cloud import MAX_BIT_DEPTH, MIN_BIT_DEPTH, PLANE_COLS, Axis, PointCloud, voxel_keys
+from .cloud import MAX_BIT_DEPTH, MIN_BIT_DEPTH, PLANE_COLS, Axis, PointCloud
 from .slicer import SlicePlan, SliceSpec, extract_slices
 
 MAGIC = b"SWSG"
@@ -72,31 +72,41 @@ def _header_widths(bit_depth: int) -> tuple[int, ...]:
     return (2, 1, 1, bit_depth, 7, 4, 32, 1)
 
 
-def _payload_widths(d: int, bit_depth: int, color: bool) -> tuple[int, ...]:
-    """Per-point fields: offset, u, v, then r, g, b with color."""
-    return (d, bit_depth, bit_depth) + ((8, 8, 8) if color else ())
+def _payload_widths(d: int, bit_depth: int, color: bool) -> tuple[tuple[int, ...], ...]:
+    """Per-point fields, one word per group: (offset, u, v), then (r, g, b) with color."""
+    return ((d, bit_depth, bit_depth),) + (((8, 8, 8),) if color else ())
 
 
 def record_header_bits(bit_depth: int) -> int:
     return sum(_header_widths(bit_depth))
 
 
-def _field_bits(values: np.ndarray | int, width: int) -> np.ndarray:
-    """(..., width) uint8 bit array of fixed-width values, MSB first."""
-    big_endian = np.asarray(values).astype(">u4")[..., None].view(np.uint8)  # every field fits 32 bits
-    return np.unpackbits(big_endian, axis=-1)[..., 32 - width :]
+def _join(word, fields, widths):
+    """`word` with each fixed-width field appended below it in turn; arrays change in place."""
+    for field, width in zip(fields, widths):
+        word <<= width
+        word |= field
+    return word
 
 
-def _split_fields(bits: np.ndarray, widths: tuple[int, ...]) -> list[np.ndarray]:
-    """Values of consecutive fixed-width fields along the last axis; inverse of _field_bits."""
-    values = []
-    for width, end in zip(widths, accumulate(widths)):
-        field = np.zeros(bits.shape[:-1], dtype=np.int64)
-        for column in range(end - width, end):  # most significant bit first
-            field <<= 1
-            field |= bits[..., column]
-        values.append(field)
-    return values
+def _split(word, widths) -> list:
+    """The fields of a word `_join` built from `widths`, first to last."""
+    fields = []
+    for width in reversed(widths[1:]):
+        fields.append(word & ((1 << width) - 1))
+        word = word >> width
+    return [word] + fields[::-1]
+
+
+def _phases(buffer, first_bit: int, point_bits: int, count: int):
+    """(view, shift, points) per phase j < 8 of `count` points `point_bits` >= 17 bits apart:
+    points j, j + 8, ... lie `point_bits` bytes apart, so a phase is one strided big-endian
+    64-bit view of disjoint windows, each point `shift` bits into its window. `buffer` must
+    run 8 bytes past the last point's first byte."""
+    for j in range(min(count, 8)):
+        bit = first_bit + j * point_bits
+        view = np.ndarray((len(range(j, count, 8)),), ">u8", buffer, bit >> 3, (point_bits,))
+        yield view, bit & 7, slice(j, None, 8)
 
 
 @dataclass(frozen=True)
@@ -158,34 +168,40 @@ def _record(spec: SliceSpec, slice_cloud: PointCloud, bit_depth: int) -> Decoded
             f"slice {spec.index}: range [{spec.extended.lo}, {spec.extended.hi}) "
             f"exceeds the {bit_depth}-bit grid"
         )
-    c = slice_cloud.coords.astype(np.int64)
+    c = slice_cloud.coords
     column = c[:, spec.side.axis]
     if not spec.extended.holds(column).all():
         raise EncodeError(f"slice {spec.index}: point outside its extended range")
-    offsets = column - base
     if len(slice_cloud) > 0xFFFFFFFF:
         raise EncodeError("slice point count exceeds 32 bits")
     u_col, v_col = PLANE_COLS[spec.side.axis]
-    # voxels are unique, so within a slice the (offset, u, v) keys are too
-    order = np.argsort(voxel_keys(offsets, c[:, u_col], c[:, v_col]))
-    color = slice_cloud.colors is not None
+    widths = _payload_widths(offset_bits_for(width), bit_depth, False)[0]
+    # voxels are unique, so within a slice the (offset, u, v) words are too
+    word = _join(np.subtract(column, base, dtype=np.int64), (c[:, u_col], c[:, v_col]), widths[1:])
+    colors = slice_cloud.colors
+    if colors is None:
+        word.sort()
+    else:
+        order = np.argsort(word)
+        word, colors = word[order], colors[order]
+    offsets, us, vs = (field.astype(np.int32) for field in _split(word, widths))
     return DecodedRecord(
         axis=spec.side.axis,
         sign=spec.side.sign,
         terminal=spec.terminal,
         base=base,
         width_field=width if width <= _MAX_NARROW_WIDTH else 0,
-        d=offset_bits_for(width),
-        color_flag=color,
-        offsets=offsets[order],
-        us=c[order, u_col],
-        vs=c[order, v_col],
-        colors=slice_cloud.colors[order] if color else None,
+        d=widths[0],
+        color_flag=colors is not None,
+        offsets=offsets,
+        us=us,
+        vs=vs,
+        colors=colors,
     )
 
 
 def _serialize_record(bit_depth: int, record: DecodedRecord) -> bytes:
-    header = (
+    fields = (
         int(record.axis),
         record.sign > 0,
         record.terminal,
@@ -195,18 +211,24 @@ def _serialize_record(bit_depth: int, record: DecodedRecord) -> bytes:
         record.point_count,
         record.color_flag,
     )
-    columns = [record.offsets, record.us, record.vs]
-    if record.color_flag:
-        columns += [record.colors[:, channel] for channel in range(3)]
-    header_fields = [
-        _field_bits(value, width) for value, width in zip(header, _header_widths(bit_depth))
-    ]
-    payload_widths = _payload_widths(record.d, bit_depth, record.color_flag)
-    payload = np.concatenate(
-        [_field_bits(column, width) for column, width in zip(columns, payload_widths)], axis=1
-    ).ravel()
-    # packbits zero-pads the final partial byte, which is the record padding
-    return np.packbits(np.concatenate(header_fields + [payload])).tobytes()
+    # numpy integers here would not shift uint64 words or convert to bytes
+    bit_depth, d, count = int(bit_depth), int(record.d), record.point_count
+    header_bits = record_header_bits(bit_depth)
+    payload_widths = _payload_widths(d, bit_depth, record.color_flag)
+    point_bits = sum(map(sum, payload_widths))
+    size = (header_bits + count * point_bits + 7) // 8
+    buffer = bytearray(size + 8)  # the last point's 64-bit window may run 7 bytes past the record
+    header = _join(0, map(int, fields), _header_widths(bit_depth))
+    buffer[:8] = (header << 64 - header_bits).to_bytes(8, "big")
+    groups = ((record.offsets, record.us, record.vs), record.colors.T if record.color_flag else ())
+    first_bit = header_bits
+    for columns, widths in zip(groups, payload_widths):
+        word = _join(np.zeros(count, np.int64), columns, widths).view(np.uint64)
+        bits = sum(widths)
+        for view, shift, points in _phases(buffer, first_bit, point_bits, count):
+            view |= word[points] << (64 - bits - shift)
+        first_bit += bits
+    return bytes(buffer[:size])
 
 
 def build_stream(
@@ -243,12 +265,13 @@ def decode(data: bytes) -> DecodedStream:
         raise DecodeError("invalid header", "theta 0 out of range")
 
     position = STREAM_HEADER_BYTES
+    padded = bytes(data) + bytes(8)  # each record's last 64-bit window may run 7 bytes past it
     records = []
-    zero_padded = []
+    faults = []
     for index in range(slice_count):
-        record, position, clean = _parse_record(data, position, index, bit_depth)
+        record, position, fault = _parse_record(data, padded, position, index, bit_depth)
         records.append(record)
-        zero_padded.append(clean)
+        faults.append(fault)
     if position != len(data):
         raise DecodeError(
             "trailing bytes",
@@ -256,15 +279,11 @@ def decode(data: bytes) -> DecodedStream:
         )
     # canonical form is checked once the stream parses, so a malformed
     # stream reports its structural error first
-    for index, (record, clean) in enumerate(zip(records, zero_padded)):
+    for index, (record, fault) in enumerate(zip(records, faults)):
         if record.color_flag != records[0].color_flag:
             raise DecodeError("noncanonical", "color flag differs from record 0", index)
-        if not clean:
-            raise DecodeError("noncanonical", "nonzero padding bits", index)
-        if (np.diff(voxel_keys(record.offsets, record.us, record.vs)) <= 0).any():
-            raise DecodeError(
-                "noncanonical", "points not in strictly increasing (offset, u, v) order", index
-            )
+        if fault:
+            raise DecodeError("noncanonical", fault, index)
         if record.terminal and index < len(records) - 1:
             raise DecodeError("noncanonical", "terminal flag on a record before the last", index)
         if not record.width_field and record.d < offset_bits_for(_MAX_NARROW_WIDTH + 1):
@@ -275,10 +294,10 @@ def decode(data: bytes) -> DecodedStream:
 
 
 def _parse_record(
-    data: bytes, start: int, index: int, bit_depth: int
-) -> tuple[DecodedRecord, int, bool]:
-    """The record at byte `start`, the next record's start, and whether its padding is zero."""
-    header_widths = _header_widths(bit_depth)
+    data: bytes, padded: bytes, start: int, index: int, bit_depth: int
+) -> tuple[DecodedRecord, int, Optional[str]]:
+    """The record at byte `start`, the next record's start, and how it is not canonical
+    in itself, if it is not. `padded` is `data` followed by 8 zero bytes."""
     header_bits = record_header_bits(bit_depth)
     head = data[start : start + (header_bits + 7) // 8]
     # a stream reader meets the 2-bit axis code before the end of the header
@@ -286,11 +305,8 @@ def _parse_record(
         raise DecodeError("invalid record", "axis code out of range", index)
     if len(head) * 8 < header_bits:
         raise DecodeError("truncated", "stream ends mid-record", index)
-    axis_code, sign, terminal, base, width_field, d_minus_1, count, color_flag = (
-        int(value)
-        for value in _split_fields(
-            np.unpackbits(np.frombuffer(head, dtype=np.uint8))[:header_bits], header_widths
-        )
+    axis_code, sign, terminal, base, width_field, d_minus_1, count, color_flag = _split(
+        int.from_bytes(head, "big") >> (-header_bits % 8), _header_widths(bit_depth)
     )
     d = d_minus_1 + 1
 
@@ -307,8 +323,8 @@ def _parse_record(
             )
 
     payload_widths = _payload_widths(d, bit_depth, bool(color_flag))
-    per_point = sum(payload_widths)
-    record_bits = header_bits + count * per_point
+    point_bits = sum(map(sum, payload_widths))
+    record_bits = header_bits + count * point_bits
     record_bytes = (record_bits + 7) // 8
     if start + record_bytes > len(data):
         raise DecodeError(
@@ -317,25 +333,25 @@ def _parse_record(
             index,
         )
 
-    bits = np.unpackbits(
-        np.frombuffer(data, dtype=np.uint8, count=record_bytes, offset=start)
-    )
-    offsets, us, vs, *channels = _split_fields(
-        bits[header_bits:record_bits].reshape(count, per_point), payload_widths
-    )
+    first_bit = start * 8 + header_bits
+    words = []
+    for bits in map(sum, payload_widths):
+        word = np.empty(count, dtype=np.uint64)
+        for view, shift, points in _phases(padded, first_bit, point_bits, count):
+            word[points] = (view << shift) >> (64 - bits)
+        words.append(word)
+        first_bit += bits
+    fields = [f for word, widths in zip(words, payload_widths) for f in _split(word, widths)]
+    offsets, us, vs = (field.astype(np.int32) for field in fields[:3])
+    colors = np.stack(fields[3:], axis=1).astype(np.uint8) if color_flag else None
 
-    if width_field and offsets.size and int(offsets.max()) >= width_field:
-        raise DecodeError(
-            "offset out of range",
-            f"offset {int(offsets.max())} >= slice width {width_field}",
-            index,
-        )
-    if offsets.size and base + int(offsets.max()) >= (1 << bit_depth):
-        raise DecodeError(
-            "offset out of range",
-            f"offset {int(offsets.max())} pushes coordinate past the grid",
-            index,
-        )
+    top = int(offsets.max()) if count else 0  # base < 2^B, so no check fails without points
+    if width_field and top >= width_field:
+        message = f"offset {top} >= slice width {width_field}"
+        raise DecodeError("offset out of range", message, index)
+    if base + top >= (1 << bit_depth):
+        message = f"offset {top} pushes coordinate past the grid"
+        raise DecodeError("offset out of range", message, index)
 
     record = DecodedRecord(
         axis=Axis(axis_code),
@@ -348,9 +364,14 @@ def _parse_record(
         offsets=offsets,
         us=us,
         vs=vs,
-        colors=np.stack(channels, axis=1).astype(np.uint8) if color_flag else None,
+        colors=colors,
     )
-    return record, start + record_bytes, not bits[record_bits:].any()
+    fault = None
+    if data[start + record_bytes - 1] & ((1 << (-record_bits % 8)) - 1):
+        fault = "nonzero padding bits"
+    elif (words[0][1:] <= words[0][:-1]).any():  # a word orders points as (offset, u, v) do
+        fault = "points not in strictly increasing (offset, u, v) order"
+    return record, start + record_bytes, fault
 
 
 def reencode(stream: DecodedStream) -> bytes:
@@ -388,7 +409,7 @@ def stream_budget(stream: DecodedStream, original_size: int) -> BitBudget:
     return BitBudget(
         header_bits=len(stream.records) * record_header_bits(bit_depth),
         payload_bits=sum(
-            r.point_count * sum(_payload_widths(r.d, bit_depth, r.color_flag))
+            r.point_count * sum(map(sum, _payload_widths(r.d, bit_depth, r.color_flag)))
             for r in stream.records
         ),
         naive_bits=3 * bit_depth * original_size,

@@ -24,9 +24,11 @@ from sliceseg.codec import (
     STREAM_HEADER_BYTES,
     DecodedRecord,
     DecodedStream,
-    _field_bits,
+    _header_widths,
+    _join,
+    _phases,
     _record,
-    _split_fields,
+    _split,
     offset_bits_for,
     record_header_bits,
 )
@@ -88,36 +90,209 @@ def shift_and_mask_bits(values, width):
     return ((np.asarray(values, dtype=np.uint64)[..., None] >> shifts) & 1).astype(np.uint8)
 
 
+def oracle_packed(first_bit, columns, widths) -> bytes:
+    """`first_bit` zero bits, then each row's fields MSB first, zero-padded to a byte."""
+    rows = np.concatenate([shift_and_mask_bits(c, w) for c, w in zip(columns, widths)], axis=-1)
+    return np.packbits(np.concatenate([np.zeros(first_bit, np.uint8), rows.ravel()])).tobytes()
+
+
+def packed_words(first_bit, columns, widths) -> bytes:
+    """The same bytes from `_join`'s words ORed through `_phases`' views, as records are written."""
+    count, bits = len(columns[0]), sum(widths)
+    buffer = bytearray((first_bit + count * bits + 7) // 8 + 8)
+    word = _join(np.zeros(count, np.int64), columns, widths).view(np.uint64)
+    for view, shift, points in _phases(buffer, first_bit, bits, count):
+        view |= word[points] << (64 - bits - shift)
+    return bytes(buffer[:-8])
+
+
+def unpacked_words(data, first_bit, widths, count) -> list:
+    """The fields `packed_words` wrote, read back through `_phases`' views as records are read."""
+    bits = sum(widths)
+    word = np.empty(count, dtype=np.uint64)
+    for view, shift, points in _phases(data + bytes(8), first_bit, bits, count):
+        word[points] = (view << shift) >> (64 - bits)
+    return _split(word, widths)
+
+
 class TestFieldBits:
+    """Fields to words (`_join`, `_split`) and words to bits (`_phases`), against shift and mask."""
+
     @pytest.mark.parametrize("width", range(1, 33))
     def test_round_trip_and_shift_and_mask_oracle(self, width):
         values = np.array([0, 1, (1 << width) - 1], dtype=np.int64)
         rng = np.random.default_rng(width)
         values = np.concatenate([values, rng.integers(0, 1 << width, size=50)])
-        bits = _field_bits(values, width)
-        assert bits.dtype == np.uint8 and bits.shape == (len(values), width)
-        assert np.array_equal(bits, shift_and_mask_bits(values, width))
-        (back,) = _split_fields(bits, (width,))
-        assert np.array_equal(back, values)
+        # a 16-bit field after each value keeps a point at least 17 bits, as in a record
+        columns, widths = (values, rng.integers(0, 1 << 16, size=len(values))), (width, 16)
+        for first_bit in range(8):
+            data = packed_words(first_bit, columns, widths)
+            assert data == oracle_packed(first_bit, columns, widths)
+            back = unpacked_words(data, first_bit, widths, len(values))
+            assert all(np.array_equal(b, c) for b, c in zip(back, columns))
 
     def test_split_fields_reads_shift_and_mask_rows_and_headers(self):
-        """Fields packed side by side, as records and as a header row, read back exactly."""
+        """Fields joined side by side, as rows of words and as a header int, read back exactly."""
         widths = tuple(range(1, 33)) + (5, 1, 16)
         rng = np.random.default_rng(0)
         values = [rng.integers(0, 1 << w, size=40) for w in widths]
         values[-1][:2] = (0, (1 << 16) - 1)
-        bits = np.concatenate([shift_and_mask_bits(v, w) for v, w in zip(values, widths)], axis=1)
-        got = _split_fields(bits, widths)
-        assert all(g.dtype == np.int64 and np.array_equal(g, v) for g, v in zip(got, values))
-        row = _split_fields(bits[7], widths)
-        assert [int(g) for g in row] == [int(v[7]) for v in values]
+        start = 0
+        while start < len(widths):  # the widest words that fit 57 bits
+            end = start + 1
+            while end < len(widths) and sum(widths[start : end + 1]) <= 57:
+                end += 1
+            group, columns = widths[start:end], values[start:end]
+            word = _join(np.zeros(40, np.int64), columns, group)
+            want = np.concatenate([shift_and_mask_bits(v, w) for v, w in zip(columns, group)], axis=1)
+            assert np.array_equal(shift_and_mask_bits(word, sum(group)), want)
+            assert all(np.array_equal(g, v) for g, v in zip(_split(word, group), columns))
+            header = _join(0, [int(v[7]) for v in columns], group)
+            assert type(header) is int and header == int(word[7])
+            assert _split(header, group) == [int(v[7]) for v in columns]
+            start = end
+        for bit_depth in range(8, 17):
+            fields = [int(rng.integers(0, 1 << w)) for w in _header_widths(bit_depth)]
+            header = _join(0, fields, _header_widths(bit_depth))
+            assert header < 1 << 64 and _split(header, _header_widths(bit_depth)) == fields
 
     @pytest.mark.parametrize("value", [0, 1, True, 5, (1 << 32) - 1])
     def test_scalar_header_field(self, value):
         width = max(1, int(value).bit_length())
-        bits = _field_bits(value, width)
-        assert bits.shape == (width,)
-        assert np.array_equal(bits, shift_and_mask_bits(value, width))
+        header = _join(0, (value,), (width,))
+        assert np.array_equal(shift_and_mask_bits(header, width), shift_and_mask_bits(value, width))
+        widths = (2, width, 1)
+        header = _join(0, (2, value, 1), widths)
+        assert format(header, f"0{sum(widths)}b") == f"10{int(value):0{width}b}1"
+        assert _split(header, widths) == [2, value, 1]
+
+
+def random_record(rng, bit_depth, d, color, count, terminal=False) -> DecodedRecord:
+    """A record `decode` accepts: `count` distinct points in order, `d` offset bits."""
+    if d < 8:  # a narrow record: its width field needs d offset bits
+        width = int(rng.integers((1 << (d - 1)) + 1, min(1 << d, 127) + 1)) if d > 1 else 2
+        base = int(rng.integers(0, (1 << bit_depth) - width + 1))
+    else:  # a wide record bounds its offsets by 2^d and the grid
+        width, base = 0, int(rng.integers(0, 1 << bit_depth))
+    span = width or min(1 << d, (1 << bit_depth) - base)
+    points = set()
+    while len(points) < count:
+        points.add((int(rng.integers(0, span)), *rng.integers(0, 1 << bit_depth, size=2).tolist()))
+    offsets, us, vs = np.array(sorted(points), dtype=np.int64).reshape(count, 3).T
+    return DecodedRecord(
+        axis=Axis(int(rng.integers(0, 3))), sign=int(rng.choice([-1, 1])), terminal=terminal,
+        base=base, width_field=width, d=d, color_flag=color, offsets=offsets, us=us, vs=vs,
+        colors=rng.integers(0, 256, size=(count, 3), dtype=np.uint8) if color else None,
+    )
+
+
+def oracle_record_bytes(bit_depth, record) -> bytes:
+    """The record's bytes by the README layout, every field by shift and mask."""
+    header = (int(record.axis), record.sign > 0, record.terminal, record.base,
+              record.width_field, record.d - 1, record.point_count, record.color_flag)
+    columns = [record.offsets, record.us, record.vs]
+    widths = [record.d, bit_depth, bit_depth]
+    if record.color_flag:
+        columns += list(record.colors.T)
+        widths += [8, 8, 8]
+    head = [shift_and_mask_bits(v, w) for v, w in zip(header, _header_widths(bit_depth))]
+    rows = np.concatenate([shift_and_mask_bits(c, w).reshape(-1, w) for c, w in zip(columns, widths)],
+                          axis=1)
+    return np.packbits(np.concatenate(head + [rows.ravel()])).tobytes()
+
+
+class TestWordPacker:
+    """Records written and read as 64-bit words, against the shift-and-mask layout."""
+
+    @pytest.mark.parametrize("color", [False, True], ids=["plain", "colored"])
+    @pytest.mark.parametrize("bit_depth", range(8, 17))
+    def test_every_bit_phase_offset_width_and_count(self, bit_depth, color):
+        # the payload starts (48 + B) % 8 bits into a byte; a point is 17 to 48
+        # bits, 72 with color (two words); 0..17 points leave phases empty or partial
+        rng = np.random.default_rng(bit_depth)
+        for d in range(1, 17):
+            for count in (0, 1, 7, 8, 9, 17):
+                record = random_record(rng, bit_depth, d, color, count)
+                stream = reencode(DecodedStream(bit_depth, 64, 2, (record,)))
+                assert stream[STREAM_HEADER_BYTES:] == oracle_record_bytes(bit_depth, record)
+                (got,) = decode(stream).records
+                assert _record_tuple(got) == _record_tuple(record)
+                assert {got.offsets.dtype, got.us.dtype, got.vs.dtype} == {np.dtype(np.int32)}
+
+    def test_wide_record_at_16_bits_is_48_bits_a_point(self):
+        rng = np.random.default_rng(1)
+        record = random_record(rng, 16, 16, False, 17)
+        assert record.width_field == 0
+        stream = reencode(DecodedStream(16, 64, 2, (record,)))
+        assert len(stream) == STREAM_HEADER_BYTES + (64 + 17 * 48) // 8
+        assert _record_tuple(decode(stream).records[0]) == _record_tuple(record)
+
+    def test_numpy_integer_header_fields(self):
+        """A record built from numpy integers writes the same bytes as one of Python ints."""
+        record = random_record(np.random.default_rng(5), 16, 7, True, 9, terminal=True)
+        numpy_fields = dataclasses.replace(
+            record, base=np.int64(record.base), width_field=np.int64(record.width_field),
+            d=np.int64(record.d), terminal=np.bool_(True), sign=np.int64(record.sign),
+        )
+        want = reencode(DecodedStream(16, 64, 2, (record,)))
+        assert reencode(DecodedStream(np.int64(16), 64, 2, (numpy_fields,))) == want
+
+    @staticmethod
+    def colored_stream():
+        """Three colored records, each with padding bits, at B = 10."""
+        rng = np.random.default_rng(3)
+        records = [random_record(rng, 10, d, True, n) for d, n in ((5, 1), (1, 7), (6, 9))]
+        records.append(random_record(rng, 10, 3, True, 17, terminal=True))
+        return reencode(DecodedStream(10, 64, 2, tuple(records))), records
+
+    def test_every_prefix_is_truncated(self):
+        stream, records = self.colored_stream()
+        ends = np.cumsum([STREAM_HEADER_BYTES] + [len(oracle_record_bytes(10, r)) for r in records])
+        assert ends[-1] == len(stream)
+        for end in range(4, len(stream)):
+            with pytest.raises(DecodeError) as e:
+                decode(stream[:end])
+            index = None if end < STREAM_HEADER_BYTES else int(np.searchsorted(ends, end, "right")) - 1
+            assert (e.value.kind, e.value.record_index) == ("truncated", index)
+
+    def test_flipped_padding_bit_is_noncanonical_at_its_record(self):
+        stream, records = self.colored_stream()
+        end = STREAM_HEADER_BYTES
+        for index, record in enumerate(records):
+            end += len(oracle_record_bytes(10, record))
+            pad = -(layout_header_bits(10) + layout_payload_bits(record, 10)) % 8
+            assert pad > 0
+            for bit in range(pad):
+                data = bytearray(stream)
+                data[end - 1] ^= 1 << bit
+                with pytest.raises(DecodeError, match="padding") as e:
+                    decode(bytes(data))
+                assert (e.value.kind, e.value.record_index) == ("noncanonical", index)
+
+
+@st.composite
+def decoded_streams(draw):
+    """Streams of up to three records `decode` accepts, with random fields."""
+    bit_depth, color = draw(st.integers(8, 16)), draw(st.booleans())
+    size = draw(st.integers(0, 3))
+    records = tuple(
+        random_record(
+            np.random.default_rng(draw(st.integers(0, 2**32 - 1))), bit_depth,
+            draw(st.integers(1, 16)), color, draw(st.integers(0, 20)),
+            terminal=index == size - 1 and draw(st.booleans()),
+        )
+        for index in range(size)
+    )
+    return DecodedStream(bit_depth, draw(st.integers(1, 65535)), draw(st.integers(0, 255)), records)
+
+
+@settings(max_examples=200, deadline=None)
+@given(decoded_streams())
+def test_word_packer_round_trip(stream):
+    data = reencode(stream)
+    decoded = decode(data)
+    assert _stream_tuple(decoded) == _stream_tuple(stream)
+    assert reencode(decoded) == data
 
 
 class TestDeltaExample:
