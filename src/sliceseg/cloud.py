@@ -176,10 +176,10 @@ class PointCloud:
         self._set(arr, col, bit_depth, merged)
 
     @classmethod
-    def _from_trusted(cls, coords: np.ndarray, colors, bit_depth: int) -> "PointCloud":
+    def _from_trusted(cls, coords: np.ndarray, colors, bit_depth: int, merged=0) -> "PointCloud":
         """Internal constructor for arrays already known unique and in range."""
         cloud = cls.__new__(cls)
-        cloud._set(coords, colors, bit_depth, 0)
+        cloud._set(coords, colors, bit_depth, merged)
         return cloud
 
     def _set(self, coords: np.ndarray, colors, bit_depth: int, merged: int) -> None:
@@ -224,12 +224,14 @@ class PointCloud:
 
 
 def first_occurrences(keys: np.ndarray):
-    """Ascending index of each distinct key's first occurrence; all as a slice if none repeats."""
+    """Ascending index of each distinct key's first occurrence (the least index in its run of
+    an argsort, marked in a mask to come out in order); all as a slice if none repeats."""
     starts = run_starts(np.sort(keys))  # a sort alone tells: 3x faster than an argsort
     if starts.all():
         return slice(None)
-    # the argsort is not stable, so each run's first occurrence is its least index
-    return np.sort(np.minimum.reduceat(np.argsort(keys), np.flatnonzero(starts)))
+    first = np.zeros(len(keys), dtype=bool)
+    first[np.minimum.reduceat(np.argsort(keys), np.flatnonzero(starts))] = True
+    return np.flatnonzero(first)
 
 
 def _dedup_first(coords: np.ndarray, colors):

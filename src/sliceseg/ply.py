@@ -68,7 +68,8 @@ def read_ply(data: bytes) -> PointCloud:
     has_color = all(c in names for c in _COLOR_NAMES)
 
     if fmt == "ascii":
-        capacity = min(count, data.count(b"\n", body_start) + 1)  # a vertex a line at most
+        # a vertex line is len(props) tokens and as many separators, the last maybe the end
+        capacity = min(count, (len(data) - body_start + 1) // (2 * len(props)))
         tables = _read_ascii_body(data, body_start, count, props, line_count)
     else:
         capacity, tables = count, [_read_binary_body(data, body_start, count, props)]

@@ -179,9 +179,10 @@ class _PlanState:
     cloud's tables restricted to the points still there. `columns` holds
     the planned cloud's coordinates, one row per axis, and `order[a]` the
     planned-cloud indices of the working points sorted by coordinate `a`,
-    so a side's slab is a run at one end of its axis order. `src`/`dst` are
-    the 26-adjacent pairs whose ends both remain and `pixels` the pixel
-    keys of every planned point. `losses` is the loss cache.
+    so a side's slab is a run at one end of its axis order, and `ascending[a]`
+    their coordinates `a` in that order. `src`/`dst` are the 26-adjacent
+    pairs whose ends both remain, `pixels` the pixel keys of every planned
+    point and `losses` the loss cache.
     """
 
     def __init__(self, cloud: PointCloud, config: SlicerConfig, original_size: int) -> None:
@@ -190,14 +191,15 @@ class _PlanState:
         self.min_points = math.ceil(config.min_points(original_size))  # the point floor
         self.columns = np.ascontiguousarray(cloud.coords.T)
         self.order = [np.argsort(column, kind="stable") for column in self.columns]
+        self.ascending = [column.take(order) for column, order in zip(self.columns, self.order)]
         self.src, self.dst = neighbor_pairs(cloud)
         self.pixels = pixel_keys(cloud)
         self.losses: _LossCache = {}
 
     def span(self, axis: Axis) -> tuple[int, int]:
         """The first and last occupied coordinate of the working points along `axis`."""
-        order = self.order[axis]
-        return int(self.columns[axis, order[0]]), int(self.columns[axis, order[-1]])
+        column = self.ascending[axis]
+        return int(column[0]), int(column[-1])
 
     def slab(self, side: Side, count: int) -> _Slab:
         """The `count` working points nearest to `side`'s face, nearest first."""
@@ -216,6 +218,7 @@ class _PlanState:
         """Drop the working points in `core`."""
         gone = core.holds(self.columns[core.axis])
         self.order = [order.compress(~gone.take(order)) for order in self.order]
+        self.ascending = [column.take(order) for column, order in zip(self.columns, self.order)]
         both = ~(gone[self.src] | gone[self.dst])
         self.src, self.dst = self.src[both], self.dst[both]
 
@@ -261,7 +264,7 @@ def best_width(
     labeled, w_max first, only if lost(b) / count(w_max) at w_max could win.
     """
     config, axis = state.config, side.axis
-    column = state.columns[axis].take(state.order[axis])  # the working coordinates, ascending
+    column = state.ascending[axis]
     lo, hi = int(column[0]), int(column[-1])
     w_max = min(config.theta, hi - lo + 1)
     widths = np.arange(1, w_max + 1)

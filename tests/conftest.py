@@ -18,6 +18,9 @@ decoder must match record for record and error for error on every
 canonical stream. The
 labeling oracle runs scipy's csgraph over its own neighbor search, and
 `label_components` must give the same labels array for array.
+The decoded-cloud oracle merges a stream's records one point at a time
+through a dict, which the library's covered-rows merge must match in
+points, order, colors and merge count.
 The key-set oracles are the library's earlier forms before its sort-based
 ones: dedup through `np.unique(return_index=True)`, slice replay through
 `extract_range`/`remove_range` on shrinking clouds and through boolean
@@ -335,6 +338,28 @@ def oracle_dedup_first(coords: np.ndarray, colors):
     first_idx.sort()
     kept_colors = colors[first_idx] if colors is not None else None
     return coords[first_idx], kept_colors, n - first_idx.shape[0]
+
+
+def oracle_stream_cloud(stream: DecodedStream):
+    """(coords, colors, merged) of a stream's records concatenated in stream order, each
+    voxel kept at its first occurrence, one point at a time through a dict."""
+    plane = {Axis.X: (1, 2), Axis.Y: (0, 2), Axis.Z: (0, 1)}
+    first: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+    stored = 0
+    for record in stream.records:
+        u_col, v_col = plane[record.axis]
+        for i in range(record.point_count):
+            point = [0, 0, 0]
+            point[record.axis] = record.base + int(record.offsets[i])
+            point[u_col], point[v_col] = int(record.us[i]), int(record.vs[i])
+            color = tuple(record.colors[i].tolist()) if record.color_flag else None
+            first.setdefault(tuple(point), color)
+            stored += 1
+    coords = np.array(list(first), dtype=np.int32).reshape(-1, 3)
+    colors = None
+    if stream.records and stream.records[0].color_flag:
+        colors = np.array(list(first.values()), dtype=np.uint8).reshape(-1, 3)
+    return coords, colors, stored - len(first)
 
 
 def oracle_extract_slices(cloud: PointCloud, plan: SlicePlan):

@@ -8,13 +8,16 @@ constructors and read result fields (`bit_budget(...).payload_bits`,
 `CaptureConfig(layer_mode=...)`, `label_components(c).count`, `SliceSpec(...)`);
 one setup and two operations of each must pass the workload's own check.
 A module may import a name it never uses only when `WRAPPED` lists it for
-that module, and every module-level private name must be read somewhere in
-the package: with no linter at hand, `ast` scans stand in for one.
+that module, every module-level private name must be read somewhere in
+the package, and so must every public function, class and method but a
+listed few that only tests and the benchmark read: with no linter at hand,
+`ast` scans stand in for one.
 """
 
 import ast
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -136,3 +139,89 @@ def test_every_private_name_in_src_is_read():
     sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
     unused = unused_private_names(sources)
     assert not unused, f"sliceseg defines {sorted(unused)} and never reads them"
+
+
+def unread_public_names(sources: dict[str, str]) -> set[str]:
+    """Public module-level functions and classes, and public methods, that no code reads.
+
+    `sources` maps module names to their text. A function or class is read
+    when a module loads its name (or the name it imports it as) or reads it
+    as an attribute, a method when a module reads it as an attribute.
+    Importing a name does not read it.
+    Reads inside the definition itself do not count, and neither does
+    `__init__`, which only re-exports.
+    """
+
+    def reads(node) -> tuple[Counter, Counter]:
+        names, attributes = Counter(), Counter()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                names[sub.id] += 1
+            elif isinstance(sub, ast.Attribute):
+                attributes[sub.attr] += 1
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.alias) and sub.asname:
+                names[sub.name] += names[sub.asname]
+        return names, attributes
+
+    definitions, names, attributes = [], Counter(), Counter()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((node, True))
+            if isinstance(node, ast.ClassDef):
+                definitions += [(n, False) for n in node.body if isinstance(n, ast.FunctionDef)]
+        if module != "__init__":
+            module_names, module_attributes = reads(tree)
+            names, attributes = names + module_names, attributes + module_attributes
+    unread = set()
+    for node, module_level in definitions:
+        if node.name.startswith("_"):
+            continue
+        own_names, own_attributes = reads(node)
+        outside = attributes[node.name] - own_attributes[node.name]
+        if module_level:
+            outside += names[node.name] - own_names[node.name]
+        if outside <= 0:
+            unread.add(node.name)
+    return unread
+
+
+def test_unread_public_names_finds_definitions_only_they_or_the_reexport_read():
+    sources = {
+        "__init__": "from .a import gone, kept, Shape\n__all__ = ['gone', 'kept', 'Shape']\n",
+        "a": (
+            "def gone(n):\n    return gone(n - 1)\n"
+            "def kept():\n    return 1\n"
+            "def _private():\n    return 2\n"
+            "class Shape:\n"
+            "    def area(self):\n        return self.side()\n"
+            "    def side(self):\n        return Shape\n"
+            "    def unused(self):\n        return 3\n"
+            "    def __len__(self):\n        return 0\n"
+            "class Lonely:\n    pass\n"
+            "def bound():\n    pass\n"
+        ),
+        "b": (
+            "from . import a\nfrom .a import bound, kept as renamed  # noqa: F401\n"
+            "def user(s):\n    return a.Shape, s.area(), renamed\n"
+        ),
+    }
+    assert unread_public_names(sources) == {"gone", "unused", "Lonely", "bound", "user"}
+
+
+# Public names that nothing in the package reads (tests and the benchmark do).
+# The list may only shrink: a name that gains a reader must leave it.
+UNREAD_PUBLIC = {
+    "extract_range",
+    "remove_range",
+    "best_plane",
+    "plan_loss",
+    "same_points",
+}
+
+
+def test_every_public_name_in_src_is_read():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_public_names(sources) == UNREAD_PUBLIC

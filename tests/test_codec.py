@@ -19,6 +19,7 @@ from sliceseg import (
     extract_slices,
     reencode,
 )
+from sliceseg import codec
 from sliceseg.cloud import Axis, AxisRange, PointCloud, Side
 from sliceseg.codec import (
     STREAM_HEADER_BYTES,
@@ -42,9 +43,11 @@ from conftest import (
     make_cloud,
     oracle_decode,
     oracle_record_order,
+    oracle_stream_cloud,
     point_set,
     random_cloud,
     read_bits,
+    slab_plan,
     swsg_like_bytes,
 )
 
@@ -363,6 +366,150 @@ class TestLossless:
         ds = decode(stream)
         assert ds.records[-1].width_field == 0  # wide sentinel
         assert ds.cloud.same_points(rnd)
+
+
+def assert_cloud_matches_oracle(stream: DecodedStream) -> None:
+    coords, colors, merged = oracle_stream_cloud(stream)
+    cloud = stream.cloud
+    assert np.array_equal(cloud.coords, coords)
+    if colors is None:
+        assert cloud.colors is None
+    else:
+        assert np.array_equal(cloud.colors, colors)
+    assert cloud.duplicates_merged == merged
+    assert cloud.bit_depth == stream.bit_depth
+
+
+def hand_record(axis: Axis, base: int, points, colors=None) -> DecodedRecord:
+    """A record of `points` as given (no order or uniqueness enforced), depth from `base`."""
+    points = np.array(points, dtype=np.int32).reshape(-1, 3)
+    u_col, v_col = {Axis.X: (1, 2), Axis.Y: (0, 2), Axis.Z: (0, 1)}[axis]
+    return DecodedRecord(
+        axis=axis, sign=-1, terminal=False, base=base, width_field=16, d=4,
+        color_flag=colors is not None, offsets=points[:, axis] - base,
+        us=points[:, u_col], vs=points[:, v_col],
+        colors=None if colors is None else np.array(colors, np.uint8).reshape(len(points), -1),
+    )
+
+
+def hand_stream(*records: DecodedRecord, bit_depth: int = 10) -> DecodedStream:
+    return DecodedStream(bit_depth=bit_depth, theta=64, overlap=2, records=records)
+
+
+class TestDecodedCloud:
+    """`DecodedStream.cloud` keys only the rows two records can share; the oracle keys all."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(list(Axis)),
+        st.integers(0, 5),
+        st.integers(8, 16),
+        st.integers(1, 12),
+        st.booleans(),
+    )
+    def test_slab_streams_match_oracle(self, seed, axis, overlap, bit_depth, width, colored):
+        rng = np.random.default_rng(seed)
+        count, extent = int(rng.integers(1, 400)), int(rng.integers(1, 48))
+        low = int(rng.integers(0, (1 << bit_depth) - extent + 1))  # anywhere on the grid
+        coords = rng.integers(low, low + extent, size=(count, 3))
+        colors = rng.integers(0, 256, size=(count, 3)) if colored else None
+        cloud = PointCloud(coords, colors, bit_depth=bit_depth)
+        stream = decode(encode(cloud, slab_plan(cloud, axis, width, overlap)))
+        assert_cloud_matches_oracle(stream)
+        assert stream.cloud.same_points(cloud)
+
+    @pytest.mark.parametrize("overlap", [0, 1, 2, 3])
+    def test_planner_streams_match_oracle(self, overlap, rng):
+        clouds = [
+            gen_synthetic("sphere-shell", {"extent": 12}),
+            gen_synthetic("folded-sheet", {"extent": 16, "amplitude": 4, "period": 8}, seed=5),
+            gen_synthetic("uniform-random", {"extent": 24, "count": 300}, seed=5),
+        ]
+        for _ in range(3):
+            cloud = random_cloud(rng, max_points=200)
+            clouds.append(PointCloud(cloud.coords, rng.integers(0, 256, size=(len(cloud), 3))))
+        for cloud in clouds:
+            for rule in ("best-plane", "fixed-plane"):
+                plan = build_plan(cloud, SlicerConfig(overlap=overlap, plane_rule=rule))
+                assert_cloud_matches_oracle(decode(encode(cloud, plan)))
+
+    def test_slab_stream_keys_only_the_overlap_bands(self, monkeypatch):
+        cloud = gen_synthetic("uniform-random", {"extent": 64, "count": 4000}, seed=3)
+        stream = decode(encode(cloud, slab_plan(cloud, Axis.Z, 16, 2)))
+        keyed = []
+        first_occurrences = codec.first_occurrences
+
+        def recording(keys):
+            keyed.append(len(keys))
+            return first_occurrences(keys)
+
+        monkeypatch.setattr(codec, "first_occurrences", recording)
+        merged = stream.cloud.duplicates_merged
+        # z 16-17, 32-33 and 48-49 lie in two slabs; each of their points is stored twice
+        band = np.isin(cloud.coords[:, Axis.Z], [16, 17, 32, 33, 48, 49])
+        assert merged == np.count_nonzero(band) > 0
+        assert keyed == [2 * merged]
+
+    def test_stream_that_keys_most_rows_merges_them_all_at_once(self, monkeypatch):
+        cloud = gen_synthetic("uniform-random", {"extent": 32, "count": 2000}, seed=3)
+        stream = decode(encode(cloud, slab_plan(cloud, Axis.Z, 2, 2)))  # every row in two slabs
+        monkeypatch.setattr(codec, "first_occurrences", None)  # the covered-rows merge is skipped
+        assert_cloud_matches_oracle(stream)
+
+    def test_repeat_in_non_adjacent_records_on_different_axes_keeps_the_first_color(self):
+        stream = hand_stream(
+            hand_record(Axis.X, 0, [(1, 9, 9), (3, 4, 5)], [(10, 10, 10), (11, 11, 11)]),
+            hand_record(Axis.Z, 16, [(20, 20, 20), (21, 20, 20)], [(20, 20, 20), (21, 21, 21)]),
+            hand_record(Axis.Y, 4, [(3, 4, 5), (6, 4, 5)], [(90, 90, 90), (91, 91, 91)]),
+        )
+        cloud = stream.cloud
+        assert cloud.coords.tolist() == [[1, 9, 9], [3, 4, 5], [20, 20, 20], [21, 20, 20], [6, 4, 5]]
+        assert cloud.colors.tolist()[1] == [11, 11, 11]
+        assert cloud.duplicates_merged == 1
+        assert_cloud_matches_oracle(stream)
+
+    @pytest.mark.parametrize("colored", [False, True])
+    def test_record_repeating_its_own_point(self, colored):
+        points = [(1, 2, 3), (4, 5, 6), (1, 2, 3), (0, 0, 9)]
+        colors = [(1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4)] if colored else None
+        other = hand_record(Axis.X, 7, [(7, 7, 7)], [(5, 5, 5)] if colored else None)
+        stream = hand_stream(hand_record(Axis.Z, 0, points, colors), other)
+        cloud = stream.cloud
+        assert cloud.coords.tolist() == [[1, 2, 3], [4, 5, 6], [0, 0, 9], [7, 7, 7]]
+        assert cloud.duplicates_merged == 1
+        assert_cloud_matches_oracle(stream)
+
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            ((5, 1024, 5), "coordinate 1024 does not fit 10-bit grid"),
+            ((5, 70000, 5), "coordinate 70000 exceeds 16-bit grid"),
+            ((5, -1, 5), "coordinates must be non-negative"),
+        ],
+    )
+    def test_off_grid_point_raises_the_cloud_error(self, point, message):
+        stream = hand_stream(hand_record(Axis.X, 0, [(5, 5, 5)]), hand_record(Axis.Y, 0, [point]))
+        with pytest.raises(ValueError, match=message):
+            stream.cloud
+
+    @pytest.mark.parametrize(
+        "bit_depth, color_width, message",
+        [
+            (20, 3, r"bit depth must be in \[8, 16\]"),
+            (7, 3, r"bit depth must be in \[8, 16\]"),
+            (10, 4, r"colors must be \(N, 3\) matching coords"),
+        ],
+    )
+    def test_stream_the_cloud_rejects_raises_its_error(self, bit_depth, color_width, message):
+        # sorted records with disjoint boxes: nothing to key, so only the checks can refuse
+        colors = [[1] * color_width] * 2
+        records = (
+            hand_record(Axis.X, 0, [(1, 1, 1), (2, 2, 2)], colors),
+            hand_record(Axis.X, 10, [(10, 1, 1), (11, 3, 3)], colors),
+        )
+        with pytest.raises(ValueError, match=message):
+            hand_stream(*records, bit_depth=bit_depth).cloud
 
 
 class TestCanonicalForm:

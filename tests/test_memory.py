@@ -7,7 +7,8 @@ chunks and the int64/float64 copies of the cloud went, the same steps held
 198 (ASCII read), 61 (binary read), 120 (ASCII write), 145 (generator),
 90 (sparse labeling), 78 (decoded cloud) and 52 (same_points) bytes per
 point, so each budget fails on that code. Decoding the frame's slab stream
-held 28.7 bytes per point while its records kept int64 fields.
+held 28.7 bytes per point while its records kept int64 fields, and its
+decoded cloud 48.4 while the merge sorted every stored row.
 """
 
 import numpy as np
@@ -73,7 +74,7 @@ def test_decoded_cloud_budget(frame):
     decoded = codec.decode(codec.encode(frame, slab_plan(frame, Axis.Z, 16, 2)))
     cloud, peak = traced_peak(lambda: decoded.cloud)
     assert cloud.same_points(frame)
-    assert per_point(peak) <= 60
+    assert per_point(peak) <= 45
 
 
 def test_same_points_budget(frame):

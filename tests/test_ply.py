@@ -45,6 +45,16 @@ def test_duplicate_vertices_merge():
     assert cloud.duplicates_merged == 1
 
 
+@pytest.mark.parametrize("count", [1, 2, 5])
+@pytest.mark.parametrize("props", [("x", "y", "z"), ("x", "y", "z", "red", "green", "blue")])
+def test_shortest_ascii_body_fills_the_row_table(count, props):
+    """One-character values and one-byte separators: 2 * len(props) bytes a vertex, the last
+    one's newline missing, so the row table's size bound holds with no byte to spare."""
+    data = ascii_ply([range(len(props))] * count, props, ["uchar"] * len(props))
+    cloud = read_ply(data.rstrip(b"\n"))
+    assert len(cloud) == 1 and cloud.duplicates_merged == count - 1
+
+
 def test_truncated_body():
     with pytest.raises(PlyParseError, match="truncated body"):
         read_ply(ascii_ply([(0, 0, 0), (1, 1, 1), (2, 2, 2)], count=5))

@@ -402,6 +402,7 @@ def test_plan_state_slabs_match_slabs_built_afresh(monkeypatch, rng):
         for axis, order in enumerate(state.order):
             assert np.array_equal(np.sort(order), np.sort(state.order[0]))
             assert (np.diff(cloud.coords[order, axis]) >= 0).all()
+            assert np.array_equal(state.ascending[axis], cloud.coords[order, axis])
         for side in SIDES:
             span = extent(working, side.axis)
             for width in sorted({1, (span + 1) // 2, span}):
