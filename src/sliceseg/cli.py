@@ -202,7 +202,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "loss": {"phi": stats.phi, "lost": stats.lost, "psi": stats.psi},
     }
     if args.plan:
-        plan = plan_from_json(Path(args.plan).read_text())
+        plan = plan_from_json(Path(args.plan).read_bytes())
         extract_slices(cloud, plan)  # replay: PlanMismatchError unless the plan fits
         doc["slices"] = [
             {"index": s.index, "points": s.point_count, "psi": s.psi, "terminal": s.terminal}
@@ -232,7 +232,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     plan_path = Path(args.plan)
     saved = plan_path.exists()
     if saved:
-        plan = plan_from_json(plan_path.read_text())
+        plan = plan_from_json(plan_path.read_bytes())
     else:
         plan = build_plan(cloud, _slicer_config(args))
     built = build_stream(plan, cloud.bit_depth, extract_slices(cloud, plan))

@@ -257,11 +257,12 @@ def _read_ascii_body(data: bytes, start: int, count: int, props, header_lines: i
     it is longer. Structure errors raise when their chunk is read; line
     numbers count from the file's start. Whitespace and line breaks are those of str.split() and
     str.split("\\n") on the ASCII-decoded text; values are whatever float()
-    accepts. Tokens are found with byte comparisons. When every vertex
-    token of a chunk is a string of at most 18 ASCII digits (as write_ply
-    writes them), the values are built digit by digit in int64, which is
-    exact, and cast to float64, which rounds as float() does; any other
-    chunk goes through float() per token.
+    accepts. Tokens are found with byte comparisons. Lines end at the last
+    token before each newline; when every newline directly follows a token
+    (no CRLF, blank line or separator before it), they are those tokens. When
+    every vertex token of a chunk is 1-18 ASCII digits (as write_ply writes
+    them), `_digit_values` reads them exactly; any other chunk goes through
+    float() per token.
     """
     # vertices, lines and the last vertex line's number so far
     done, lines, last = 0, header_lines, header_lines
@@ -275,11 +276,16 @@ def _read_ascii_body(data: bytes, start: int, count: int, props, header_lines: i
         ws = ((raw - np.uint8(9)) < 5) | (raw == ord(" "))  # \t \n \v \f \r and space
         edges = np.flatnonzero(np.diff(ws, prepend=True, append=True))
         starts, ends = edges[0::2], edges[1::2]  # each token is raw[start:end]
-        newlines = np.flatnonzero(raw == ord("\n"))
-        per_line = np.diff(np.searchsorted(starts, newlines), prepend=0, append=len(starts))
+        breaks = int(np.count_nonzero(raw == ord("\n")))
+        at_break = raw.take(ends, mode="clip") == ord("\n")  # tokens a newline directly follows
+        if np.count_nonzero(at_break) == breaks:  # so no line is blank: each ends at such a token
+            last_tokens = np.flatnonzero(at_break)
+        else:  # the last token before each newline
+            last_tokens = np.searchsorted(starts, np.flatnonzero(raw == ord("\n"))) - 1
+        per_line = np.diff(last_tokens, prepend=-1, append=len(starts) - 1)
         filled = np.flatnonzero(per_line)  # chunk line index of each non-blank line
         lineno = filled + lines + 1  # and its line number in the file
-        lines += len(newlines)
+        lines += breaks
         widths = per_line[filled[: count - done]]  # values on each vertex line
         wrong = np.flatnonzero(widths != len(props))
         good = int(wrong[0]) if wrong.size else len(widths)
@@ -311,20 +317,45 @@ def _read_ascii_body(data: bytes, start: int, count: int, props, header_lines: i
 
 
 def _digit_values(raw: np.ndarray, ws: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """float64 values of the tokens raw[start:end], or None unless each is 1-18 digits."""
+    """float64 values of the tokens raw[start:end], or None unless each is 1-18 digits.
+
+    Eight digits a word (SWAR, as in Langdale and Lemire's JSON parser): the
+    little-endian uint64 that ends at a token's end holds its last 8 bytes,
+    the last digit in the top byte. Tokens of 9-16 digits add the word 8
+    bytes further back times 10**8, and of 17-18 digits the next times
+    10**16: exact in uint64, and the cast to float64 rounds as float() does.
+    """
     if not starts.size:
         return np.zeros(0)
-    digits = raw - np.uint8(ord("0"))  # a digit's value; 10..255 for any other byte
-    span = slice(starts[0], ends[-1])
-    lengths = ends - starts
-    longest = int(lengths.max())
-    if longest > 18 or not (ws[span] | (digits[span] < 10)).all():
+    span, lengths = slice(starts[0], ends[-1]), ends - starts
+    longest, digit = int(lengths.max()), raw[span] - np.uint8(ord("0")) < 10
+    if longest > 18 or not np.logical_or(digit, ws[span], out=digit).all():
         return None
-    values = np.zeros(len(starts), dtype=np.int64)
-    for back in range(longest, 0, -1):  # Horner, by place counted from the token's end
-        values *= 10
-        values += np.where(lengths >= back, digits[ends - back], 0)
+    del digit  # free it, and the int64 lengths below, before the word gathers
+    lengths = lengths.astype(np.int8)
+    padded = np.concatenate([np.zeros(8, dtype=np.uint8), raw])  # the chunk behind 8 zero bytes
+    words = np.ndarray(len(raw) + 1, dtype="<u8", buffer=padded, strides=(1,))  # raw[e - 8:e]
+    values = _word_values(words, ends, lengths)
+    for back in range(8, longest, 8):  # tokens of more digits: the word `back` bytes back
+        more = np.flatnonzero(lengths > back)
+        values[more] += _word_values(words, ends[more] - back, lengths[more] - back) * 10**back
     return values.astype(np.float64)
+
+
+# _WORD_MASKS[n] keeps the top n bytes of a word, a token's last n digits, as their low nibbles
+_WORD_MASKS = np.array([0x0F0F0F0F0F0F0F0F >> s << s for s in range(64, -1, -8)], dtype=np.uint64)
+
+
+def _word_values(words: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """uint64 values of the last min(length, 8) digits before each end, in `words`."""
+    w = words.take(ends)
+    masks = (_WORD_MASKS.take(np.minimum(lengths, 8)), 0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF)
+    # digit pairs sum to their values in 16-bit lanes, then fours in 32-bit lanes, then all 8
+    for mask, factor, shift in zip(masks, (2561, 6553601, 42949672960001), (8, 16, 32)):
+        w &= mask
+        w *= factor
+        w >>= shift
+    return w
 
 
 def _is_float(token: bytes) -> bool:

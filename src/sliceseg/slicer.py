@@ -479,7 +479,7 @@ def _slice_from_json(s: dict) -> SliceSpec:
     )
 
 
-def plan_from_json(text: str) -> SlicePlan:
+def plan_from_json(text: Union[str, bytes]) -> SlicePlan:
     """Load a plan in `plan_to_json`'s schema; a malformed document raises ValueError."""
     try:
         doc = _expect("plan", json.loads(text), (dict,), "an object")
@@ -501,7 +501,9 @@ def plan_from_json(text: str) -> SlicePlan:
         return SlicePlan(
             config=config, original_size=_int_field(doc, "original_size"), slices=slices
         )
+    except KeyError as exc:
+        raise ValueError(f"malformed plan JSON: missing key {exc}") from exc
     # json.loads raises RecursionError on deeply nested arrays or objects,
     # and Fraction ZeroDivisionError on a threshold string such as "1/0"
-    except (KeyError, TypeError, ValueError, RecursionError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, RecursionError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed plan JSON: {exc}") from exc

@@ -25,7 +25,7 @@ from sliceseg import (
 )
 from sliceseg.cli import _slicer_config, main, parse_args
 from sliceseg.cloud import Axis
-from sliceseg.slicer import PLANE_RULES
+from sliceseg.slicer import _PLAN_KEYS, _SLICE_KEYS, PLANE_RULES
 
 from conftest import (
     brute_pixels,
@@ -443,6 +443,45 @@ class TestAnalyze:
 def test_deeply_nested_plan_is_one_line_error(sheet_ply, tmp_path, capsys, command):
     plan, out = tmp_path / "p.json", tmp_path / "out"
     plan.write_text("[" * 100_000 + "]" * 100_000)
+    capsys.readouterr()
+    assert run_cli(command, "--input", sheet_ply, "--plan", plan, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"sliceseg {command}: error: malformed plan JSON: ")
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def sheet_and_plan(tmp_path_factory):
+    """A sheet PLY and its plan's JSON text, made once for the tests that break the plan."""
+    folder = tmp_path_factory.mktemp("sheet")
+    sheet, plan = folder / "sheet.ply", folder / "p.json"
+    assert run_cli("gen", "--kind", "folded-sheet", "--extent", "16", "--amplitude", "4",
+                   "--period", "8", "--seed", "3", "--out", sheet) == 0
+    assert run_cli("slice", "--input", sheet, "--plan", plan) == 0
+    return sheet, plan.read_text()
+
+
+@pytest.mark.parametrize("command", ["analyze", "encode"])
+@pytest.mark.parametrize("key", [k for k in _PLAN_KEYS + _SLICE_KEYS if k != "plane_rule"])
+def test_plan_missing_key_is_one_line_error(sheet_and_plan, tmp_path, capsys, command, key):
+    sheet, text = sheet_and_plan
+    doc = json.loads(text)
+    del (doc if key in doc else doc["slices"][0])[key]
+    plan, out = tmp_path / "p.json", tmp_path / "out"
+    plan.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(command, "--input", sheet, "--plan", plan, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"sliceseg {command}: error: malformed plan JSON: missing key '{key}'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "encode"])
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"\xff{}"])
+def test_plan_that_is_not_utf8_is_one_line_error(sheet_ply, tmp_path, capsys, command, content):
+    plan, out = tmp_path / "p.json", tmp_path / "out"
+    plan.write_bytes(content)
     capsys.readouterr()
     assert run_cli(command, "--input", sheet_ply, "--plan", plan, "--out", out) == 1
     err = capsys.readouterr().err

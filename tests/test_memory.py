@@ -8,7 +8,10 @@ chunks and the int64/float64 copies of the cloud went, the same steps held
 90 (sparse labeling), 78 (decoded cloud) and 52 (same_points) bytes per
 point, so each budget fails on that code. Decoding the frame's slab stream
 held 28.7 bytes per point while its records kept int64 fields, and its
-decoded cloud 48.4 while the merge sorted every stored row.
+decoded cloud 48.4 while the merge sorted every stored row. The ASCII read
+held 39.4 bytes per point while it built token values digit by digit;
+reading eight digits a word holds more, mostly the copy `take` makes of
+the chunk's unaligned word view (8 bytes a chunk byte).
 """
 
 import numpy as np
@@ -40,7 +43,7 @@ def test_generator_budget():
     assert per_point(peak) <= 96
 
 
-@pytest.mark.parametrize("fmt, budget", [("ascii", 60), ("binary", 45)])
+@pytest.mark.parametrize("fmt, budget", [("ascii", 50), ("binary", 45)])
 def test_read_budget(frame, fmt, budget):
     data = write_ply(frame, fmt)
     cloud, peak = traced_peak(read_ply, data)

@@ -311,7 +311,11 @@ def test_comment_mentioning_end_header_does_not_end_it():
 
 NUMBERS = [b"0", b"7", b"-3", b"+12", b"2.5", b".5", b"5.", b"1e3", b"1_0", b"nan", b"-inf",
            b"1e400", b"255", b"007", b"9007199254740993", b"999999999999999999",
-           b"9223372036854775809", b"18446744073709551617"]  # 2^53+1, 18, 19 and 20 digits
+           b"9223372036854775809", b"18446744073709551617",  # 2^53+1, 18, 19 and 20 digits
+           # 7-9, 15-17 digits: each side of the 8-digit words the reader sums
+           b"1234567", b"0000007", b"00000000", b"99999999", b"000000001", b"100000000",
+           b"123456789012345", b"9999999999999999", b"0000000000000001", b"10000000000000000",
+           b"00000000000000009", b"12345678901234567"]
 DIGIT_STRINGS = [t for t in NUMBERS if t.isdigit()]
 JUNK = [b"abc", b"1__0", b"_1", b"0x1", b"\xff", b"\xc3\xa9", b"1\x00", b"\xa0", b"\x85"]
 SEPARATORS = [b" ", b"  ", b"\t", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f"]
@@ -344,10 +348,11 @@ def token_soups(draw):
     ).map(lambda ts: ts[1][-1] + b"".join(t + sep for t, sep in zip(*ts)))
     lines = draw(st.lists(line | st.sampled_from([b"", b" ", b"\t\r"]), max_size=10))
     body = b"".join(ln + draw(st.sampled_from([b"\n", b"\r\n"])) for ln in lines)
-    body += draw(
-        st.sampled_from([b"", b"\n", b" "] + ([b"7 7 7", b"\x1c"] if wild else []))
-    )
-    rows = sum(1 for ln in lines if ln.translate(_SEPARATORS_AS_SPACE).split())
+    last = b" ".join([b"7"] * width)  # a last vertex line, separators after it and no newline
+    endings = [b"", b"\n", b" ", last + b" ", last + b"\t", last + b"\r", b"  " + last + b"  "]
+    ending = draw(st.sampled_from(endings + ([b"7 7 7", b"\x1c"] if wild else [])))
+    body += ending
+    rows = sum(1 for ln in lines + [ending] if ln.translate(_SEPARATORS_AS_SPACE).split())
     count = max(0, rows + (draw(st.integers(-2, 2)) if wild else 0))
     return body, count, [(f"p{i}", "<f4") for i in range(width)], draw(st.integers(1, 12))
 
@@ -400,6 +405,28 @@ def test_ascii_token_next_to_digits_in_tiny_chunks_matches_oracle(monkeypatch, t
     test_ascii_token_next_to_digits_matches_oracle(token)
 
 
+@pytest.mark.parametrize("chunk", [1, ply._CHUNK_BYTES])
+def test_digit_words_read_each_token_exactly(monkeypatch, chunk):
+    """Up to three 8-digit words a token, the first token at byte 0 of a chunk and the last
+    ending at the data's last byte: each value is float(int(token)), none through float()."""
+    monkeypatch.setattr(ply, "_CHUNK_BYTES", chunk)
+    original, returned = ply._digit_values, []
+
+    def digit_values(*args):
+        returned.append(original(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(ply, "_digit_values", digit_values)
+    tokens = [t for t in DIGIT_STRINGS if len(t) <= 18]
+    for width in (1, 3):
+        body = b"\n".join(b" ".join(tokens[i : i + width]) for i in range(0, len(tokens), width))
+        props = [(f"p{i}", "<f4") for i in range(width)]
+        table = read_ascii_body(body, len(tokens) // width, props, 1)
+        read = np.column_stack([table[name] for name, _ in props]).ravel()
+        assert read.tolist() == [float(int(t)) for t in tokens]
+    assert returned and all(values is not None for values in returned)
+
+
 def read_outcome(data: bytes):
     try:
         cloud = read_ply(data)
@@ -448,6 +475,15 @@ def test_crlf_and_blank_lines_on_chunk_boundaries(monkeypatch):
     for chunk in (1, 2, 5, 6, 7, 8):
         monkeypatch.setattr(ply, "_CHUNK_BYTES", chunk)
         assert read_outcome(data) == whole
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, ply._CHUNK_BYTES])
+@pytest.mark.parametrize("last", [b"4 5 6 ", b"4 5 6\t", b"4 5 6\r", b"  4 5 6  "])
+def test_last_vertex_line_without_newline(monkeypatch, chunk, last):
+    """Separators after the last vertex and no newline: still a vertex line, in any chunks."""
+    monkeypatch.setattr(ply, "_CHUNK_BYTES", chunk)
+    coords = read_outcome(ascii_ply([(1, 2, 3)], count=2) + last)[0]
+    assert coords == np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int32).tobytes()
 
 
 @pytest.mark.parametrize("colored", [False, True])

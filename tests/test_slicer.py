@@ -817,6 +817,15 @@ class TestPlanJson:
             assert nxt > first_slice
             first_slice = nxt
 
+    @pytest.mark.parametrize(
+        "key", [k for k in slicer._PLAN_KEYS + slicer._SLICE_KEYS if k != "plane_rule"]
+    )
+    def test_missing_key_is_named(self, key):
+        doc = json.loads(plan_to_json(build_plan(cube_cloud(), cfg())))
+        del (doc if key in doc else doc["slices"][0])[key]
+        with pytest.raises(ValueError, match=f"^malformed plan JSON: missing key '{key}'$"):
+            plan_from_json(json.dumps(doc))
+
     def test_malformed_json_rejected(self):
         with pytest.raises(ValueError, match="malformed plan JSON"):
             plan_from_json('{"theta": 64}')
