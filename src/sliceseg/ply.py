@@ -270,10 +270,10 @@ def _read_ascii_body(data: bytes, start: int, count: int, props, header_lines: i
         end = start + _CHUNK_BYTES
         if end < len(data):  # end the chunk at a line break
             end = data.rfind(b"\n", start, end) + 1 or data.find(b"\n", end) + 1 or len(data)
-        chunk = data[start:end].translate(_ASCII_WS)
+        chunk = data[start:end]
         start = end
         raw = np.frombuffer(chunk, dtype=np.uint8)
-        ws = ((raw - np.uint8(9)) < 5) | (raw == ord(" "))  # \t \n \v \f \r and space
+        ws = ((raw - np.uint8(9)) < 5) | ((raw - np.uint8(28)) < 5)  # \t-\r, \x1c-\x1f and space
         edges = np.flatnonzero(np.diff(ws, prepend=True, append=True))
         starts, ends = edges[0::2], edges[1::2]  # each token is raw[start:end]
         breaks = int(np.count_nonzero(raw == ord("\n")))
@@ -292,7 +292,7 @@ def _read_ascii_body(data: bytes, start: int, count: int, props, header_lines: i
         parsed = good * len(props)  # the tokens of the vertex lines before any bad width
         values = _digit_values(raw, ws, starts[:parsed], ends[:parsed])
         if values is None:
-            tokens = chunk.split()
+            tokens = chunk.translate(_ASCII_WS).split()
             del tokens[parsed:]
             try:
                 values = np.fromiter(map(float, tokens), dtype=np.float64, count=parsed)

@@ -137,7 +137,7 @@ def component_roots(parent: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.
         a, b = parent[src], parent[dst]
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
         jumped = parent[parent]
-        while not (jumped == parent).all():
+        while not np.logical_and.reduce(jumped == parent):
             parent, jumped = jumped, jumped[jumped]
         joined = (parent[src] != parent[dst]).nonzero()[0]
         src, dst = src[joined], dst[joined]

@@ -179,8 +179,9 @@ class _PlanState:
     cloud's tables restricted to the points still there. `columns` holds
     the planned cloud's coordinates, one row per axis, and `order[a]` the
     planned-cloud indices of the working points sorted by coordinate `a`,
-    so a side's slab is a run at one end of its axis order, and `ascending[a]`
-    their coordinates `a` in that order. `src`/`dst` are the 26-adjacent
+    so a side's slab is a run at one end of its axis order, `ascending[a]`
+    their coordinates `a` in that order and `rank[a]` each working point's
+    place in it (stale for removed points). `src`/`dst` are the 26-adjacent
     pairs whose ends both remain, `pixels` the pixel keys of every planned
     point and `losses` the loss cache.
     """
@@ -189,11 +190,13 @@ class _PlanState:
         self.config = config
         self.original_size = original_size
         self.min_points = math.ceil(config.min_points(original_size))  # the point floor
-        self.columns = np.ascontiguousarray(cloud.coords.T)
-        self.order = [np.argsort(column, kind="stable") for column in self.columns]
-        self.ascending = [column.take(order) for column, order in zip(self.columns, self.order)]
+        # the pairs first: neighbor_pairs' grid is freed before the per-axis tables exist
         self.src, self.dst = neighbor_pairs(cloud)
         self.pixels = pixel_keys(cloud)
+        self.columns = np.ascontiguousarray(cloud.coords.T)
+        self.order = [np.argsort(column, kind="stable") for column in self.columns]
+        self.rank = [np.empty_like(order) for order in self.order]
+        self._index()
         self.losses: _LossCache = {}
 
     def span(self, axis: Axis) -> tuple[int, int]:
@@ -201,24 +204,35 @@ class _PlanState:
         column = self.ascending[axis]
         return int(column[0]), int(column[-1])
 
+    def _index(self) -> None:
+        """`ascending` and `rank` of the current axis orders."""
+        self.ascending = [column.take(order) for column, order in zip(self.columns, self.order)]
+        for rank, order in zip(self.rank, self.order):
+            rank[order] = np.arange(len(order))
+
     def slab(self, side: Side, count: int) -> _Slab:
         """The `count` working points nearest to `side`'s face, nearest first."""
-        order = self.order[side.axis]
+        order, rank, n = self.order[side.axis], self.rank[side.axis], len(self.order[0])
+        a, b = rank.take(self.src), rank.take(self.dst)  # the pairs' ends by rank
+        if count < n:  # keep the pairs with both ends among the first or last `count` ranks
+            inner, bound = (np.greater_equal, n - count) if side.positive else (np.less, count)
+            both = inner(a, bound)
+            both &= inner(b, bound)
+            inside = both.nonzero()[0]
+            a, b = a.take(inside), b.take(inside)
+        src, dst = np.minimum(a, b), np.maximum(a, b)
+        if side.positive:  # depth from the + face is the rank from the far end
+            src, dst = n - 1 - dst, n - 1 - src
         members = order[::-1][:count] if side.positive else order[:count]
-        position = np.full(self.pixels.shape[1], -1)
-        position[members] = np.arange(count)
-        a, b = position[self.src], position[self.dst]
-        both = ((a >= 0) & (b >= 0)).nonzero()[0]
-        a, b = a[both], b[both]
-        planes = [side.axis] if self.config.plane_rule == "fixed-plane" else [0, 1, 2]
-        pixels = self.pixels[np.ix_(planes, members)]
-        return _Slab(members, np.minimum(a, b), np.maximum(a, b), pixels)
+        fixed = self.config.plane_rule == "fixed-plane"
+        pixels = self.pixels[side.axis, None] if fixed else self.pixels
+        return _Slab(members, src, dst, pixels.take(members, axis=1))
 
     def remove(self, core: AxisRange) -> None:
         """Drop the working points in `core`."""
         gone = core.holds(self.columns[core.axis])
         self.order = [order.compress(~gone.take(order)) for order in self.order]
-        self.ascending = [column.take(order) for column, order in zip(self.columns, self.order)]
+        self._index()
         both = ~(gone[self.src] | gone[self.dst])
         self.src, self.dst = self.src[both], self.dst[both]
 
@@ -230,9 +244,12 @@ def _prefix_lost(slab: _Slab, roots: dict[int, np.ndarray], count: int) -> int:
     maps prefix lengths to roots (the roots serve as labels).
     """
     start = max(m for m in roots if m < count)
-    joining = ((slab.dst >= start) & (slab.dst < count)).nonzero()[0]
+    joins = slab.dst < count
+    if start:
+        joins &= slab.dst >= start
+    joining = joins.nonzero()[0]
     parent = np.concatenate((roots[start], np.arange(start, count)))
-    roots[count] = component_roots(parent, slab.src[joining], slab.dst[joining])
+    roots[count] = component_roots(parent, slab.src.take(joining), slab.dst.take(joining))
     areas = pixel_areas(roots[count], slab.pixels[:, :count], count)
     return count - int(areas.max(axis=0).sum())
 
@@ -269,11 +286,11 @@ def best_width(
     w_max = min(config.theta, hi - lo + 1)
     widths = np.arange(1, w_max + 1)
     if side.positive:
-        counts = len(column) - np.searchsorted(column, hi + 1 - widths, side="left")
+        counts = len(column) - column.searchsorted(hi + 1 - widths, side="left")
     else:
-        counts = np.searchsorted(column, lo + widths, side="left")
+        counts = column.searchsorted(lo + widths, side="left")
     # counts[w - 1] is the point count at width w; eligible widths form a suffix
-    first = int(np.searchsorted(counts, state.min_points)) + 1
+    first = int(counts.searchsorted(state.min_points)) + 1
     if incumbent is not None and incumbent.lost == 0:  # only a wider lossless slab beats it
         first = max(first, incumbent.width + 1)
     if first > w_max:

@@ -7,7 +7,9 @@ search oracle labels every eligible width on every side, which the
 library's pruned search must match exactly; it scores a fixed-plane slab
 by its distinct (component, pixel) pairs on the plane facing the side.
 The capture oracle projects one component at a time, which the library's
-one-pass capture must match.
+one-pass capture must match. The slab oracle builds a plan state's slab
+from its working points afresh (a stable depth sort, pairs by pairwise
+distance), which the state's rank tables must match.
 The ASCII PLY oracles read and write one vertex line at a time, which the
 library's chunked reader and block-wise writer must match byte for byte and
 error for error, at their own chunk and block sizes and at tiny ones; the
@@ -229,6 +231,25 @@ def extent(cloud: PointCloud, axis: Axis) -> int:
 def working_cloud(state) -> PointCloud:
     """A plan state's working points as a cloud, in planned-cloud order."""
     return PointCloud(state.columns[:, np.sort(state.order[0])].T)
+
+
+def oracle_slab(state, side: Side, count: int) -> tuple[np.ndarray, set, np.ndarray]:
+    """A plan state's slab of `count` points from `side`: members, pairs and pixels.
+
+    Members are the working points in stable depth order from the face,
+    taken from the top index down on a `+` side, as the reversed axis order
+    lists equal depths. Pairs are the 26-adjacent members as a set of
+    (shallower, deeper) positions, and pixels the members' columns of the
+    pixel table on the planes the plane rule scores.
+    """
+    working = np.sort(state.order[0])[::-side.sign]
+    depth = state.columns[side.axis, working] * -side.sign
+    members = working[np.argsort(depth, kind="stable")][:count]
+    coords = state.columns[:, members].T.astype(np.int64)
+    adjacent = np.abs(coords[:, None] - coords[None]).max(axis=2) <= 1
+    pairs = set(zip(*(i.tolist() for i in np.triu(adjacent, 1).nonzero())))
+    planes = [side.axis] if state.config.plane_rule == "fixed-plane" else list(Axis)
+    return members, pairs, state.pixels[planes][:, members]
 
 
 def slab(cloud: PointCloud, side: Side, width: int) -> tuple[AxisRange, PointCloud]:

@@ -12,6 +12,14 @@ decoded cloud 48.4 while the merge sorted every stored row. The ASCII read
 held 39.4 bytes per point while it built token values digit by digit;
 reading eight digits a word holds more, mostly the copy `take` makes of
 the chunk's unaligned word view (8 bytes a chunk byte).
+
+The planner's budget is set on the 50,768-point extent-128 sphere shell, a
+surface like a frame's, whose plan the slicer tests pin. `build_plan` held
+400.5 bytes per point there when each slab scattered its members'
+positions over the whole planned cloud; the budget sits just above that,
+so the per-axis rank tables that replaced the scatter cannot grow the
+planner's peak unseen. With the pair list built before those tables, it
+holds 382.7.
 """
 
 import numpy as np
@@ -20,6 +28,7 @@ import pytest
 from sliceseg import codec, projection
 from sliceseg.cloud import Axis
 from sliceseg.ply import read_ply, write_ply
+from sliceseg.slicer import SlicerConfig, build_plan
 from sliceseg.synthetic import gen_synthetic
 
 from conftest import slab_plan, traced_peak
@@ -85,3 +94,11 @@ def test_same_points_budget(frame):
     same, peak = traced_peak(frame.same_points, copy)
     assert same
     assert per_point(peak) <= 32
+
+
+def test_plan_budget():
+    shell = gen_synthetic("sphere-shell", {"extent": 128}, 0)
+    config = SlicerConfig(theta=64, threshold_frac="0.05", overlap=2)
+    plan, peak = traced_peak(build_plan, shell, config)
+    assert sum(s.point_count for s in plan.slices) == len(shell) == 50_768
+    assert peak / len(shell) <= 402

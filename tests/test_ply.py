@@ -427,6 +427,33 @@ def test_digit_words_read_each_token_exactly(monkeypatch, chunk):
     assert returned and all(values is not None for values in returned)
 
 
+@pytest.mark.parametrize("sep", SEPARATORS[6:])
+@pytest.mark.parametrize(
+    "token, digits",
+    [(b"5", True), (b"123456789", True), (b"2.5", False), (b"-7", False), (b"x", False)],
+)
+def test_x1c_to_x1f_separate_values_on_both_paths(monkeypatch, sep, token, digits):
+    """\\x1c-\\x1f split values as str.split() does, whether the digit reader or float()
+    reads the chunk: the same values, or the same error and line, as the per-line reader."""
+    original, returned = ply._digit_values, []
+
+    def digit_values(*args):
+        returned.append(original(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(ply, "_digit_values", digit_values)
+    body = b"1%s2 3\n%s4%s%s%s6%s\n7 8\t9" % (sep, sep, sep, token, sep, sep)
+    props = [(name, "<f4") for name in "xyz"]
+    outcome = _outcome(read_ascii_body, body, 3, props, 5)
+    assert outcome == _outcome(oracle_read_ascii_body, body, 3, props, 5)
+    assert isinstance(outcome, dict) == (token != b"x")
+    assert (returned[0] is not None) == digits
+    width_error = body.replace(b"\n7", b"%s0\n7" % sep)  # a fourth value on line 7
+    assert _outcome(read_ascii_body, width_error, 3, props, 5) == (
+        PlyParseError, "expected 3 values, got 4 (line 7)"
+    )
+
+
 def read_outcome(data: bytes):
     try:
         cloud = read_ply(data)

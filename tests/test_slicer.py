@@ -37,6 +37,7 @@ from conftest import (
     mask_extract_slices,
     oracle_extract_slices,
     oracle_plan,
+    oracle_slab,
     point_set,
     random_cloud,
     slab,
@@ -426,6 +427,36 @@ def test_plan_state_slabs_match_slabs_built_afresh(monkeypatch, rng):
 
 
 @pytest.mark.parametrize("plane_rule", ["best-plane", "fixed-plane"])
+def test_plan_state_slab_matches_oracle_before_and_after_remove(rng, plane_rule):
+    """Every side's slab, below and at the working size, as the oracle builds it afresh.
+
+    Counts that end mid-layer pin the order of equal depths too. Between
+    checks the state drops a face band, as a planning round does, so the
+    rank tables are checked after `remove` as well.
+    """
+    checked = 0
+    for _ in range(5):
+        cloud = random_cloud(rng, max_points=300, extent_range=(4, 12))
+        state = _PlanState(cloud, cfg(plane_rule=plane_rule), len(cloud))
+        for side in SIDES[:4]:  # check, then remove this side's two-layer band
+            n = len(state.order[0])
+            for slab_side in SIDES:
+                for count in sorted({1, n // 3, n - 1, n} - {0}):
+                    got = state.slab(slab_side, count)
+                    members, pairs, pixels = oracle_slab(state, slab_side, count)
+                    assert np.array_equal(got.members, members)
+                    assert len(got.src) == len(pairs)
+                    assert set(zip(got.src.tolist(), got.dst.tolist())) == pairs
+                    assert np.array_equal(got.pixels, pixels)
+                    checked += 1
+            working = working_cloud(state)
+            if extent(working, side.axis) < 3:
+                break
+            state.remove(slab(working, side, 2)[0])
+    assert checked >= 200
+
+
+@pytest.mark.parametrize("plane_rule", ["best-plane", "fixed-plane"])
 def test_shared_state_best_width_matches_direct_call(monkeypatch, rng, plane_rule):
     """Mid-plan, best_width on the plan's state finds what it finds on a fresh state."""
     for theta in (3, 8, 64):
@@ -446,7 +477,9 @@ def test_shared_state_best_width_matches_direct_call(monkeypatch, rng, plane_rul
 # recorded from the planner that built a neighbor grid for every slab; and
 # at frame scale, a 50,768-point shell under both plane rules and 20,000
 # random points, each ending in a terminal residue, recorded from the
-# planner that scored that residue as a cloud of its own.
+# planner that scored that residue as a cloud of its own. The 202,400-point
+# shell was recorded from the planner that scattered each slab's member
+# positions over the whole planned cloud.
 PINNED_PLAN_SHA256 = {
     "folded-sheet-32": (
         "folded-sheet", {"extent": 32, "amplitude": 8, "period": 16}, 7, "best-plane",
@@ -471,6 +504,10 @@ PINNED_PLAN_SHA256 = {
     "sphere-shell-128": (
         "sphere-shell", {"extent": 128}, 0, "best-plane",
         "ec7a9d1edc90e8f8c690c7f3e10ae67bc8cb2beca229697b755ca5414eb00320",
+    ),
+    "sphere-shell-256": (
+        "sphere-shell", {"extent": 256}, 0, "best-plane",
+        "ce33311e04cf03478f9e3a7f13248ac4840779f6c6c20506c2a45b54e287e6ee",
     ),
     "sphere-shell-128-fixed": (
         "sphere-shell", {"extent": 128}, 0, "fixed-plane",
