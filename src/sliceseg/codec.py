@@ -152,35 +152,33 @@ class DecodedStream:
     @property
     def cloud(self) -> PointCloud:
         """The records' points in stream order, each voxel at its first occurrence. `decode`
-        admits only records whose words strictly increase, so a repeat lies in two records'
-        boxes: only rows that two boxes cover on every axis are deduplicated. A hand-built
-        stream that breaks a premise merges the general way, with the same result."""
+        admits only records whose words strictly increase, so when every record slices one
+        axis a repeat lies in two records' depth ranges: only those rows are deduplicated. A
+        stream on several axes, or one that breaks a premise, merges all rows at once."""
         records, bit_depth = self.records, self.bit_depth
         coords = np.concatenate([r.coords() for r in records] or [np.empty((0, 3), np.int32)])
         colors = None
         if records and records[0].color_flag:  # decode admits one flag for all records
             colors = np.asarray(np.concatenate([r.colors for r in records]), np.uint8)
         n, bounds = len(coords), np.cumsum([0] + [r.point_count for r in records])
-        if (not n or bit_depth not in range(MIN_BIT_DEPTH, MAX_BIT_DEPTH + 1)
+        if (not n or len({r.axis for r in records}) > 1
+                or bit_depth not in range(MIN_BIT_DEPTH, MAX_BIT_DEPTH + 1)
                 or colors is not None and colors.shape != coords.shape
                 or coords.min() < 0 or coords.max() >> bit_depth):
             return PointCloud(coords, colors, bit_depth=bit_depth)  # its checks decide
+        depth = coords[:, records[0].axis]
         starts = bounds[:-1][np.diff(bounds) > 0]  # of the records that hold points
-        lo, hi = np.minimum.reduceat(coords, starts), np.maximum.reduceat(coords, starts)
-        cover = np.zeros((3, (1 << bit_depth) + 1), np.int32)  # a difference array per axis
-        np.add.at(cover, (np.arange(3), lo), 1)
-        np.add.at(cover, (np.arange(3), hi + 1), -1)
-        shared, repeats = cover.cumsum(axis=1) > 1, np.ones(n, dtype=bool)  # in two [lo, hi]
-        for axis in range(3):  # an axis that covers every row twice rules none out
-            if not shared[axis, lo[:, axis].min() : hi[:, axis].max() + 1].all():
-                repeats &= shared[axis].take(coords[:, axis])
+        cover = np.zeros((1 << bit_depth) + 1, np.int32)  # a difference array over depth
+        np.add.at(cover, np.minimum.reduceat(depth, starts), 1)
+        np.add.at(cover, np.maximum.reduceat(depth, starts) + 1, -1)
+        repeats = (cover.cumsum() > 1).take(depth)  # in two records' depth ranges
         rows = np.flatnonzero(repeats)
         if 3 * len(rows) > n:  # merging every row costs less than checking the rest
             return PointCloud(coords, colors, bit_depth=bit_depth)
         rising = np.concatenate([  # decode's order: (depth, u, v) keys rise within a record
             np.diff(voxel_keys(*part.T[[r.axis, *PLANE_COLS[r.axis]]])) > 0
             for r, part in zip(records, np.split(coords, bounds[1:-1]))])
-        if not rising.all():  # a record may repeat a point that no other record's box holds
+        if not rising.all():  # a record may repeat a point that no other record's range holds
             return PointCloud(coords, colors, bit_depth=bit_depth)
         repeats[rows[first_occurrences(voxel_keys(*coords.take(rows, axis=0).T))]] = False
         kept, merged = ~repeats, int(np.count_nonzero(repeats))

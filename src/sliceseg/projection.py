@@ -149,7 +149,7 @@ def best_plane(cloud: PointCloud) -> tuple[Axis, int]:
     if len(cloud) == 0:
         raise ValueError("best_plane of an empty cloud")
     whole = ComponentLabeling(np.zeros(len(cloud), dtype=np.int32), 1)
-    axes, areas = component_areas(cloud, whole)
+    axes, areas = component_areas(pixel_keys(cloud), whole)
     return Axis(int(axes[0])), int(areas[0])
 
 
@@ -177,10 +177,10 @@ def pixel_areas(labels: np.ndarray, pixels: np.ndarray, count: int) -> np.ndarra
 
 
 def component_areas(
-    cloud: PointCloud, labeling: ComponentLabeling
+    pixels: np.ndarray, labeling: ComponentLabeling
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-component (axis, area) arrays: distinct pixels on each component's best plane."""
-    stacked = pixel_areas(labeling.labels, pixel_keys(cloud), labeling.count)
+    """Per-component (axis, area) arrays: distinct `pixel_keys` pixels on each best plane."""
+    stacked = pixel_areas(labeling.labels, pixels, labeling.count)
     best = np.argmax(stacked, axis=0)  # first max wins: ties go X < Y < Z
     return best, stacked[best, np.arange(labeling.count)]
 
@@ -190,7 +190,7 @@ def compute_psi(cloud: PointCloud) -> ProjectionStats:
     if len(cloud) == 0:
         raise ValueError("cannot compute projection loss of an empty cloud")
     labeling = label_components(cloud)
-    _, areas = component_areas(cloud, labeling)
+    _, areas = component_areas(pixel_keys(cloud), labeling)
     phi = len(cloud)
     return ProjectionStats(phi=phi, lost=phi - int(areas.sum()), component_count=labeling.count)
 
@@ -208,9 +208,10 @@ def simulate_capture(
     if len(cloud) == 0:
         raise ValueError("cannot capture an empty cloud")
 
-    axis = component_areas(cloud, labeling)[0][labeling.labels]  # its component's best plane
+    pixels = pixel_keys(cloud)
+    axis = component_areas(pixels, labeling)[0][labeling.labels]  # its component's best plane
     rows = np.arange(len(cloud))
-    pix = labeling.labels * _LABEL_KEY | pixel_keys(cloud)[axis, rows]
+    pix = labeling.labels * _LABEL_KEY | pixels[axis, rows]
     # voxels are unique, so points sharing a pixel always differ in depth;
     # nearest/farthest per pixel need no tie-breaking
     depth = cloud.coords[rows, axis]

@@ -164,12 +164,11 @@ _LossCache = dict[tuple[Axis, int, int], tuple[int, int]]
 class _Slab(NamedTuple):
     """A side's widest slab, its points ordered by depth from the face."""
 
-    members: np.ndarray  # planned-cloud index of each point, by depth
-    # 26-adjacent pairs as positions in `members`; dst is the deeper end, so
-    # a pair lies in every prefix longer than its dst
+    # 26-adjacent pairs as depth positions in the slab; dst is the deeper
+    # end, so a pair lies in every prefix longer than its dst
     src: np.ndarray
     dst: np.ndarray
-    pixels: np.ndarray  # pixel keys of the members, on the planes the plane rule scores
+    pixels: np.ndarray  # pixel keys of the points, on the planes the plane rule scores
 
 
 class _PlanState:
@@ -188,7 +187,6 @@ class _PlanState:
 
     def __init__(self, cloud: PointCloud, config: SlicerConfig, original_size: int) -> None:
         self.config = config
-        self.original_size = original_size
         self.min_points = math.ceil(config.min_points(original_size))  # the point floor
         # the pairs first: neighbor_pairs' grid is freed before the per-axis tables exist
         self.src, self.dst = neighbor_pairs(cloud)
@@ -226,7 +224,7 @@ class _PlanState:
         members = order[::-1][:count] if side.positive else order[:count]
         fixed = self.config.plane_rule == "fixed-plane"
         pixels = self.pixels[side.axis, None] if fixed else self.pixels
-        return _Slab(members, src, dst, pixels.take(members, axis=1))
+        return _Slab(src, dst, pixels.take(members, axis=1))
 
     def remove(self, core: AxisRange) -> None:
         """Drop the working points in `core`."""

@@ -307,10 +307,10 @@ def brute_best_width(cloud: PointCloud, side: Side, config, original_size: int):
     return min(brute_candidates(cloud, side, config, original_size), key=_rank, default=None)
 
 
-def brute_select_slice(state, index: int = 0, **_):
-    """Drop-in for `slicer.select_slice` that runs the exhaustive loop on every side."""
+def brute_select_slice(state, index: int, original_size: int):
+    """`slicer.select_slice` by the exhaustive loop on every side, for an `original_size` plan."""
     cloud, config = working_cloud(state), state.config
-    cands = [brute_best_width(cloud, side, config, state.original_size) for side in SIDES]
+    cands = [brute_best_width(cloud, side, config, original_size) for side in SIDES]
     best = min((c for c in cands if c is not None), key=_rank, default=None)
     if best is None:
         return None
@@ -327,7 +327,7 @@ def brute_select_slice(state, index: int = 0, **_):
 def oracle_plan(monkeypatch, cloud: PointCloud, config):
     """`build_plan` with its width search replaced by the exhaustive oracle."""
     with monkeypatch.context() as m:
-        m.setattr(slicer, "select_slice", brute_select_slice)
+        m.setattr(slicer, "select_slice", lambda state, i: brute_select_slice(state, i, len(cloud)))
         return slicer.build_plan(cloud, config)
 
 

@@ -8,8 +8,9 @@ constructors and read result fields (`bit_budget(...).payload_bits`,
 `CaptureConfig(layer_mode=...)`, `label_components(c).count`, `SliceSpec(...)`);
 one setup and two operations of each must pass the workload's own check.
 A module may import a name it never uses only when `WRAPPED` lists it for
-that module, every module-level private name must be read somewhere in
-the package, and so must every public function, class and method but a
+that module, every module-level private name and every field of a private
+NamedTuple or dataclass must be read somewhere in the package, and so
+must every public function, class and method but a
 listed few that only tests and the benchmark read: with no linter at hand,
 `ast` scans stand in for one.
 """
@@ -139,6 +140,55 @@ def test_every_private_name_in_src_is_read():
     sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
     unused = unused_private_names(sources)
     assert not unused, f"sliceseg defines {sorted(unused)} and never reads them"
+
+
+def unread_private_fields(sources: list[str]) -> set[str]:
+    """`_Class.field`s of private NamedTuples and dataclasses that no source reads.
+
+    A module-level class whose name starts with one underscore and that
+    derives from `NamedTuple` or is decorated with `dataclass` declares its
+    fields as annotated names in its body; a field is read when any source
+    reads it as an attribute.
+    """
+
+    def name(node) -> str:
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+    fields, read = set(), set()
+    for tree in map(ast.parse, sources):
+        for node in tree.body:
+            if (isinstance(node, ast.ClassDef) and node.name.startswith("_")
+                    and node.name[1:2] != "_"
+                    and ("NamedTuple" in map(name, node.bases)
+                         or "dataclass" in map(name, node.decorator_list))):
+                fields |= {(node.name, n.target.id) for n in node.body
+                           if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return {f"{cls}.{field}" for cls, field in fields if field not in read}
+
+
+def test_unread_private_fields_finds_fields_no_code_reads():
+    module = (
+        "import dataclasses\nfrom typing import NamedTuple\n"
+        "class _Pair(NamedTuple):\n    first: int\n    second: int\n    UNTYPED = 0\n"
+        "@dataclasses.dataclass(frozen=True)\nclass _Box:\n    lo: int\n    hi: int\n"
+        "@dataclass\nclass _Plain:\n    size: int\n"
+        "class _Other:\n    loose: int\n"
+        "class Public(NamedTuple):\n    open: int\n"
+        "def use(p, b):\n    b.hi = 1\n    return p.first + b.lo\n"
+    )
+    assert unread_private_fields([module]) == {"_Pair.second", "_Box.hi", "_Plain.size"}
+    assert unread_private_fields([module, "def f(p):\n    return p.second\n"]) == {
+        "_Box.hi", "_Plain.size"
+    }
+
+
+def test_every_private_field_in_src_is_read():
+    unread = unread_private_fields([path.read_text() for path in sorted(SRC.glob("*.py"))])
+    assert not unread, f"sliceseg stores {sorted(unread)} and never reads them"
 
 
 def unread_public_names(sources: dict[str, str]) -> set[str]:

@@ -457,6 +457,87 @@ class TestDecodedCloud:
         monkeypatch.setattr(codec, "first_occurrences", None)  # the covered-rows merge is skipped
         assert_cloud_matches_oracle(stream)
 
+    @staticmethod
+    def record_keyed(monkeypatch) -> list:
+        """The number of rows of each `first_occurrences` call `DecodedStream.cloud` makes."""
+        keyed, first_occurrences = [], codec.first_occurrences
+
+        def recording(keys):
+            keyed.append(len(keys))
+            return first_occurrences(keys)
+
+        monkeypatch.setattr(codec, "first_occurrences", recording)
+        return keyed
+
+    def test_one_axis_hand_stream_with_empty_and_wide_records(self, monkeypatch):
+        empty = [hand_record(Axis.Y, base, []) for base in (0, 10, 400)]
+        layers = hand_record(Axis.Y, 0, [(x, y, 0) for y in range(4) for x in range(3)] + [(0, 4, 0)])
+        seam = hand_record(Axis.Y, 4, [(0, 4, 0), (1, 5, 0)])  # repeats the layers' last point
+        wide = dataclasses.replace(  # depths 5..300 need the wide form
+            hand_record(Axis.Y, 5, [(2, 5, 2)] + [(x, 300, 0) for x in range(6)]),
+            width_field=0, d=9,
+        )
+        stream = hand_stream(empty[0], layers, empty[1], seam, wide, empty[2])
+        keyed = self.record_keyed(monkeypatch)
+        cloud = stream.cloud
+        # depths 4 and 5 lie in two records' ranges; empty records cover none
+        assert keyed == [4]
+        want = [[x, y, 0] for y in range(4) for x in range(3)] + [[0, 4, 0], [1, 5, 0], [2, 5, 2]]
+        assert cloud.coords.tolist() == want + [[x, 300, 0] for x in range(6)]
+        assert cloud.duplicates_merged == 1
+        assert_cloud_matches_oracle(stream)
+
+    @pytest.mark.parametrize("colored", [False, True])
+    def test_one_axis_encoded_stream_with_empty_and_wide_records(self, monkeypatch, colored):
+        rng = np.random.default_rng(11)
+        z = np.concatenate([rng.integers(0, 100, 1500), rng.integers(140, 300, 1500)])
+        coords = np.column_stack([rng.integers(0, 16, 3000), rng.integers(0, 16, 3000), z])
+        cloud = PointCloud(coords, rng.integers(0, 256, size=(3000, 3)) if colored else None)
+        n = np.bincount(cloud.coords[:, Axis.Z], minlength=1024)
+        bands = [  # (core, extended) on z, cut in this order: no point lies at z 100..139
+            ((100, 110), (100, 112)), ((0, 50), (0, 52)), ((120, 130), (120, 132)),
+            ((50, 100), (50, 142)), ((140, 300), (140, 300)), ((300, 310), (300, 310)),
+        ]
+        specs = tuple(
+            SliceSpec(i, Side(Axis.Z, -1), AxisRange(Axis.Z, *core), AxisRange(Axis.Z, *ext),
+                      int(n[slice(*core)].sum()), 0.0)
+            for i, (core, ext) in enumerate(bands)
+        )
+        plan = SlicePlan(config=SlicerConfig(overlap=2), original_size=len(cloud), slices=specs)
+        stream = decode(encode(cloud, plan))
+        records = stream.records
+        assert [r.point_count == 0 for r in records] == [True, False, True, False, False, True]
+        assert records[4].width_field == 0  # 160 voxels: the wide form
+        keyed = self.record_keyed(monkeypatch)
+        merged = stream.cloud.duplicates_merged
+        # z 50-51 lie in slices 1 and 3, and z 140-141 in slices 3 and 4
+        assert merged == int(n[[50, 51, 140, 141]].sum()) > 0
+        assert keyed == [2 * merged]
+        assert_cloud_matches_oracle(stream)
+        assert stream.cloud.same_points(cloud)
+
+    @pytest.mark.parametrize("colored", [False, True])
+    def test_one_axis_record_repeating_its_own_point(self, monkeypatch, colored):
+        points = [(1, 2, 3), (4, 5, 6), (1, 2, 3), (0, 0, 9)]
+        colors = [(1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4)] if colored else None
+        other = hand_record(Axis.Z, 100, [(7, 7, 100)], [(5, 5, 5)] if colored else None)
+        stream = hand_stream(hand_record(Axis.Z, 0, points, colors), other)
+        keyed = self.record_keyed(monkeypatch)
+        cloud = stream.cloud
+        # the depth ranges share no row, so only the order check finds the repeat
+        assert keyed == []
+        assert cloud.coords.tolist() == [[1, 2, 3], [4, 5, 6], [0, 0, 9], [7, 7, 100]]
+        assert cloud.duplicates_merged == 1
+        assert_cloud_matches_oracle(stream)
+
+    def test_multi_axis_planner_stream_merges_all_rows_at_once(self, monkeypatch):
+        cloud = gen_synthetic("folded-sheet", {"extent": 32, "amplitude": 8, "period": 16}, seed=7)
+        stream = decode(encode(cloud, build_plan(cloud, SlicerConfig(overlap=1))))
+        assert len({r.axis for r in stream.records}) == 2
+        monkeypatch.setattr(codec, "first_occurrences", None)  # the covered-rows merge is skipped
+        assert stream.cloud.duplicates_merged > 0
+        assert_cloud_matches_oracle(stream)
+
     def test_repeat_in_non_adjacent_records_on_different_axes_keeps_the_first_color(self):
         stream = hand_stream(
             hand_record(Axis.X, 0, [(1, 9, 9), (3, 4, 5)], [(10, 10, 10), (11, 11, 11)]),
@@ -502,7 +583,7 @@ class TestDecodedCloud:
         ],
     )
     def test_stream_the_cloud_rejects_raises_its_error(self, bit_depth, color_width, message):
-        # sorted records with disjoint boxes: nothing to key, so only the checks can refuse
+        # sorted records with disjoint depth ranges: nothing to key, so only the checks can refuse
         colors = [[1] * color_width] * 2
         records = (
             hand_record(Axis.X, 0, [(1, 1, 1), (2, 2, 2)], colors),

@@ -14,7 +14,7 @@ from sliceseg import projection
 from sliceseg.cloud import (
     PLANE_COLS, Axis, AxisRange, PointCloud, Side, extract_range, remove_range
 )
-from sliceseg.projection import component_areas, neighbor_pairs
+from sliceseg.projection import component_areas, neighbor_pairs, pixel_keys
 from sliceseg.synthetic import gen_synthetic
 
 from conftest import (
@@ -215,7 +215,7 @@ class TestComputePsi:
             stats = compute_psi(cloud)
             assert 0 <= stats.psi < 1
             labeling = label_components(cloud)
-            _, areas = component_areas(cloud, labeling)
+            _, areas = component_areas(pixel_keys(cloud), labeling)
             assert areas.sum() <= stats.phi
             assert stats.lost == stats.phi - areas.sum()
             assert stats.component_count == labeling.count
@@ -227,7 +227,7 @@ class TestComputePsi:
         for _ in range(10):
             cloud = random_cloud(rng, max_points=200)
             labeling = label_components(cloud)
-            axes, areas = component_areas(cloud, labeling)
+            axes, areas = component_areas(pixel_keys(cloud), labeling)
             fixed = {axis: 0 for axis in Axis}  # pixels of every component on one plane
             for k in range(labeling.count):
                 points = cloud.subset(labeling.labels == k).coords.tolist()
@@ -367,7 +367,7 @@ class TestOracleEquivalence:
             stats = compute_psi(cloud)
             labeling = label_components(cloud)
             captured = len(simulate_capture(cloud, labeling, CaptureConfig("single")))
-            _, areas = component_areas(cloud, labeling)
+            _, areas = component_areas(pixel_keys(cloud), labeling)
             assert stats.phi - areas.sum() == len(cloud) - captured
             assert stats.lost == len(cloud) - captured
 
@@ -388,6 +388,6 @@ class TestSplittingSuperadditivity:
             for part in parts:
                 if len(part) == 0:
                     continue
-                covered_parts += component_areas(part, label_components(part))[1].sum()
-            whole = component_areas(cloud, label_components(cloud))[1].sum()
+                covered_parts += component_areas(pixel_keys(part), label_components(part))[1].sum()
+            whole = component_areas(pixel_keys(cloud), label_components(cloud))[1].sum()
             assert covered_parts >= whole

@@ -375,6 +375,12 @@ def _plan_checking_rounds(monkeypatch, cloud, config, check):
         return build_plan(cloud, config)
 
 
+def _slab_members(state, side: Side, count: int) -> np.ndarray:
+    """Planned-cloud indices of a slab's points by depth: the side's end of its axis order."""
+    order = state.order[side.axis]
+    return order[::-1][:count] if side.positive else order[:count]
+
+
 def _pair_set(coords, src, dst):
     return {frozenset((tuple(coords[a]), tuple(coords[b]))) for a, b in zip(src, dst)}
 
@@ -408,12 +414,12 @@ def test_plan_state_slabs_match_slabs_built_afresh(monkeypatch, rng):
             span = extent(working, side.axis)
             for width in sorted({1, (span + 1) // 2, span}):
                 _, sub = slab(working, side, width)
-                got = state.slab(side, len(sub))
-                coords = cloud.coords[got.members].tolist()
+                got, members = state.slab(side, len(sub)), _slab_members(state, side, len(sub))
+                coords = cloud.coords[members].tolist()
                 assert len(coords) == len(sub) and set(map(tuple, coords)) == point_set(sub)
-                depth = cloud.coords[got.members, side.axis] * -side.sign
+                depth = cloud.coords[members, side.axis] * -side.sign
                 assert (np.diff(depth) >= 0).all()
-                assert np.array_equal(got.pixels, pixel_keys(cloud.subset(got.members)))
+                assert np.array_equal(got.pixels, pixel_keys(cloud.subset(members)))
                 assert (got.src < got.dst).all()
                 want = _pair_set(sub.coords.tolist(), *neighbor_pairs(sub))
                 assert len(got.src) == len(want)
@@ -444,7 +450,7 @@ def test_plan_state_slab_matches_oracle_before_and_after_remove(rng, plane_rule)
                 for count in sorted({1, n // 3, n - 1, n} - {0}):
                     got = state.slab(slab_side, count)
                     members, pairs, pixels = oracle_slab(state, slab_side, count)
-                    assert np.array_equal(got.members, members)
+                    assert np.array_equal(_slab_members(state, slab_side, count), members)
                     assert len(got.src) == len(pairs)
                     assert set(zip(got.src.tolist(), got.dst.tolist())) == pairs
                     assert np.array_equal(got.pixels, pixels)
@@ -465,7 +471,7 @@ def test_shared_state_best_width_matches_direct_call(monkeypatch, rng, plane_rul
 
         def check(state):
             for side in SIDES:
-                fresh = _PlanState(working_cloud(state), config, state.original_size)
+                fresh = _PlanState(working_cloud(state), config, len(cloud))
                 assert best_width(state, side) == best_width(fresh, side)
 
         expect = plan_to_json(build_plan(cloud, config))
