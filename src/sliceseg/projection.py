@@ -35,9 +35,10 @@ _HALF_OFFSETS = np.array(
     ],
     dtype=np.int64,
 )
-# The same offsets as voxel key differences: adding one to a key moves the
-# voxel by (dx, dy, dz) while every field stays in 0..2^17-1.
-_HALF_KEY_STEPS = _HALF_OFFSETS @ (voxel_keys(1, 0, 0), voxel_keys(0, 1, 0), 1)
+# The dz = -1 offset of each (dx, dy) column but (0, 0), as a voxel key
+# difference: adding it to a key moves the voxel by (dx, dy, -1) while every
+# field stays in 0..2^17-1, and each further +1 moves it one more step in z.
+_COLUMN_KEY_STEPS = _HALF_OFFSETS[1::3] @ (voxel_keys(1, 0, 0), voxel_keys(0, 1, 0), 1)
 # label * _LABEL_KEY is voxel_keys(label, 0, 0) in one pass, for the planner's hot loop
 _LABEL_KEY = voxel_keys(1, 0, 0)
 
@@ -114,13 +115,22 @@ def neighbor_pairs(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
     keys += voxel_keys(1, 1, 1)  # each field moves up one: neighbor fields stay in 0..2^16+1
     order = np.argsort(keys)  # keys are unique: no order among equals to keep
     keys = keys[order]  # sorted, and the unsorted keys are freed
-    src_list, dst_list = [], []
-    for step in _HALF_KEY_STEPS.tolist():
+    # Offset (0, 0, 1): unique keys, so a key's +1 neighbor can only be the next one.
+    hit = np.flatnonzero(np.diff(keys) == 1)
+    src_list, dst_list = [order[hit]], [order[hit + 1]]
+    # Each other column takes one search, for its dz = -1 key. `pos` then
+    # moves past each match: the keys are unique integers, so the first key
+    # >= t + 1 is the next place if t is present, else the same place.
+    for step in _COLUMN_KEY_STEPS.tolist():
         nb_keys = keys + step  # sorted queries keep searchsorted cache-friendly
-        pos = np.minimum(np.searchsorted(keys, nb_keys), n - 1)
-        hit = np.flatnonzero(keys[pos] == nb_keys)
-        src_list.append(order[hit])
-        dst_list.append(order[pos[hit]])
+        pos = np.searchsorted(keys, nb_keys)
+        for _ in range(3):  # dz = -1, 0, +1, in the order of _HALF_OFFSETS
+            found = keys[np.minimum(pos, n - 1, out=pos)] == nb_keys
+            hit = np.flatnonzero(found)
+            src_list.append(order[hit])
+            dst_list.append(order[pos[hit]])
+            pos += found
+            nb_keys += 1
     return np.concatenate(src_list), np.concatenate(dst_list)
 
 

@@ -29,6 +29,8 @@ def gen_synthetic(kind: str, params: Mapping[str, int], seed: int = 0) -> PointC
     extent = int(params.get("extent", 0))
     if not (0 < extent <= 1 << MAX_BIT_DEPTH):  # checked before any array is made
         raise ValueError(f"extent must be an integer in 1..{1 << MAX_BIT_DEPTH}")
+    if seed < 0:  # numpy's own message would name no parameter
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
     size = f"extent {extent}"
     if kind == "uniform-random":
@@ -41,6 +43,8 @@ def gen_synthetic(kind: str, params: Mapping[str, int], seed: int = 0) -> PointC
             if not math.isfinite(expected):
                 raise ValueError(f"density {density} gives no finite point count")
             count = int(round(expected))
+            if count <= 0:  # else _uniform_random would blame a count never given
+                raise ValueError(f"density {density} gives no points at extent {extent}")
         size += f" and count {count}"
     try:
         if kind == "plane":

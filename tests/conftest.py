@@ -19,7 +19,10 @@ time with a sequential bit reader, which the library's table-driven
 decoder must match record for record and error for error on every
 canonical stream. The
 labeling oracle runs scipy's csgraph over its own neighbor search, and
-`label_components` must give the same labels array for array.
+`label_components` must give the same labels array for array. The
+sorted-key pair oracle is `neighbor_pairs`' earlier one search per
+half-neighborhood offset, whose (src, dst) arrays the library's one search
+per neighbor column must match element for element.
 The decoded-cloud oracle merges a stream's records one point at a time
 through a dict, which the library's covered-rows merge must match in
 points, order, colors and merge count.
@@ -162,6 +165,26 @@ def oracle_label_sparse(coords: np.ndarray) -> np.ndarray:
     graph = coo_matrix((np.ones(src.shape[0], dtype=np.int8), (src, dst)), shape=(n, n))
     _, raw = connected_components(graph, directed=False)
     return raw.astype(np.int64)
+
+
+def oracle_sorted_key_pairs(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
+    """(src, dst) of every 26-adjacent pair: one `searchsorted` per half-neighborhood offset.
+
+    The sorted-key finder's earlier form, offset by offset in `_HALF_OFFSETS`
+    order and, within one offset, in sorted-key order of the first point.
+    """
+    n = len(cloud)
+    keys = cloud.coordinate_keys() + voxel_keys(1, 1, 1)
+    order = np.argsort(keys)
+    keys = keys[order]
+    src_list, dst_list = [], []
+    for step in (_HALF_OFFSETS @ (voxel_keys(1, 0, 0), voxel_keys(0, 1, 0), 1)).tolist():
+        nb_keys = keys + step
+        pos = np.minimum(np.searchsorted(keys, nb_keys), n - 1)
+        hit = np.flatnonzero(keys[pos] == nb_keys)
+        src_list.append(order[hit])
+        dst_list.append(order[pos[hit]])
+    return np.concatenate(src_list), np.concatenate(dst_list)
 
 
 def relabel_first_occurrence(raw: np.ndarray) -> np.ndarray:

@@ -117,8 +117,14 @@ class TestGen:
             (["--kind", "plane", "--offset", "-1"], "plane offset must be non-negative"),
             (["--kind", "uniform-random", "--count", "0", "--seed", "1"],
              "count must be a positive integer"),
+            (["--kind", "uniform-random", "--count", "5", "--seed", "-1"],
+             "seed must be a non-negative integer, got -1"),
+            (["--kind", "uniform-random", "--density", "-1", "--seed", "1"],
+             "density -1.0 gives no points at extent 8"),
+            (["--kind", "uniform-random", "--density", "0.0001", "--seed", "1"],
+             "density 0.0001 gives no points at extent 8"),
         ],
-        ids=["negative-offset", "zero-count"],
+        ids=["negative-offset", "zero-count", "negative-seed", "negative-density", "empty-density"],
     )
     def test_generator_errors_report_through_gen(self, tmp_path, capsys, flags, message):
         out = tmp_path / "g.ply"

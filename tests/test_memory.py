@@ -11,7 +11,15 @@ held 28.7 bytes per point while its records kept int64 fields, and its
 decoded cloud 48.4 while the merge sorted every stored row. The ASCII read
 held 39.4 bytes per point while it built token values digit by digit;
 reading eight digits a word holds more, mostly the copy `take` makes of
-the chunk's unaligned word view (8 bytes a chunk byte).
+the chunk's unaligned word view (8 bytes a chunk byte). The sparse
+labeling held 58.4 bytes per point while its sorted-key search ran once per
+half-neighborhood offset, and holds 52.4 with one search per neighbor
+column.
+
+Labeling a surface holds more, since its pair list is long: the 202,400-point
+extent-256 sphere shell has 957,624 pairs, and its box is too large for the
+index grid. Its labeling held 255.8 bytes per point with one search per
+offset, and the budget sits just above that.
 
 The planner's budget is set on the 50,768-point extent-128 sphere shell, a
 surface like a frame's, whose plan the slicer tests pin. `build_plan` held
@@ -66,13 +74,26 @@ def test_ascii_write_budget(frame):
     assert per_point(peak) <= 32
 
 
-def test_sparse_labeling_budget(frame):
-    mins, maxs = frame.bbox
+def assert_sorted_key_path(cloud):
+    mins, maxs = cloud.bbox
     cells = int(np.prod(maxs.astype(np.int64) - mins + 3))
     assert cells > projection._GRID_CELL_LIMIT  # too large a box for the grid: sorted keys
+
+
+def test_sparse_labeling_budget(frame):
+    assert_sorted_key_path(frame)
     labeling, peak = traced_peak(projection.label_components, frame)
     assert labeling.labels.shape == (POINTS,)
-    assert per_point(peak) <= 72
+    assert per_point(peak) <= 56
+
+
+def test_pair_heavy_labeling_budget():
+    shell = gen_synthetic("sphere-shell", {"extent": 256}, 0)
+    assert_sorted_key_path(shell)
+    assert len(shell) == 202_400 and len(projection.neighbor_pairs(shell)[0]) == 957_624
+    labeling, peak = traced_peak(projection.label_components, shell)
+    assert labeling.count == 1
+    assert peak / len(shell) <= 258
 
 
 def test_decode_budget(frame):

@@ -26,6 +26,7 @@ from conftest import (
     cube_cloud,
     make_cloud,
     oracle_label_sparse,
+    oracle_sorted_key_pairs,
     point_set,
     random_cloud,
     relabel_first_occurrence,
@@ -138,6 +139,53 @@ def test_labels_match_csgraph_oracle(cloud, sorted_keys_only):
     # each root is its component's first point, so labels follow first occurrence
     assert np.array_equal(labeling.labels, want)
     assert labeling.labels.dtype == np.int32 and not labeling.labels.flags.writeable
+
+
+def _grid_box(shape, keep=lambda x, y, z: True, corner=(0, 0, 0)):
+    """The points of a box at `corner` whose (x, y, z) offsets pass `keep`."""
+    points = [c for c in np.ndindex(*shape) if keep(*c)]
+    return PointCloud(np.array(points) + corner, bit_depth=16)
+
+
+_TOP = (1 << 16) - 1
+# Clouds that steer the one-search-per-column finder through each of its moves.
+SORTED_KEY_CLOUDS = {
+    # every neighbor column full: after the dz = -1 match, `pos` moves on twice
+    "full-columns": _grid_box((3, 3, 5)),
+    # the dz = -1 and +1 keys present, dz = 0 missing (z and z + 2 in a column)
+    "checkerboard": _grid_box((4, 4, 6), lambda x, y, z: (x + y + z) % 2 == 0),
+    # dz = 0 present, dz = -1 and +1 missing
+    "even-layers": _grid_box((3, 3, 7), lambda x, y, z: z % 2 == 0),
+    # 0 and 65535 on each axis, and their neighbors 1 and 65534
+    "grid-corners": PointCloud(
+        np.array([0, 1, _TOP - 1, _TOP])[list(np.ndindex(4, 4, 4))], bit_depth=16
+    ),
+    "single-point": make_cloud([(7, 7, 7)]),
+    # the last key's dz = 0 match moves `pos` to n, so the dz = +1 lookup needs the clip
+    "match-at-last-key": make_cloud([(0, 0, 0), (0, 1, 0)]),
+    # every neighbor column of the top corner lies past the last key
+    "columns-past-the-end": _grid_box((2, 2, 2), corner=(_TOP - 1,) * 3),
+}
+
+
+def assert_sorted_key_pairs_match_oracle(cloud):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(projection, "_GRID_CELLS_PER_POINT", 0)
+        src, dst = neighbor_pairs(cloud)
+    want_src, want_dst = oracle_sorted_key_pairs(cloud)
+    assert src.dtype == dst.dtype == np.intp
+    assert np.array_equal(src, want_src) and np.array_equal(dst, want_dst)  # the same order too
+
+
+@pytest.mark.parametrize("name", SORTED_KEY_CLOUDS)
+def test_sorted_key_pairs_match_oracle_on_hand_made_clouds(name):
+    assert_sorted_key_pairs_match_oracle(SORTED_KEY_CLOUDS[name])
+
+
+@settings(max_examples=300)
+@given(labeling_clouds())
+def test_sorted_key_pairs_match_oracle(cloud):
+    assert_sorted_key_pairs_match_oracle(cloud)
 
 
 class TestBestPlane:

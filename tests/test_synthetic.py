@@ -121,3 +121,17 @@ def test_extent_and_density_bounds():
     for density in (float("nan"), float("-inf"), 1e308):
         with pytest.raises(ValueError, match="gives no finite point count"):
             gen_synthetic("uniform-random", {"extent": 8, "density": density}, seed=1)
+
+
+@pytest.mark.parametrize("kind", ["uniform-random", "folded-sheet", "cube"])
+def test_negative_seed_names_the_seed(kind):
+    params = {"extent": 10, "count": 5}
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        gen_synthetic(kind, params, seed=-1)
+
+
+@pytest.mark.parametrize("density", [-1.0, 0.0, 1e-4])
+def test_density_without_points_names_the_density(density):
+    # 1e-4 of a 10^3 volume rounds to 0 points; no count was given to blame
+    with pytest.raises(ValueError, match=f"^density {density} gives no points at extent 10$"):
+        gen_synthetic("uniform-random", {"extent": 10, "density": density}, seed=1)
