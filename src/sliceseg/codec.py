@@ -13,7 +13,8 @@ bit fields are packed MSB-first and each record is zero-padded to a byte.
 Those two tables are the whole record layout: the writer and the parser
 read them, and `stream_budget` sizes records by the parser's rule. Fields
 travel as words, never one bit at a time: the header is one Python int, a
-point's (offset, u, v) one uint64 word of at most 48 bits and its color a
+point's (offset, u, v) one uint64 word of at most 48 bits, kept by
+`DecodedRecord` (split by `coords`, ordered by `_rising`), and its color a
 second, moved in and out through eight strided 64-bit views (`_phases`).
 
 The 7-bit width field holds the extended width when it fits (1..127);
@@ -110,6 +111,11 @@ def _phases(buffer, first_bit: int, point_bits: int, count: int):
         yield view, bit & 7, slice(j, None, 8)
 
 
+def _rising(words) -> bool:
+    """Whether a record's points strictly increase in (offset, u, v) order, as its words do."""
+    return bool((words[1:] > words[:-1]).all())
+
+
 @dataclass(frozen=True)
 class DecodedRecord:
     """One slice as stored: raw header fields plus points in stream order."""
@@ -121,22 +127,20 @@ class DecodedRecord:
     width_field: int
     d: int
     color_flag: bool
-    offsets: np.ndarray
-    us: np.ndarray
-    vs: np.ndarray
+    words: np.ndarray  # uint64 (offset, u, v) words, laid out by _payload_widths(d, B, False)[0]
     colors: Optional[np.ndarray]
 
     @property
     def point_count(self) -> int:
-        return int(self.offsets.shape[0])
+        return int(self.words.shape[0])
 
-    def coords(self) -> np.ndarray:
-        """(N, 3) global coordinates in stored order."""
+    def coords(self, bit_depth: int) -> np.ndarray:
+        """(N, 3) global coordinates in stored order, from words of `bit_depth`-bit u and v."""
         out = np.empty((self.point_count, 3), dtype=np.int32)
         u_col, v_col = PLANE_COLS[self.axis]
-        out[:, self.axis] = self.base + self.offsets
-        out[:, u_col] = self.us
-        out[:, v_col] = self.vs
+        widths = _payload_widths(self.d, int(bit_depth), False)[0]
+        out[:, self.axis], out[:, u_col], out[:, v_col] = _split(self.words, widths)
+        out[:, self.axis] += self.base
         return out
 
 
@@ -156,7 +160,8 @@ class DecodedStream:
         axis a repeat lies in two records' depth ranges: only those rows are deduplicated. A
         stream on several axes, or one that breaks a premise, merges all rows at once."""
         records, bit_depth = self.records, self.bit_depth
-        coords = np.concatenate([r.coords() for r in records] or [np.empty((0, 3), np.int32)])
+        coords = np.concatenate([r.coords(bit_depth) for r in records]
+                                or [np.empty((0, 3), np.int32)])
         colors = None
         if records and records[0].color_flag:  # decode admits one flag for all records
             colors = np.asarray(np.concatenate([r.colors for r in records]), np.uint8)
@@ -173,12 +178,8 @@ class DecodedStream:
         np.add.at(cover, np.maximum.reduceat(depth, starts) + 1, -1)
         repeats = (cover.cumsum() > 1).take(depth)  # in two records' depth ranges
         rows = np.flatnonzero(repeats)
-        if 3 * len(rows) > n:  # merging every row costs less than checking the rest
-            return PointCloud(coords, colors, bit_depth=bit_depth)
-        rising = np.concatenate([  # decode's order: (depth, u, v) keys rise within a record
-            np.diff(voxel_keys(*part.T[[r.axis, *PLANE_COLS[r.axis]]])) > 0
-            for r, part in zip(records, np.split(coords, bounds[1:-1]))])
-        if not rising.all():  # a record may repeat a point that no other record's range holds
+        # merging every row costs less than checking the rest; a record may repeat its own point
+        if 3 * len(rows) > n or not all(_rising(r.words) for r in records):
             return PointCloud(coords, colors, bit_depth=bit_depth)
         repeats[rows[first_occurrences(voxel_keys(*coords.take(rows, axis=0).T))]] = False
         kept, merged = ~repeats, int(np.count_nonzero(repeats))
@@ -211,7 +212,6 @@ def _record(spec: SliceSpec, slice_cloud: PointCloud, bit_depth: int) -> Decoded
     else:
         order = np.argsort(word)
         word, colors = word[order], colors[order]
-    offsets, us, vs = (field.astype(np.int32) for field in _split(word, widths))
     return DecodedRecord(
         axis=spec.side.axis,
         sign=spec.side.sign,
@@ -220,9 +220,7 @@ def _record(spec: SliceSpec, slice_cloud: PointCloud, bit_depth: int) -> Decoded
         width_field=width if width <= _MAX_NARROW_WIDTH else 0,
         d=widths[0],
         color_flag=colors is not None,
-        offsets=offsets,
-        us=us,
-        vs=vs,
+        words=word.view(np.uint64),
         colors=colors,
     )
 
@@ -241,17 +239,17 @@ def _serialize_record(bit_depth: int, record: DecodedRecord) -> bytes:
     # numpy integers here would not shift uint64 words or convert to bytes
     bit_depth, d, count = int(bit_depth), int(record.d), record.point_count
     header_bits = record_header_bits(bit_depth)
-    payload_widths = _payload_widths(d, bit_depth, record.color_flag)
-    point_bits = sum(map(sum, payload_widths))
+    widths = _payload_widths(d, bit_depth, record.color_flag)
+    point_bits = sum(map(sum, widths))
     size = (header_bits + count * point_bits + 7) // 8
     buffer = bytearray(size + 8)  # the last point's 64-bit window may run 7 bytes past the record
     header = _join(0, map(int, fields), _header_widths(bit_depth))
     buffer[:8] = (header << 64 - header_bits).to_bytes(8, "big")
-    groups = ((record.offsets, record.us, record.vs), record.colors.T if record.color_flag else ())
+    words = [record.words]
+    if record.color_flag:
+        words.append(_join(np.zeros(count, np.int64), record.colors.T, widths[1]).view(np.uint64))
     first_bit = header_bits
-    for columns, widths in zip(groups, payload_widths):
-        word = _join(np.zeros(count, np.int64), columns, widths).view(np.uint64)
-        bits = sum(widths)
+    for word, bits in zip(words, map(sum, widths)):
         for view, shift, points in _phases(buffer, first_bit, point_bits, count):
             view |= word[points] << (64 - bits - shift)
         first_bit += bits
@@ -349,8 +347,8 @@ def _parse_record(
                 "invalid record", "slice range exceeds the coordinate grid", index
             )
 
-    payload_widths = _payload_widths(d, bit_depth, bool(color_flag))
-    point_bits = sum(map(sum, payload_widths))
+    widths = _payload_widths(d, bit_depth, bool(color_flag))
+    point_bits = sum(map(sum, widths))
     record_bits = header_bits + count * point_bits
     record_bytes = (record_bits + 7) // 8
     if start + record_bytes > len(data):
@@ -362,17 +360,15 @@ def _parse_record(
 
     first_bit = start * 8 + header_bits
     words = []
-    for bits in map(sum, payload_widths):
+    for bits in map(sum, widths):
         word = np.empty(count, dtype=np.uint64)
         for view, shift, points in _phases(padded, first_bit, point_bits, count):
             word[points] = (view << shift) >> (64 - bits)
         words.append(word)
         first_bit += bits
-    fields = [f for word, widths in zip(words, payload_widths) for f in _split(word, widths)]
-    offsets, us, vs = (field.astype(np.int32) for field in fields[:3])
-    colors = np.stack(fields[3:], axis=1).astype(np.uint8) if color_flag else None
+    colors = np.stack(_split(words[1], widths[1]), axis=1).astype(np.uint8) if color_flag else None
 
-    top = int(offsets.max()) if count else 0  # base < 2^B, so no check fails without points
+    top = int(words[0].max()) >> 2 * bit_depth if count else 0  # base < 2^B: no fault if empty
     if width_field and top >= width_field:
         message = f"offset {top} >= slice width {width_field}"
         raise DecodeError("offset out of range", message, index)
@@ -388,15 +384,13 @@ def _parse_record(
         width_field=width_field,
         d=d,
         color_flag=bool(color_flag),
-        offsets=offsets,
-        us=us,
-        vs=vs,
+        words=words[0],
         colors=colors,
     )
     fault = None
     if data[start + record_bytes - 1] & ((1 << (-record_bits % 8)) - 1):
         fault = "nonzero padding bits"
-    elif (words[0][1:] <= words[0][:-1]).any():  # a word orders points as (offset, u, v) do
+    elif not _rising(words[0]):
         fault = "points not in strictly increasing (offset, u, v) order"
     return record, start + record_bytes, fault
 

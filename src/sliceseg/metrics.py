@@ -84,16 +84,19 @@ def plan_loss(cloud: PointCloud, plan: SlicePlan) -> LossReport:
     Overlap bands participate in capture; duplicates across slices count
     once toward the captured total.
     """
+    if len(cloud) == 0:
+        raise ValueError("cannot measure loss of an empty cloud")
     return _slices_loss(len(cloud), extract_slices(cloud, plan))
 
 
 def _slices_loss(total: int, slices: list[tuple[SliceSpec, PointCloud]]) -> LossReport:
     single = CaptureConfig(layer_mode="single")
+    # the plan of a non-empty cloud has a slice, so there is a key set to concatenate
     captured = [_captured_keys(slice_cloud, single) for _, slice_cloud in slices]
     return LossReport(
         strategy=PLAN_STRATEGY,
         total=total,
-        captured=int(distinct(np.concatenate(captured)).shape[0]) if captured else 0,
+        captured=int(distinct(np.concatenate(captured)).shape[0]),
     )
 
 

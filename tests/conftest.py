@@ -25,7 +25,10 @@ half-neighborhood offset, whose (src, dst) arrays the library's one search
 per neighbor column must match element for element.
 The decoded-cloud oracle merges a stream's records one point at a time
 through a dict, which the library's covered-rows merge must match in
-points, order, colors and merge count.
+points, order, colors and merge count. The oracles that build or read a
+record's (offset, u, v) words do it with Python-int shifts and masks one
+point at a time (`pack_words`, `unpack_words`), not with the codec's
+`_join` and `_split`.
 The key-set oracles are the library's earlier forms before its sort-based
 ones: dedup through `np.unique(return_index=True)`, slice replay through
 `extract_range`/`remove_range` on shrinking clouds and through boolean
@@ -392,10 +395,11 @@ def oracle_stream_cloud(stream: DecodedStream):
     stored = 0
     for record in stream.records:
         u_col, v_col = plane[record.axis]
-        for i in range(record.point_count):
+        fields = unpack_words(record.words, (record.d, stream.bit_depth, stream.bit_depth))
+        for i, (offset, u, v) in enumerate(fields.tolist()):
             point = [0, 0, 0]
-            point[record.axis] = record.base + int(record.offsets[i])
-            point[u_col], point[v_col] = int(record.us[i]), int(record.vs[i])
+            point[record.axis] = record.base + offset
+            point[u_col], point[v_col] = u, v
             color = tuple(record.colors[i].tolist()) if record.color_flag else None
             first.setdefault(tuple(point), color)
             stored += 1
@@ -515,6 +519,33 @@ def percent_ascii_body(cloud: PointCloud) -> bytes:
     return ((row * len(cloud)) % tuple(table.ravel().tolist())).encode("ascii")
 
 
+def _field_shifts(widths) -> list[int]:
+    """How far each field of a word sits above its lowest bit: the first field highest."""
+    return [sum(widths[i + 1 :]) for i in range(len(widths))]
+
+
+def pack_words(rows, widths) -> np.ndarray:
+    """uint64 words of integer rows, each row's fields side by side from the first (highest)
+    to the last, one Python-int shift per field and point."""
+    shifts = _field_shifts(widths)
+    words = []
+    for row in rows:
+        word = 0
+        for field, shift in zip(row, shifts):
+            word |= int(field) << shift
+        words.append(word)
+    return np.array(words, dtype=np.uint64)
+
+
+def unpack_words(words, widths) -> np.ndarray:
+    """(N, len(widths)) int64 fields of words `pack_words` built, one Python-int shift and
+    mask per field and point."""
+    shifts = _field_shifts(widths)
+    rows = [[int(word) >> shift & ((1 << width) - 1) for shift, width in zip(shifts, widths)]
+            for word in np.asarray(words).tolist()]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(widths))
+
+
 def read_bits(data: bytes, bit_offset: int, nbits: int) -> int:
     """The `nbits` bits of `data` from bit `bit_offset` on, MSB first, as an integer."""
     end = bit_offset + nbits
@@ -615,7 +646,7 @@ def _oracle_record(data: bytes, start: int, index: int, bit_depth: int):
         )
     rows = np.array([[reader.read(w) for w in widths] for _ in range(count)],
                     dtype=np.int64).reshape(count, len(widths))
-    offsets, us, vs = rows[:, 0], rows[:, 1], rows[:, 2]
+    offsets = rows[:, 0]
 
     if width_field and offsets.size and int(offsets.max()) >= width_field:
         raise DecodeError(
@@ -635,9 +666,7 @@ def _oracle_record(data: bytes, start: int, index: int, bit_depth: int):
         width_field=width_field,
         d=d,
         color_flag=color_flag,
-        offsets=offsets,
-        us=us,
-        vs=vs,
+        words=pack_words(rows[:, :3].tolist(), widths[:3]),
         colors=rows[:, 3:].astype(np.uint8) if color_flag else None,
     )
     return record, end

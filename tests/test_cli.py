@@ -628,6 +628,20 @@ def test_readme_quick_start_numbers(tmp_path, capsys):
     assert report.read_text() == _readme_report_block()
 
 
+def test_readme_library_block_runs(tmp_path):
+    """The README's `## Library` example, run as a script in an empty directory."""
+    text = README.read_text()
+    start = text.index("```python\n", text.index("\n## Library\n")) + len("```python\n")
+    block = text[start : text.index("```", start)]
+    assert "decode(stream).cloud" in block
+    proc = subprocess.run(
+        [sys.executable, "-c", block], cwd=tmp_path, capture_output=True, text=True,
+        env=_package_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.split()) == 2  # the plan's and the baseline's loss fractions
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3)

@@ -44,11 +44,13 @@ from conftest import (
     oracle_decode,
     oracle_record_order,
     oracle_stream_cloud,
+    pack_words,
     point_set,
     random_cloud,
     read_bits,
     slab_plan,
     swsg_like_bytes,
+    unpack_words,
 )
 
 
@@ -181,10 +183,10 @@ def random_record(rng, bit_depth, d, color, count, terminal=False) -> DecodedRec
     points = set()
     while len(points) < count:
         points.add((int(rng.integers(0, span)), *rng.integers(0, 1 << bit_depth, size=2).tolist()))
-    offsets, us, vs = np.array(sorted(points), dtype=np.int64).reshape(count, 3).T
     return DecodedRecord(
         axis=Axis(int(rng.integers(0, 3))), sign=int(rng.choice([-1, 1])), terminal=terminal,
-        base=base, width_field=width, d=d, color_flag=color, offsets=offsets, us=us, vs=vs,
+        base=base, width_field=width, d=d, color_flag=color,
+        words=pack_words(sorted(points), (d, bit_depth, bit_depth)),
         colors=rng.integers(0, 256, size=(count, 3), dtype=np.uint8) if color else None,
     )
 
@@ -193,8 +195,8 @@ def oracle_record_bytes(bit_depth, record) -> bytes:
     """The record's bytes by the README layout, every field by shift and mask."""
     header = (int(record.axis), record.sign > 0, record.terminal, record.base,
               record.width_field, record.d - 1, record.point_count, record.color_flag)
-    columns = [record.offsets, record.us, record.vs]
     widths = [record.d, bit_depth, bit_depth]
+    columns = list(unpack_words(record.words, widths).T)
     if record.color_flag:
         columns += list(record.colors.T)
         widths += [8, 8, 8]
@@ -220,7 +222,7 @@ class TestWordPacker:
                 assert stream[STREAM_HEADER_BYTES:] == oracle_record_bytes(bit_depth, record)
                 (got,) = decode(stream).records
                 assert _record_tuple(got) == _record_tuple(record)
-                assert {got.offsets.dtype, got.us.dtype, got.vs.dtype} == {np.dtype(np.int32)}
+                assert got.words.dtype == np.uint64
 
     def test_wide_record_at_16_bits_is_48_bits_a_point(self):
         rng = np.random.default_rng(1)
@@ -273,6 +275,76 @@ class TestWordPacker:
                 assert (e.value.kind, e.value.record_index) == ("noncanonical", index)
 
 
+class TestRecordWords:
+    """Records keep each point's (offset, u, v) word as the stream stores it."""
+
+    @pytest.mark.parametrize("bit_depth", range(8, 17))
+    def test_coords_match_the_plain_shift_oracle(self, bit_depth):
+        rng = np.random.default_rng(bit_depth)
+        plane = {Axis.X: (1, 2), Axis.Y: (0, 2), Axis.Z: (0, 1)}
+        for d in range(1, 17):
+            for count in (0, 1, 9, 17):
+                record = random_record(rng, bit_depth, d, False, count)
+                fields = unpack_words(record.words, (d, bit_depth, bit_depth))
+                want = np.empty((count, 3), np.int64)
+                want[:, record.axis] = record.base + fields[:, 0]
+                want[:, list(plane[record.axis])] = fields[:, 1:]
+                got = record.coords(bit_depth)
+                assert got.dtype == np.int32 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("colored", [False, True])
+    @pytest.mark.parametrize("axis", list(Axis))
+    def test_encoded_record_words_are_uint64_and_rise(self, axis, colored):
+        rng = np.random.default_rng(int(axis))
+        for extent, bit_depth in ((4, 10), (300, 10), (40, 16)):  # 300: a wide record
+            extents = [16, 16, 16]
+            extents[axis] = extent
+            coords = rng.integers(0, extents, size=(500, 3))
+            colors = rng.integers(0, 256, size=(500, 3)) if colored else None
+            cloud = PointCloud(coords, colors, bit_depth=bit_depth)
+            col = cloud.coords[:, axis]
+            spec = single_slice_plan(cloud, axis, int(col.min()), int(col.max()) + 1).slices[0]
+            words = _record(spec, cloud, bit_depth).words
+            assert words.dtype == np.uint64 and len(words) == len(cloud)
+            assert words.tolist() == sorted(set(words.tolist()))
+
+    @pytest.mark.parametrize("colored", [False, True])
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(3, 3, 9), (1, 2, 3), (0, 0, 1)],  # falling, all distinct
+            [(2, 2, 2), (9, 9, 0), (2, 2, 2), (1, 1, 1)],  # falling and repeating
+        ],
+        ids=["fall", "fall-and-repeat"],
+    )
+    def test_one_axis_hand_record_out_of_order_merges_like_the_oracle(
+        self, monkeypatch, points, colored
+    ):
+        colors = [(i, i, i) for i in range(len(points))] if colored else None
+        other_colors = [(5, 5, 5)] * 2 if colored else None
+        other = hand_record(Axis.Z, 100, [(7, 7, 100), (8, 7, 100)], other_colors)
+        stream = hand_stream(hand_record(Axis.Z, 0, points, colors), other)
+        keyed = TestDecodedCloud.record_keyed(monkeypatch)
+        cloud = stream.cloud
+        assert keyed == []  # no depth is in two records' ranges: only the order check refuses
+        assert_cloud_matches_oracle(stream)
+        assert len(cloud) + cloud.duplicates_merged == len(points) + 2
+
+    def test_cloud_keys_only_the_rows_it_merges(self, monkeypatch):
+        """The order premise is read from the words: no voxel key is built for it."""
+        cloud = gen_synthetic("uniform-random", {"extent": 64, "count": 4000}, seed=3)
+        stream = decode(encode(cloud, slab_plan(cloud, Axis.Z, 16, 2)))
+        keyed, voxel_keys = [], codec.voxel_keys
+
+        def recording(*columns):
+            keyed.append(len(columns[0]))
+            return voxel_keys(*columns)
+
+        monkeypatch.setattr(codec, "voxel_keys", recording)
+        merged = stream.cloud.duplicates_merged
+        assert merged > 0 and keyed == [2 * merged]
+
+
 @st.composite
 def decoded_streams(draw):
     """Streams of up to three records `decode` accepts, with random fields."""
@@ -310,7 +382,7 @@ class TestDeltaExample:
 
         ds = decode(stream)
         assert ds.records[0].base == 220
-        assert ds.records[0].offsets.tolist() == [8]
+        assert unpack_words(ds.records[0].words, (5, 10, 10))[:, 0].tolist() == [8]
         assert point_set(ds.cloud) == {(100, 200, 228)}
 
 
@@ -380,14 +452,15 @@ def assert_cloud_matches_oracle(stream: DecodedStream) -> None:
     assert cloud.bit_depth == stream.bit_depth
 
 
-def hand_record(axis: Axis, base: int, points, colors=None) -> DecodedRecord:
-    """A record of `points` as given (no order or uniqueness enforced), depth from `base`."""
+def hand_record(axis: Axis, base: int, points, colors=None, bit_depth: int = 10) -> DecodedRecord:
+    """A record of `points` as given (no order or uniqueness enforced), depth from `base`,
+    in words of `bit_depth`-bit u and v."""
     points = np.array(points, dtype=np.int32).reshape(-1, 3)
     u_col, v_col = {Axis.X: (1, 2), Axis.Y: (0, 2), Axis.Z: (0, 1)}[axis]
+    fields = np.column_stack([points[:, axis] - base, points[:, u_col], points[:, v_col]])
     return DecodedRecord(
         axis=axis, sign=-1, terminal=False, base=base, width_field=16, d=4,
-        color_flag=colors is not None, offsets=points[:, axis] - base,
-        us=points[:, u_col], vs=points[:, v_col],
+        color_flag=colors is not None, words=pack_words(fields.tolist(), (4, bit_depth, bit_depth)),
         colors=None if colors is None else np.array(colors, np.uint8).reshape(len(points), -1),
     )
 
@@ -570,7 +643,8 @@ class TestDecodedCloud:
         ],
     )
     def test_off_grid_point_raises_the_cloud_error(self, point, message):
-        stream = hand_stream(hand_record(Axis.X, 0, [(5, 5, 5)]), hand_record(Axis.Y, 0, [point]))
+        base = min(point[Axis.Y], 0)  # a word holds no negative offset: depth -1 needs base -1
+        stream = hand_stream(hand_record(Axis.X, 0, [(5, 5, 5)]), hand_record(Axis.Y, base, [point]))
         with pytest.raises(ValueError, match=message):
             stream.cloud
 
@@ -586,8 +660,8 @@ class TestDecodedCloud:
         # sorted records with disjoint depth ranges: nothing to key, so only the checks can refuse
         colors = [[1] * color_width] * 2
         records = (
-            hand_record(Axis.X, 0, [(1, 1, 1), (2, 2, 2)], colors),
-            hand_record(Axis.X, 10, [(10, 1, 1), (11, 3, 3)], colors),
+            hand_record(Axis.X, 0, [(1, 1, 1), (2, 2, 2)], colors, bit_depth),
+            hand_record(Axis.X, 10, [(10, 1, 1), (11, 3, 3)], colors, bit_depth),
         )
         with pytest.raises(ValueError, match=message):
             hand_stream(*records, bit_depth=bit_depth).cloud
@@ -723,8 +797,7 @@ class TestDecodeErrors:
         """A one-point Z record at `base` holding `offset`, colourless."""
         return DecodedRecord(
             axis=Axis.Z, sign=-1, terminal=False, base=base, width_field=width_field, d=d,
-            color_flag=False, offsets=np.array([offset]), us=np.array([0]), vs=np.array([0]),
-            colors=None,
+            color_flag=False, words=pack_words([(offset, 0, 0)], (d, 10, 10)), colors=None,
         )
 
     def test_narrow_range_past_the_grid(self):
@@ -782,7 +855,7 @@ class TestNoncanonicalStreams:
         ds = decode(self.golden_like_stream())
         rec = ds.records[0]
         idx = reorder(np.arange(rec.point_count))
-        bad = dataclasses.replace(rec, offsets=rec.offsets[idx], us=rec.us[idx], vs=rec.vs[idx])
+        bad = dataclasses.replace(rec, words=rec.words[idx])
         stream = reencode(dataclasses.replace(ds, records=(bad, ds.records[1])))
         assert oracle_decode(stream) is not None  # the layout alone admits it
         with pytest.raises(DecodeError, match="strictly increasing") as e:
@@ -819,7 +892,7 @@ class TestNoncanonicalStreams:
 def _record_tuple(rec):
     colors = None if rec.colors is None else rec.colors.tolist()
     return (rec.axis, rec.sign, rec.terminal, rec.base, rec.width_field, rec.d,
-            rec.color_flag, rec.offsets.tolist(), rec.us.tolist(), rec.vs.tolist(), colors)
+            rec.color_flag, rec.words.tolist(), colors)
 
 
 def _stream_tuple(ds):
@@ -840,7 +913,8 @@ def _first_noncanonical_record(data, ds):
             return index
         if data[position : position + len(canonical)] != canonical:
             return index
-        points = list(zip(rec.offsets.tolist(), rec.us.tolist(), rec.vs.tolist()))
+        fields = unpack_words(rec.words, (rec.d, ds.bit_depth, ds.bit_depth))
+        points = list(map(tuple, fields.tolist()))
         if points != sorted(set(points)):
             return index
         if rec.terminal and index != len(ds.records) - 1:
@@ -940,9 +1014,10 @@ def test_record_point_order_matches_lexsort(seed, count, depth_extent, bit_depth
     u_col, v_col = (a for a in range(3) if a != axis)
     offsets = c[:, axis] - lo
     order = oracle_record_order(offsets, c[:, u_col], c[:, v_col])
-    assert np.array_equal(record.offsets, offsets[order])
-    assert np.array_equal(record.us, c[order, u_col])
-    assert np.array_equal(record.vs, c[order, v_col])
+    fields = unpack_words(record.words, (record.d, bit_depth, bit_depth))
+    assert np.array_equal(fields[:, 0], offsets[order])
+    assert np.array_equal(fields[:, 1], c[order, u_col])
+    assert np.array_equal(fields[:, 2], c[order, v_col])
     if colored:
         assert np.array_equal(record.colors, cloud.colors[order])
 

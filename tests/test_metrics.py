@@ -100,6 +100,14 @@ def test_plan_loss_with_an_empty_slice():
     assert report.captured == 2
 
 
+def test_loss_of_an_empty_cloud_raises():
+    empty = PointCloud([])
+    with pytest.raises(ValueError, match="^cannot measure loss of an empty cloud$"):
+        baseline_loss(empty, CaptureConfig("single"))
+    with pytest.raises(ValueError, match="^cannot measure loss of an empty cloud$"):
+        plan_loss(empty, SlicePlan(SlicerConfig(), 0, ()))
+
+
 def test_plan_beats_single_layer_baseline(rng):
     """With no overlap, planned capture loss never exceeds the unsliced baseline."""
     clouds = [
