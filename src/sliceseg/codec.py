@@ -225,7 +225,7 @@ def _record(spec: SliceSpec, slice_cloud: PointCloud, bit_depth: int) -> Decoded
     )
 
 
-def _serialize_record(bit_depth: int, record: DecodedRecord) -> bytes:
+def _serialize_record(bit_depth: int, index: int, record: DecodedRecord) -> bytes:
     fields = (
         int(record.axis),
         record.sign > 0,
@@ -239,7 +239,14 @@ def _serialize_record(bit_depth: int, record: DecodedRecord) -> bytes:
     # numpy integers here would not shift uint64 words or convert to bytes
     bit_depth, d, count = int(bit_depth), int(record.d), record.point_count
     header_bits = record_header_bits(bit_depth)
+    for value, width in zip(map(int, fields), _header_widths(bit_depth)):
+        if not 0 <= value < 1 << width:
+            raise EncodeError(f"record {index}: header field {value} does not fit {width} bits")
     widths = _payload_widths(d, bit_depth, record.color_flag)
+    if count and int(record.words.max()) >> sum(widths[0]):
+        raise EncodeError(f"record {index}: a point word exceeds {sum(widths[0])} bits")
+    if count and record.color_flag and not 0 <= record.colors.min() <= record.colors.max() < 256:
+        raise EncodeError(f"record {index}: a color outside 0..255")
     point_bits = sum(map(sum, widths))
     size = (header_bits + count * point_bits + 7) // 8
     buffer = bytearray(size + 8)  # the last point's 64-bit window may run 7 bytes past the record
@@ -396,7 +403,8 @@ def _parse_record(
 
 
 def reencode(stream: DecodedStream) -> bytes:
-    """Serialize a decoded stream back to bytes (identity on valid input)."""
+    """Serialize a decoded stream back to bytes (identity on valid input); raises
+    EncodeError for a header field, point word or color wider than its layout."""
     out = [
         _STREAM_HEADER.pack(
             MAGIC,
@@ -407,7 +415,7 @@ def reencode(stream: DecodedStream) -> bytes:
             len(stream.records),
         )
     ]
-    out += [_serialize_record(stream.bit_depth, record) for record in stream.records]
+    out += [_serialize_record(stream.bit_depth, i, r) for i, r in enumerate(stream.records)]
     return b"".join(out)
 
 

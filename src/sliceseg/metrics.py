@@ -14,10 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import projection
 from .cloud import PointCloud, distinct
 from .codec import bit_budget
 # best_plane is unused here but stays bound: the benchmark's tracer wraps metrics.best_plane
-from .projection import CaptureConfig, best_plane, label_components, simulate_capture  # noqa: F401
+from .projection import (  # noqa: F401
+    CaptureConfig, ComponentLabeling, best_plane, label_components, simulate_capture
+)
 from .slicer import SlicePlan, SlicerConfig, SliceSpec, build_plan, extract_slices
 
 # capture layer mode -> the name of its whole-cloud baseline, in report order
@@ -62,20 +65,27 @@ class CompareConfig:
             CaptureConfig(layer_mode="dual", surface_thickness=self.surface_thickness)
 
 
-def _captured_keys(cloud: PointCloud, config: CaptureConfig) -> np.ndarray:
-    """Coordinate keys captured by per-component best-plane projection."""
+def _captured_keys(cloud: PointCloud) -> np.ndarray:
+    """Coordinate keys single-layer capture keeps, each component on its best plane."""
     if len(cloud) == 0:  # an empty slice band: nothing to label or capture
         return cloud.coordinate_keys()
-    return simulate_capture(cloud, label_components(cloud), config).coordinate_keys()
+    return simulate_capture(cloud, label_components(cloud), CaptureConfig()).coordinate_keys()
 
 
-def baseline_loss(cloud: PointCloud, capture: CaptureConfig) -> LossReport:
-    """Whole-cloud capture with a fixed layer count."""
+def baseline_loss(
+    cloud: PointCloud, capture: CaptureConfig, *, labeling: ComponentLabeling | None = None
+) -> LossReport:
+    """Whole-cloud capture with a fixed layer count; `labeling` is the cloud's, if known."""
     if len(cloud) == 0:
         raise ValueError("cannot measure loss of an empty cloud")
-    name = BASELINES[capture.layer_mode]
-    captured = _captured_keys(cloud, capture)
-    return LossReport(strategy=name, total=len(cloud), captured=int(captured.shape[0]))
+    if labeling is None:
+        labeling = label_components(cloud)
+    if capture.layer_mode == "single":  # one point per best-plane pixel of each component
+        # called through the module, as simulate_capture calls it, so a wrapper sees both
+        captured = projection.component_areas(projection.pixel_keys(cloud), labeling)[1].sum()
+    else:
+        captured = len(simulate_capture(cloud, labeling, capture))
+    return LossReport(BASELINES[capture.layer_mode], len(cloud), int(captured))
 
 
 def plan_loss(cloud: PointCloud, plan: SlicePlan) -> LossReport:
@@ -90,9 +100,8 @@ def plan_loss(cloud: PointCloud, plan: SlicePlan) -> LossReport:
 
 
 def _slices_loss(total: int, slices: list[tuple[SliceSpec, PointCloud]]) -> LossReport:
-    single = CaptureConfig(layer_mode="single")
     # the plan of a non-empty cloud has a slice, so there is a key set to concatenate
-    captured = [_captured_keys(slice_cloud, single) for _, slice_cloud in slices]
+    captured = [_captured_keys(slice_cloud) for _, slice_cloud in slices]
     return LossReport(
         strategy=PLAN_STRATEGY,
         total=total,
@@ -102,12 +111,13 @@ def _slices_loss(total: int, slices: list[tuple[SliceSpec, PointCloud]]) -> Loss
 
 def compare(cloud: PointCloud, config: CompareConfig = CompareConfig()) -> list[dict]:
     """One row per strategy: each requested baseline, then the slice plan."""
+    labeling = label_components(cloud) if len(cloud) else None  # baseline_loss refuses empty
     rows = []
     for mode, name in BASELINES.items():
         if name not in config.baselines:
             continue
         capture = CaptureConfig(layer_mode=mode, surface_thickness=config.surface_thickness)
-        report = baseline_loss(cloud, capture)
+        report = baseline_loss(cloud, capture, labeling=labeling)
         rows.append(_row(report, slices=None, budget=None))
 
     plan = build_plan(cloud, config.slicer)

@@ -191,8 +191,10 @@ def component_areas(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-component (axis, area) arrays: distinct `pixel_keys` pixels on each best plane."""
     stacked = pixel_areas(labeling.labels, pixels, labeling.count)
-    best = np.argmax(stacked, axis=0)  # first max wins: ties go X < Y < Z
-    return best, stacked[best, np.arange(labeling.count)]
+    most = stacked.max(axis=0)
+    below = stacked < most
+    # the first plane at the max wins (ties go X < Y < Z): past X if it is below, past Y if both
+    return np.add(below[0], below[0] & below[1], dtype=np.intp), most
 
 
 def compute_psi(cloud: PointCloud) -> ProjectionStats:
@@ -237,4 +239,6 @@ def simulate_capture(
         in_window = np.where(depth_sorted - near <= config.surface_thickness, depth_sorted, -1)
         # the nearest point is always in its window, so every pixel has a far one
         kept |= depth_sorted == np.repeat(np.maximum.reduceat(in_window, starts), run_lengths)
-    return cloud.subset(np.sort(order[kept]))
+    mask = np.zeros(len(cloud), dtype=bool)  # a mask keeps the cloud's row order
+    mask[order[kept]] = True
+    return cloud.subset(mask)

@@ -1053,6 +1053,35 @@ class TestEncodeErrors:
         with pytest.raises(EncodeError, match="^slice 0: point outside its extended range$"):
             bit_budget(plan, cloud.bit_depth, [(spec, stray)])
 
+    def test_reencode_refuses_a_word_wider_than_its_layout(self):
+        # offset 40 needs 6 bits, d = 4 gives 4: its top bits would land in the previous point
+        fits = hand_record(Axis.Z, 0, [(3, 4, 1), (5, 6, 8)])
+        wide = hand_record(Axis.Z, 0, [(3, 4, 1), (5, 6, 40)])
+        assert decode(reencode(hand_stream(fits))).cloud.coords.tolist() == [[3, 4, 1], [5, 6, 8]]
+        with pytest.raises(EncodeError, match=r"^record 1: a point word exceeds 24 bits$"):
+            reencode(hand_stream(fits, wide))
+
+    @pytest.mark.parametrize("color", [300, -1])
+    def test_reencode_refuses_a_color_outside_a_byte(self, color):
+        # 300 would be written as 44, and -1 would set the point's geometry bits too
+        record = hand_record(Axis.Z, 0, [(3, 4, 1), (5, 6, 8)], [(1, 2, 3), (0, 7, 9)])
+        record = dataclasses.replace(record, colors=np.array([(1, 2, 3), (color, 7, 9)]))
+        with pytest.raises(EncodeError, match=r"^record 1: a color outside 0\.\.255$"):
+            reencode(hand_stream(hand_record(Axis.X, 0, []), record))
+
+    @pytest.mark.parametrize(
+        "field, value, width",
+        [("base", 2000, 10), ("base", -1, 10), ("width_field", 128, 7), ("d", 17, 4), ("d", 0, 4)],
+    )
+    def test_reencode_refuses_a_header_field_wider_than_its_width(self, field, value, width):
+        # base 2000 at B = 10 would be written as its low 10 bits, 976
+        record = dataclasses.replace(hand_record(Axis.Z, 0, [(3, 4, 1)]), **{field: value})
+        stored = value - 1 if field == "d" else value
+        with pytest.raises(
+            EncodeError, match=rf"^record 2: header field {stored} does not fit {width} bits$"
+        ):
+            reencode(hand_stream(hand_record(Axis.X, 0, []), hand_record(Axis.X, 0, []), record))
+
 
 class TestBitBudget:
     """The budget against the records `decode` reads back and the README's layout."""

@@ -18,12 +18,14 @@ from sliceseg import (
     compute_psi,
     decode,
     encode,
+    extract_slices,
     label_components,
     plan_loss,
     render_csv,
     render_json,
     simulate_capture,
 )
+from sliceseg import metrics
 from sliceseg.cloud import Axis, AxisRange, Side
 from sliceseg.synthetic import gen_synthetic
 
@@ -263,3 +265,47 @@ def test_components_sharing_a_pixel_are_captured_apart():
 def test_baseline_matches_oracle_on_small_clouds(points, capture):
     cloud = make_cloud(points)
     assert baseline_loss(cloud, capture).captured == oracle_captured_keys(cloud, capture).shape[0]
+
+
+def readme_sheet() -> PointCloud:
+    return gen_synthetic("folded-sheet", {"extent": 32, "amplitude": 8, "period": 16}, seed=7)
+
+
+def test_compare_labels_the_cloud_once_for_all_baselines(monkeypatch):
+    cloud, config = readme_sheet(), CompareConfig()
+    calls = []
+    labeler = metrics.label_components
+    monkeypatch.setattr(metrics, "label_components", lambda c: calls.append(len(c)) or labeler(c))
+    rows = compare(cloud, config)
+    assert [row["strategy"] for row in rows] == ["single-layer", "dual-layer", "slice-plan"]
+    slices = extract_slices(cloud, build_plan(cloud, config.slicer))
+    # once for the whole cloud, then once per non-empty slice of the plan
+    assert calls == [len(cloud)] + [len(part) for _, part in slices if len(part)]
+
+
+@pytest.mark.parametrize(
+    "cloud, captured", [(ORACLE_CLOUDS["uniform-random"], 1136), (readme_sheet, 1024)]
+)
+def test_single_layer_baseline_captures_nothing(monkeypatch, cloud, captured):
+    """It counts best-plane areas, so no capture runs; the counts are the capture's."""
+    def refuse(*args):
+        raise AssertionError("single-layer baseline ran a capture")
+
+    monkeypatch.setattr(metrics, "simulate_capture", refuse)
+    assert baseline_loss(cloud(), CaptureConfig("single")).captured == captured
+
+
+@given(
+    st.lists(st.tuples(*[st.integers(0, 15)] * 3), min_size=1, max_size=300, unique=True),
+    st.integers(0, 2),
+)
+@settings(max_examples=60, deadline=None)
+def test_single_layer_count_equals_the_capture_and_the_oracle(points, squash):
+    """Flattening one axis to 0..3 stacks points on that plane's pixels."""
+    coords = np.array(points)
+    coords[:, squash] %= 4
+    cloud = PointCloud(np.unique(coords, axis=0))
+    single = CaptureConfig("single")
+    captured = baseline_loss(cloud, single).captured
+    assert captured == len(simulate_capture(cloud, label_components(cloud), single))
+    assert captured == oracle_captured_keys(cloud, single).shape[0]

@@ -303,6 +303,42 @@ class TestComputePsi:
                 if plane_rule == "best-plane" and members:
                     assert areas[:, k].max() == brute_best_plane(members)[1]
 
+    @pytest.mark.parametrize(
+        "shape, ties",
+        [
+            ([(0, 0, 0)], (1, 1, 1)),  # all planes equal
+            ([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)], (4, 4, 4)),
+            ([(0, 0, z) for z in range(4)], (4, 4, 1)),  # X = Y > Z
+            ([(x, 0, 0) for x in range(4)], (1, 4, 4)),  # Y = Z > X
+            ([(0, y, 0) for y in range(4)], (4, 1, 4)),  # X = Z > Y
+            ([(0, y, z) for y in range(3) for z in range(3)], (9, 3, 3)),  # X alone
+        ],
+    )
+    def test_component_areas_break_ties_like_argmax(self, shape, ties):
+        """Alone, and beside three other shapes ten voxels apart along X."""
+        single = make_cloud(shape)
+        stacked = projection.pixel_areas(np.zeros(len(single), np.int32), pixel_keys(single), 1)
+        assert stacked[:, 0].tolist() == list(ties)
+        shapes = [shape, [(0, 0, 0)], [(0, 0, z) for z in range(4)], [(x, 0, 0) for x in range(4)]]
+        cloud = make_cloud([(x + 10 * i, y, z) for i, s in enumerate(shapes) for x, y, z in s])
+        for c in (single, cloud):
+            labeling = label_components(c)
+            stacked = projection.pixel_areas(labeling.labels, pixel_keys(c), labeling.count)
+            axes, areas = component_areas(pixel_keys(c), labeling)
+            assert axes.tolist() == np.argmax(stacked, axis=0).tolist()
+            assert areas.tolist() == stacked.max(axis=0).tolist()
+
+    def test_component_areas_match_argmax_on_arbitrary_labels(self, rng):
+        """Labels held by no point tie at 0 on all planes; small boxes tie often."""
+        for _ in range(30):
+            cloud = random_cloud(rng, max_points=60, extent_range=(2, 6))
+            count = int(rng.integers(1, len(cloud) + 3))
+            labeling = projection.ComponentLabeling(rng.integers(0, count, len(cloud)), count)
+            stacked = projection.pixel_areas(labeling.labels, pixel_keys(cloud), count)
+            axes, areas = component_areas(pixel_keys(cloud), labeling)
+            assert axes.tolist() == np.argmax(stacked, axis=0).tolist()
+            assert areas.tolist() == stacked.max(axis=0).tolist()
+
     def test_psi_zero_for_injective_components(self):
         two_planes = make_cloud(
             [(x, y, 0) for x in range(5) for y in range(5)]
