@@ -485,7 +485,8 @@ def test_shared_state_best_width_matches_direct_call(monkeypatch, rng, plane_rul
 # random points, each ending in a terminal residue, recorded from the
 # planner that scored that residue as a cloud of its own. The 202,400-point
 # shell was recorded from the planner that scattered each slab's member
-# positions over the whole planned cloud.
+# positions over the whole planned cloud, and the 20,992-point sheet from
+# the planner that labeled a side's widest slab right after its gallop.
 PINNED_PLAN_SHA256 = {
     "folded-sheet-32": (
         "folded-sheet", {"extent": 32, "amplitude": 8, "period": 16}, 7, "best-plane",
@@ -522,6 +523,10 @@ PINNED_PLAN_SHA256 = {
     "uniform-random-48-20k": (
         "uniform-random", {"extent": 48, "count": 20_000}, 1, "best-plane",
         "7cd8d40df054d52eacf8f58de75bc86129cceb6cdf7e6fda82a39efe80890dc4",
+    ),
+    "folded-sheet-64": (
+        "folded-sheet", {"extent": 64, "amplitude": 16, "period": 32}, 7, "best-plane",
+        "cc2fbd1d976d223d15d95114a4dd954d684c966d4e2d538618d6f04bd7ae2bd1",
     ),
 }
 
