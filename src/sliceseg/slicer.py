@@ -5,8 +5,11 @@ every width up to the configured maximum, scores each candidate by the
 fraction of points a single-layer projection would lose, takes the best
 one as the next slice, and recurses on the remainder. The width search is
 exact but pruned: loss is monotone in slab width, so most widths are
-bounded out without being labeled, and once a side has a lossless slab a
-later side labels only wider widths, up to its first lossy one. Slices
+bounded out without being labeled, past a lossy width the probes double
+only while a wider slab could still win, and once a side has a lossless
+slab the other sides label only lossless widths that could outrank it, up
+to their first lossy one. The previous round's winning side is searched
+first; ties go to the earlier side in SIDES whatever the order. Slices
 below the point-count threshold are never emitted; whatever remains at
 the end becomes one terminal segment so no point is ever dropped at
 planning stage. Extracted slices can be widened inward by a small
@@ -133,16 +136,18 @@ class Candidate(NamedTuple):
         return self.lost / self.count
 
 
-def _beats(lost: int, count: int, width: int, best: Optional[Candidate]) -> bool:
-    """Whether a slab of `width` with lost/count wins over `best`.
+def _beats(lost: int, count: int, width: int, side: Side, best: Optional[Candidate]) -> bool:
+    """Whether a slab of `width` on `side` with lost/count wins over `best`.
 
-    Less loss wins (exact fraction compare), then the larger width. Side
-    order needs no term: sides are searched in order, so an equal-width tie
-    from a later side keeps the earlier one.
+    Less loss wins (exact fraction compare), then the larger width, then the
+    side earlier in SIDES, so the winner does not depend on the order in
+    which the sides are searched.
     """
     if best is None:
         return True
     ours, theirs = lost * best.count, best.lost * count
+    if ours == theirs and width == best.width:  # only an exact tie reads the side order
+        return SIDES.index(side) < SIDES.index(best.side)
     return ours < theirs or (ours == theirs and width > best.width)
 
 
@@ -182,7 +187,7 @@ class _PlanState:
     their coordinates `a` in that order and `rank[a]` each working point's
     place in it (stale for removed points). `src`/`dst` are the 26-adjacent
     pairs whose ends both remain, `pixels` the pixel keys of every planned
-    point and `losses` the loss cache.
+    point, `losses` the loss cache and `winner` the last round's winning side.
     """
 
     def __init__(self, cloud: PointCloud, config: SlicerConfig, original_size: int) -> None:
@@ -196,6 +201,7 @@ class _PlanState:
         self.rank = [np.empty_like(order) for order in self.order]
         self._index()
         self.losses: _LossCache = {}
+        self.winner: Optional[Side] = None
 
     def span(self, axis: Axis) -> tuple[int, int]:
         """The first and last occupied coordinate of the working points along `axis`."""
@@ -273,10 +279,13 @@ def best_width(
     when lost(a) == lost(b) (b is at least as good and wider) or when even
     lost(a) / count(b - 1) at width b - 1 cannot beat the best so far.
 
-    Against a lossless incumbent only wider lossless widths compete. From
-    a lossless start the search gallops (a + 1, a + 3, a + 7, ...) out to a
-    lossy width b and bisects the last gap. Widths past the last probe b are
-    labeled, w_max first, only if lost(b) / count(w_max) at w_max could win.
+    Against a lossless incumbent only lossless widths compete: from its
+    width on if this side is earlier in SIDES, which wins the tie, else from
+    one past it. From a lossless start the search gallops (a + 1, a + 3,
+    a + 7, ...) out to a lossy width b and bisects the last gap. Past b it
+    probes 2b, 4b, ... up to w_max while lost(b) / count(w_max) at w_max,
+    b the last probe, could win (the unbounded search of Bentley and Yao,
+    1976), and each probe adds its gap to the bisection.
     """
     config, axis = state.config, side.axis
     column = state.ascending[axis]
@@ -289,8 +298,8 @@ def best_width(
         counts = column.searchsorted(lo + widths, side="left")
     # counts[w - 1] is the point count at width w; eligible widths form a suffix
     first = int(counts.searchsorted(state.min_points)) + 1
-    if incumbent is not None and incumbent.lost == 0:  # only a wider lossless slab beats it
-        first = max(first, incumbent.width + 1)
+    if incumbent is not None and incumbent.lost == 0:  # only a lossless slab that outranks it wins
+        first = max(first, incumbent.width + (SIDES.index(side) >= SIDES.index(incumbent.side)))
     if first > w_max:
         return None
     counts = counts.tolist()
@@ -313,7 +322,7 @@ def best_width(
                 slab = state.slab(side, counts[-1])
             hit = state.losses[key] = (count, _prefix_lost(slab, roots, count))
         lost[width] = hit[1]
-        if _beats(lost[width], count, width, best):
+        if _beats(lost[width], count, width, side, best):
             best = Candidate(side, width, count, lost[width])
 
     evaluate(first)
@@ -322,12 +331,14 @@ def best_width(
         a, b, step = b, min(b + step, w_max), step * 2
         evaluate(b)
     pending = [(a, b)]
-    if _beats(lost[b], counts[w_max - 1], w_max, best):  # may a width in (b, w_max] win?
-        evaluate(w_max)
-        pending.append((b, w_max))
+    # double past b while a width in (b, w_max] may win
+    while b < w_max and _beats(lost[b], counts[w_max - 1], w_max, side, best):
+        a, b = b, min(2 * b, w_max)
+        evaluate(b)
+        pending.append((a, b))
     while pending:
         a, b = pending.pop()
-        if b - a < 2 or lost[a] == lost[b] or not _beats(lost[a], counts[b - 2], b - 1, best):
+        if b - a < 2 or lost[a] == lost[b] or not _beats(lost[a], counts[b - 2], b - 1, side, best):
             continue
         mid = (a + b) // 2
         evaluate(mid)
@@ -339,16 +350,18 @@ def select_slice(state: _PlanState, index: int = 0) -> Optional[SliceSpec]:
     """Best candidate over all six sides, or None when every side is exhausted.
 
     Ties break toward the larger width, then toward the fixed side order
-    +X, -X, +Y, -Y, +Z, -Z. Each side's search is bounded by the best
-    candidate of the sides before it.
+    +X, -X, +Y, -Y, +Z, -Z. The previous round's winning side is searched
+    first, as the likeliest winner, then the rest in that order; each
+    side's search is bounded by the best candidate of the sides before it.
     """
     best: Optional[Candidate] = None
-    for side in SIDES:
+    for side in sorted(SIDES, key=lambda s: s != state.winner):
         cand = best_width(state, side, best)
         if cand is not None:
             best = cand
     if best is None:
         return None
+    state.winner = best.side
     side, (lo, hi) = best.side, state.span(best.side.axis)
     # the overlap band reaches `overlap` voxels further in, clipped to the span
     widened = min(best.width + state.config.overlap, hi - lo + 1)

@@ -311,7 +311,7 @@ def candidate_psi(cloud: PointCloud, side: Side, width: int, plane_rule: str = "
     return len(sub), slab_lost(sub, side, plane_rule) / len(sub)
 
 
-def _rank(cand: Candidate):
+def planner_rank(cand: Candidate):
     """Planner preference, smallest first: least loss, then larger width, then side order."""
     return Fraction(cand.lost, cand.count), -cand.width, SIDES.index(cand.side)
 
@@ -330,14 +330,14 @@ def brute_candidates(cloud: PointCloud, side: Side, config, original_size: int):
 
 def brute_best_width(cloud: PointCloud, side: Side, config, original_size: int):
     """The best of `brute_candidates`: every eligible width is labeled and ranked."""
-    return min(brute_candidates(cloud, side, config, original_size), key=_rank, default=None)
+    return min(brute_candidates(cloud, side, config, original_size), key=planner_rank, default=None)
 
 
 def brute_select_slice(state, index: int, original_size: int):
     """`slicer.select_slice` by the exhaustive loop on every side, for an `original_size` plan."""
     cloud, config = working_cloud(state), state.config
     cands = [brute_best_width(cloud, side, config, original_size) for side in SIDES]
-    best = min((c for c in cands if c is not None), key=_rank, default=None)
+    best = min((c for c in cands if c is not None), key=planner_rank, default=None)
     if best is None:
         return None
     core, _ = slab(cloud, best.side, best.width)

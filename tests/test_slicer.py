@@ -38,6 +38,7 @@ from conftest import (
     oracle_extract_slices,
     oracle_plan,
     oracle_slab,
+    planner_rank,
     point_set,
     random_cloud,
     slab,
@@ -194,8 +195,9 @@ def test_prefix_losses_match_slabs_labeled_afresh(rng, plane_rule):
     Every loss it caches must equal compute_psi on the slab extracted anew.
     With a fresh plan state per theta, width theta is one of the labeled
     widths, resumed from the roots of a narrower prefix, whenever the
-    narrowest eligible width loses points (the search labels w_max next) or
-    no eligible width does (the gallop runs out to w_max). A plane, lossless
+    narrowest eligible width loses points (the doubling probes run out to
+    w_max: no probe on these clouds loses enough to rule it out) or no
+    eligible width does (the gallop runs out to w_max). A plane, lossless
     on every side under best-plane, gives the second case.
     """
     clouds = [random_cloud(rng, max_points=300, extent_range=(4, 14)) for _ in range(6)]
@@ -242,10 +244,13 @@ def test_incumbents_from_the_exhaustive_loop(monkeypatch, rng, plane_rule):
 
     Incumbents are the exhaustive loop's candidates of every side and
     width: lossless and lossy, narrower than, as wide as and wider than the
-    side's own best. A lossless incumbent that the side does not beat costs
-    it at most one labeled slab. When the side's best is a lossless width L,
-    no slab past the gallop's lossy probe is labeled: from its start width s
-    the probes s + 1, s + 3, s + 7, ... pass L by at most L - s + 1.
+    side's own best. A win is the planner's order: less loss, then the
+    larger width, then the side earlier in SIDES. Against a lossless
+    incumbent the side starts at the incumbent's width if it is the earlier
+    side, else one past it, and if it does not win it labels at most one
+    slab. When the side's best is a lossless width L, no slab past the
+    gallop's lossy probe is labeled: from its start width s the probes
+    s + 1, s + 3, s + 7, ... pass L by at most L - s + 1.
     """
     labeled = _labeled_prefixes(monkeypatch)
     seen = set()
@@ -264,14 +269,12 @@ def test_incumbents_from_the_exhaustive_loop(monkeypatch, rng, plane_rule):
                 state.losses.clear()  # each call labels afresh
                 labeled.clear()
                 got = best_width(state, side, incumbent)
-                wins = expect is not None and (
-                    (Fraction(expect.lost, expect.count), -expect.width)
-                    < (Fraction(incumbent.lost, incumbent.count), -incumbent.width)
-                )
+                wins = expect is not None and planner_rank(expect) < planner_rank(incumbent)
                 assert got == (expect if wins else None)
                 start = min(by_width, default=0)
                 if incumbent.lost == 0:
-                    start = max(start, incumbent.width + 1)
+                    later = SIDES.index(side) >= SIDES.index(incumbent.side)
+                    start = max(start, incumbent.width + later)
                     if got is None:
                         assert len(labeled) <= 1
                 if got is not None and got.lost == 0:
@@ -283,11 +286,12 @@ def test_incumbents_from_the_exhaustive_loop(monkeypatch, rng, plane_rule):
 
 
 # The benchmark's plan-suite inputs at seed 1 and the prefixes planning each
-# labels (pixel_areas calls) with the lossless-aware width search.
+# labels (pixel_areas calls) with doubling probes past a side's lossy width
+# and the previous round's winning side searched first.
 _PLAN_SUITE = {
     "folded-sheet-32": ("folded-sheet", {"extent": 32, "amplitude": 8, "period": 16}, 7, 34),
-    "sphere-shell-20": ("sphere-shell", {"extent": 20}, 0, 145),
-    "sphere-shell-20-fixed": ("sphere-shell", {"extent": 20}, 0, 137),
+    "sphere-shell-20": ("sphere-shell", {"extent": 20}, 0, 115),
+    "sphere-shell-20-fixed": ("sphere-shell", {"extent": 20}, 0, 107),
     "uniform-random-48": ("uniform-random", {"extent": 48, "count": 1000}, 1, 7),
 }
 
@@ -537,6 +541,55 @@ def test_plan_bytes_are_pinned(name):
     cloud = gen_synthetic(kind, params, seed=seed)
     config = SlicerConfig(theta=64, threshold_frac="0.05", overlap=2, plane_rule=plane_rule)
     assert hashlib.sha256(plan_to_json(build_plan(cloud, config)).encode()).hexdigest() == digest
+
+
+# Work of planning three frame-scale pinned inputs, the terminal residue
+# included: prefixes labeled (pixel_areas calls), points labeled (the sum of
+# their counts) and slabs built (_PlanState.slab calls).
+_FRAME_WORK = {
+    "folded-sheet-64": (114, 421_820, 52),
+    "uniform-random-48-20k": (311, 795_721, 86),
+    "sphere-shell-128": (392, 1_908_539, 67),
+}
+
+
+@pytest.mark.parametrize("name", _FRAME_WORK)
+def test_frame_plans_do_no_more_work(monkeypatch, name):
+    """A plan that labels or builds more than these bounds has lost a pruning rule."""
+    kind, params, seed, plane_rule, _ = PINNED_PLAN_SHA256[name]
+    labeled, slabs, slab = _labeled_prefixes(monkeypatch), [], _PlanState.slab
+
+    def counted(state, side, count):
+        slabs.append(count)
+        return slab(state, side, count)
+
+    monkeypatch.setattr(_PlanState, "slab", counted)
+    build_plan(gen_synthetic(kind, params, seed=seed), cfg(overlap=2, plane_rule=plane_rule))
+    work = (len(labeled), sum(labeled), len(slabs))
+    assert all(got <= bound for got, bound in zip(work, _FRAME_WORK[name])), work
+
+
+@given(
+    st.lists(
+        st.tuples(*[st.integers(0, 7)] * 3), min_size=1, max_size=80, unique=True
+    ),
+    st.sampled_from(["best-plane", "fixed-plane"]),
+    st.sampled_from([3, 64]),
+)
+@settings(max_examples=30, deadline=None)
+def test_plan_does_not_depend_on_the_first_side_searched(points, plane_rule, theta):
+    """Whichever side round 1 searches first, the plan is the same bytes."""
+    cloud = make_cloud(points)
+    config = cfg(theta=theta, plane_rule=plane_rule)
+    expect = plan_to_json(build_plan(cloud, config))
+    for side in SIDES:
+
+        def first(state):
+            if state.winner is None:  # round 1
+                state.winner = side
+
+        plan = _plan_checking_rounds(pytest.MonkeyPatch(), cloud, config, first)
+        assert plan_to_json(plan) == expect
 
 
 PINNED_CLOUDS = {
