@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .cloud import MAX_BIT_DEPTH, MIN_BIT_DEPTH, PLANE_COLS, Axis, PointCloud
-from .cloud import first_occurrences, voxel_keys
+from .cloud import run_starts, voxel_keys
 from .slicer import SlicePlan, SliceSpec, extract_slices
 
 MAGIC = b"SWSG"
@@ -111,6 +111,13 @@ def _phases(buffer, first_bit: int, point_bits: int, count: int):
         yield view, bit & 7, slice(j, None, 8)
 
 
+def first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Index of each distinct key's first occurrence, in key order. A stable argsort keeps
+    equal keys in index order, and on keys that come in ascending runs it merges the runs."""
+    order = np.argsort(keys, kind="stable")
+    return order[run_starts(keys.take(order))]
+
+
 def _rising(words) -> bool:
     """Whether a record's points strictly increase in (offset, u, v) order, as its words do."""
     return bool((words[1:] > words[:-1]).all())
@@ -181,7 +188,9 @@ class DecodedStream:
         # merging every row costs less than checking the rest; a record may repeat its own point
         if 3 * len(rows) > n or not all(_rising(r.words) for r in records):
             return PointCloud(coords, colors, bit_depth=bit_depth)
-        repeats[rows[first_occurrences(voxel_keys(*coords.take(rows, axis=0).T))]] = False
+        # keyed by (depth, u, v), as records store them, the rows come in ascending runs
+        u, v = (coords[:, col].take(rows) for col in PLANE_COLS[records[0].axis])
+        repeats[rows[first_occurrences(voxel_keys(depth.take(rows), u, v))]] = False
         kept, merged = ~repeats, int(np.count_nonzero(repeats))
         colors = None if colors is None else colors.compress(kept, axis=0)
         return PointCloud._from_trusted(coords.compress(kept, axis=0), colors, bit_depth, merged)

@@ -95,12 +95,14 @@ def _value_checks(columns, props, has_color: bool, fmt: str):
     """(message, bad rows) of each kind of value error in rank order; {} takes the vertex.
 
     Coordinates are checked before they are floored: floor(v) < 0 exactly
-    when v < 0, and floor(v) >= 2**16 exactly when v >= 2**16.
+    when v < 0, and floor(v) >= 2**16 exactly when v >= 2**16. Unsigned
+    columns, as a digit chunk's are, skip the tests they pass by type.
     """
     xyz = [columns[name] for name in _COORD_NAMES]
-    anywhere = np.logical_or.reduce  # the rows where any of the masks is set
-    yield "non-finite coordinate in vertex body", anywhere([~np.isfinite(v) for v in xyz])
-    yield "negative coordinate at vertex {}", anywhere([v < 0 for v in xyz])
+    signed = [v for v in xyz if v.dtype.kind != "u"]  # the columns that may be negative or NaN
+    anywhere = np.logical_or.reduce  # the rows where any of the masks is set (none: False)
+    yield "non-finite coordinate in vertex body", anywhere([~np.isfinite(v) for v in signed])
+    yield "negative coordinate at vertex {}", anywhere([v < 0 for v in signed])
     off_grid = f"coordinate at vertex {{}} exceeds {MAX_BIT_DEPTH}-bit grid"
     yield off_grid, anywhere([v >= (1 << MAX_BIT_DEPTH) for v in xyz])
     if has_color:
@@ -109,7 +111,9 @@ def _value_checks(columns, props, has_color: bool, fmt: str):
     for name, dtype in props if fmt == "ascii" else ():  # binary values fit their type
         if np.dtype(dtype).kind in "iu":
             info, values = np.iinfo(dtype), columns[name]
-            fits = (values >= info.min) & (values <= info.max) & (values == np.floor(values))
+            fits = values <= info.max
+            if values.dtype.kind == "f":  # digits are whole and non-negative
+                fits &= (values >= info.min) & (values == np.floor(values))
             yield f"{name} at vertex {{}} is not an integer in {info.min}..{info.max}", ~fits
 
 
@@ -162,7 +166,7 @@ def _ascii_body(tables: list[np.ndarray]):
     cells = cells.view(f"u{width}").ravel()
     for first in range(0, tables[0].shape[0], _BLOCK_ROWS):
         rows = np.hstack([table[first : first + _BLOCK_ROWS] for table in tables])
-        text = cells[rows].view(np.uint8)
+        text = cells.take(rows).view(np.uint8)
         text[:, -1] = ord("\n")
         text = text.ravel()
         yield text.compress(text != 0)
@@ -252,7 +256,7 @@ def _parse_header(lines: list[str]):
 def _read_ascii_body(data: bytes, start: int, count: int, props, header_lines: int):
     """Vertex values of the ASCII body data[start:], one line per vertex; blank lines skipped.
 
-    Yields one float64 column per property, a chunk of lines at a time: a
+    Yields one column per property, a chunk of lines at a time: a
     chunk is the whole lines in the next `_CHUNK_BYTES`, or the next line if
     it is longer. Structure errors raise when their chunk is read; line
     numbers count from the file's start. Whitespace and line breaks are those of str.split() and
@@ -261,8 +265,9 @@ def _read_ascii_body(data: bytes, start: int, count: int, props, header_lines: i
     token before each newline; when every newline directly follows a token
     (no CRLF, blank line or separator before it), they are those tokens. When
     every vertex token of a chunk is 1-18 ASCII digits (as write_ply writes
-    them), `_digit_values` reads them exactly; any other chunk goes through
-    float() per token.
+    them), `_digit_values` reads them exactly into unsigned integer columns,
+    from 4-byte words when no token is longer than 4 digits; any other chunk
+    goes through float() per token, into float64 columns.
     """
     # vertices, lines and the last vertex line's number so far
     done, lines, last = 0, header_lines, header_lines
@@ -273,8 +278,9 @@ def _read_ascii_body(data: bytes, start: int, count: int, props, header_lines: i
         chunk = data[start:end]
         start = end
         raw = np.frombuffer(chunk, dtype=np.uint8)
-        ws = ((raw - np.uint8(9)) < 5) | ((raw - np.uint8(28)) < 5)  # \t-\r, \x1c-\x1f and space
-        edges = np.flatnonzero(np.diff(ws, prepend=True, append=True))
+        padded_ws = np.ones(len(raw) + 2, dtype=bool)  # \t-\r, \x1c-\x1f, space; one more each end
+        ws = np.logical_or((raw - np.uint8(9)) < 5, (raw - np.uint8(28)) < 5, out=padded_ws[1:-1])
+        edges = np.flatnonzero(padded_ws[1:] != padded_ws[:-1])
         starts, ends = edges[0::2], edges[1::2]  # each token is raw[start:end]
         breaks = int(np.count_nonzero(raw == ord("\n")))
         at_break = raw.take(ends, mode="clip") == ord("\n")  # tokens a newline directly follows
@@ -317,39 +323,43 @@ def _read_ascii_body(data: bytes, start: int, count: int, props, header_lines: i
 
 
 def _digit_values(raw: np.ndarray, ws: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """float64 values of the tokens raw[start:end], or None unless each is 1-18 digits.
+    """Unsigned integer values of the tokens raw[start:end], or None unless each is 1-18 digits.
 
-    Eight digits a word (SWAR, as in Langdale and Lemire's JSON parser): the
-    little-endian uint64 that ends at a token's end holds its last 8 bytes,
-    the last digit in the top byte. Tokens of 9-16 digits add the word 8
-    bytes further back times 10**8, and of 17-18 digits the next times
-    10**16: exact in uint64, and the cast to float64 rounds as float() does.
+    SWAR, as in Langdale and Lemire's JSON parser: the little-endian word
+    that ends at a token's end holds its last 4 or 8 bytes, the last digit in
+    the top byte. When no token is longer than 4 digits, as on a 10-bit grid,
+    the words are uint32; else uint64, and tokens of 9-16 digits add the word
+    8 bytes further back times 10**8, and of 17-18 digits the next times
+    10**16, exact in uint64.
     """
     if not starts.size:
-        return np.zeros(0)
+        return np.zeros(0, dtype=np.uint32)
     span, lengths = slice(starts[0], ends[-1]), ends - starts
     longest, digit = int(lengths.max()), raw[span] - np.uint8(ord("0")) < 10
     if longest > 18 or not np.logical_or(digit, ws[span], out=digit).all():
         return None
     del digit  # free it, and the int64 lengths below, before the word gathers
-    lengths = lengths.astype(np.int8)
-    padded = np.concatenate([np.zeros(8, dtype=np.uint8), raw])  # the chunk behind 8 zero bytes
-    words = np.ndarray(len(raw) + 1, dtype="<u8", buffer=padded, strides=(1,))  # raw[e - 8:e]
+    lengths, size = lengths.astype(np.int8), 4 if longest <= 4 else 8
+    padded = np.concatenate([np.zeros(size, dtype=np.uint8), raw])  # word e is raw[e - size:e]
+    words = np.ndarray(len(raw) + 1, dtype=f"<u{size}", buffer=padded, strides=(1,))
     values = _word_values(words, ends, lengths)
     for back in range(8, longest, 8):  # tokens of more digits: the word `back` bytes back
         more = np.flatnonzero(lengths > back)
         values[more] += _word_values(words, ends[more] - back, lengths[more] - back) * 10**back
-    return values.astype(np.float64)
+    return values
 
 
-# _WORD_MASKS[n] keeps the top n bytes of a word, a token's last n digits, as their low nibbles
-_WORD_MASKS = np.array([0x0F0F0F0F0F0F0F0F >> s << s for s in range(64, -1, -8)], dtype=np.uint64)
+# _WORD_MASKS[size][n] keeps a word's top n bytes, a token's last n digits, as their low nibbles
+_WORD_MASKS = {size: np.array([0x0F0F0F0F0F0F0F0F >> 64 - 8 * n << 8 * (size - n)
+                               for n in range(size + 1)], dtype=f"u{size}") for size in (4, 8)}
 
 
 def _word_values(words: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """uint64 values of the last min(length, 8) digits before each end, in `words`."""
-    w = words.take(ends)
-    masks = (_WORD_MASKS.take(np.minimum(lengths, 8)), 0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF)
+    """Values of the last min(length, size) digits before each end, in `words` of size bytes."""
+    size = words.itemsize
+    w, low = words.take(ends), 64 - 8 * size  # a 4-byte word's lane masks: an 8-byte one's low half
+    masks = (_WORD_MASKS[size].take(np.minimum(lengths, size)), 0x00FF00FF00FF00FF >> low,
+             0x0000FFFF0000FFFF >> low)[: size.bit_length() - 1]  # 2 steps for 4 bytes, 3 for 8
     # digit pairs sum to their values in 16-bit lanes, then fours in 32-bit lanes, then all 8
     for mask, factor, shift in zip(masks, (2561, 6553601, 42949672960001), (8, 16, 32)):
         w &= mask

@@ -405,11 +405,8 @@ def test_ascii_token_next_to_digits_in_tiny_chunks_matches_oracle(monkeypatch, t
     test_ascii_token_next_to_digits_matches_oracle(token)
 
 
-@pytest.mark.parametrize("chunk", [1, ply._CHUNK_BYTES])
-def test_digit_words_read_each_token_exactly(monkeypatch, chunk):
-    """Up to three 8-digit words a token, the first token at byte 0 of a chunk and the last
-    ending at the data's last byte: each value is float(int(token)), none through float()."""
-    monkeypatch.setattr(ply, "_CHUNK_BYTES", chunk)
+def record_digit_values(monkeypatch) -> list:
+    """What each `_digit_values` call returns from now on: its values, or None."""
     original, returned = ply._digit_values, []
 
     def digit_values(*args):
@@ -417,14 +414,26 @@ def test_digit_words_read_each_token_exactly(monkeypatch, chunk):
         return returned[-1]
 
     monkeypatch.setattr(ply, "_digit_values", digit_values)
+    return returned
+
+
+@pytest.mark.parametrize("chunk", [1, ply._CHUNK_BYTES])
+def test_digit_words_read_each_token_exactly(monkeypatch, chunk):
+    """Up to three 8-digit words a token, the first token at byte 0 of a chunk and the last
+    ending at the data's last byte: each value is int(token) as an unsigned integer, so the
+    float64 column is float(int(token)), and none goes through float()."""
+    monkeypatch.setattr(ply, "_CHUNK_BYTES", chunk)
+    returned = record_digit_values(monkeypatch)
     tokens = [t for t in DIGIT_STRINGS if len(t) <= 18]
     for width in (1, 3):
+        returned.clear()
         body = b"\n".join(b" ".join(tokens[i : i + width]) for i in range(0, len(tokens), width))
         props = [(f"p{i}", "<f4") for i in range(width)]
         table = read_ascii_body(body, len(tokens) // width, props, 1)
         read = np.column_stack([table[name] for name, _ in props]).ravel()
         assert read.tolist() == [float(int(t)) for t in tokens]
-    assert returned and all(values is not None for values in returned)
+        assert returned and all(values.dtype.kind == "u" for values in returned)
+        assert [int(v) for values in returned for v in values] == [int(t) for t in tokens]
 
 
 @pytest.mark.parametrize("sep", SEPARATORS[6:])
@@ -435,13 +444,7 @@ def test_digit_words_read_each_token_exactly(monkeypatch, chunk):
 def test_x1c_to_x1f_separate_values_on_both_paths(monkeypatch, sep, token, digits):
     """\\x1c-\\x1f split values as str.split() does, whether the digit reader or float()
     reads the chunk: the same values, or the same error and line, as the per-line reader."""
-    original, returned = ply._digit_values, []
-
-    def digit_values(*args):
-        returned.append(original(*args))
-        return returned[-1]
-
-    monkeypatch.setattr(ply, "_digit_values", digit_values)
+    returned = record_digit_values(monkeypatch)
     body = b"1%s2 3\n%s4%s%s%s6%s\n7 8\t9" % (sep, sep, sep, token, sep, sep)
     props = [(name, "<f4") for name in "xyz"]
     outcome = _outcome(read_ascii_body, body, 3, props, 5)
@@ -452,6 +455,77 @@ def test_x1c_to_x1f_separate_values_on_both_paths(monkeypatch, sep, token, digit
     assert _outcome(read_ascii_body, width_error, 3, props, 5) == (
         PlyParseError, "expected 3 values, got 4 (line 7)"
     )
+
+
+SHORT_DIGITS = [b"0", b"7", b"0007", b"42", b"999", b"4095", b"9999"]
+FIVE_DIGITS = [b"10000", b"00000", b"09999", b"65535", b"65536"]
+
+
+def float_path_outcome(monkeypatch, outcome, *args):
+    """outcome(*args) with every chunk read through float() per token."""
+    with monkeypatch.context() as m:
+        m.setattr(ply, "_digit_values", lambda *_: None)
+        return outcome(*args)
+
+
+@pytest.mark.parametrize("chunk", [1, 6, 13, 40, ply._CHUNK_BYTES])
+def test_short_and_five_digit_chunks_match_oracle_and_float_path(monkeypatch, chunk):
+    """Lines of tokens of at most 4 digits, read from 4-byte words, between lines that hold
+    a 5-digit token, read from 8-byte words, in chunks cut anywhere among them: the same
+    columns as the per-line reader and as float(), each chunk's values unsigned integers."""
+    rng = np.random.default_rng(chunk)
+    lines = []
+    for i in range(40):
+        row = [SHORT_DIGITS[k] for k in rng.integers(0, len(SHORT_DIGITS), 3)]
+        if i % 3 == 0:
+            row[rng.integers(3)] = FIVE_DIGITS[rng.integers(len(FIVE_DIGITS))]
+        lines.append(b" ".join(row))
+    body = b"\n".join(lines) + b"\n"
+    props = [(name, "<f4") for name in "xyz"]
+    monkeypatch.setattr(ply, "_CHUNK_BYTES", chunk)
+    returned = record_digit_values(monkeypatch)
+    outcome = _outcome(read_ascii_body, body, 40, props, 5)
+    assert outcome == _outcome(oracle_read_ascii_body, body, 40, props, 5)
+    assert float_path_outcome(monkeypatch, _outcome, read_ascii_body, body, 40, props, 5) == outcome
+    assert all(values.dtype.kind == "u" for values in returned)
+    word_sizes = {values.dtype.itemsize for values in returned}
+    assert word_sizes == ({4, 8} if chunk <= 13 else {8})  # each 40-byte chunk here has a 5-digit line
+
+
+COLOR_TYPES = ["float"] * 3 + ["uchar"] * 3
+
+
+# At one byte a chunk each vertex line is a chunk, its first token at the chunk's first byte.
+@pytest.mark.parametrize("chunk", [1, 8, ply._CHUNK_BYTES])
+@pytest.mark.parametrize(
+    "data, want",
+    [
+        (ascii_ply([("0007", "0", "00"), ("0100", "7", "0000")]), [[7, 0, 0], [100, 7, 0]]),
+        (ascii_ply([(9999, 1, 2), (3, 9999, 4)]), [[9999, 1, 2], [3, 9999, 4]]),
+        (ascii_ply([(9999, 10000, 65535)]), [[9999, 10000, 65535]]),
+        (ascii_ply([(9999, 0, 0), (0, 65536, 0)]), "coordinate at vertex 1 exceeds 16-bit grid"),
+        (ascii_ply([(1, 2, 3), (256, 0, 0)], types=["uchar", "float", "float"]),
+         "x at vertex 1 is not an integer in 0..255"),
+        (ascii_ply([(1, 2, 3), (4, 32768, 6)], types=["float", "short", "float"]),
+         "y at vertex 1 is not an integer in -32768..32767"),
+        (ascii_ply([(1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 300, 6)], props=COLOR_PROPS, types=COLOR_TYPES),
+         "color outside 0..255 at vertex 1"),
+        (ascii_ply([(1, 2, 3, 0, 255, 6)], props=COLOR_PROPS, types=COLOR_TYPES), [[1, 2, 3]]),
+    ],
+    ids=["leading-zeros", "four-digits-first", "grid-edges", "grid-plus-one", "uchar-256",
+         "short-32768", "color-300", "color-edges"],
+)
+def test_digit_path_values_and_range_checks(monkeypatch, chunk, data, want):
+    """Integer columns pass the checks float64 columns pass, and fail the same ones."""
+    monkeypatch.setattr(ply, "_CHUNK_BYTES", chunk)
+    returned = record_digit_values(monkeypatch)
+    outcome = read_outcome(data)
+    assert returned and all(values.dtype.kind == "u" for values in returned)
+    assert float_path_outcome(monkeypatch, read_outcome, data) == outcome
+    if isinstance(want, str):
+        assert outcome == want
+    else:
+        assert outcome[0] == np.array(want, dtype=np.int32).tobytes()
 
 
 def read_outcome(data: bytes):

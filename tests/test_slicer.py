@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -24,7 +25,7 @@ from sliceseg import (
 from sliceseg import slicer
 from sliceseg.cloud import SIDES, Axis, AxisRange, Side, extract_range, remove_range
 from sliceseg.projection import neighbor_pairs, pixel_keys
-from sliceseg.slicer import MIN_SLICE_POINTS, _PlanState, best_width, select_slice
+from sliceseg.slicer import _PlanState, best_width, select_slice
 from sliceseg.synthetic import gen_synthetic
 
 from conftest import (
@@ -188,38 +189,61 @@ def test_lost_points_non_decreasing_in_width(points, plane_rule):
         assert losses == sorted(losses)
 
 
+def _probes(cloud: PointCloud, side: Side, theta: int, plane_rule: str, min_points: int):
+    """The last width best_width's gallop and doubling probes reach on a fresh plan state, as
+    its own rule takes them on slabs extracted anew, and the point count of each width
+    1..theta; None when no width holds `min_points` points. theta must not pass the extent."""
+    counts = [len(slab(cloud, side, w)[1]) for w in range(1, theta + 1)]
+    eligible = [w for w, count in enumerate(counts, 1) if count >= min_points]
+    if not eligible:
+        return None
+    best, lost = None, {}
+
+    def probe(width):
+        nonlocal best
+        lost[width] = slab_lost(slab(cloud, side, width)[1], side, plane_rule)
+        if slicer._beats(lost[width], counts[width - 1], width, side, best):
+            best = slicer.Candidate(side, width, counts[width - 1], lost[width])
+
+    b, step = eligible[0], 1
+    probe(b)
+    while lost[b] == 0 and b < theta:  # gallop out to a lossy width
+        b, step = min(b + step, theta), step * 2
+        probe(b)
+    while b < theta and slicer._beats(lost[b], counts[-1], theta, side, best):  # double past it
+        b = min(2 * b, theta)
+        probe(b)
+    return b, counts
+
+
 @pytest.mark.parametrize("plane_rule", ["best-plane", "fixed-plane"])
 def test_prefix_losses_match_slabs_labeled_afresh(rng, plane_rule):
     """best_width labels each width as a depth-ordered prefix of its side's widest slab.
 
     Every loss it caches must equal compute_psi on the slab extracted anew.
-    With a fresh plan state per theta, width theta is one of the labeled
-    widths, resumed from the roots of a narrower prefix, whenever the
-    narrowest eligible width loses points (the doubling probes run out to
-    w_max: no probe on these clouds loses enough to rule it out) or no
-    eligible width does (the gallop runs out to w_max). A plane, lossless
-    on every side under best-plane, gives the second case.
+    With a fresh plan state per theta, width theta is labeled, resumed from
+    the roots of a narrower prefix, exactly when the gallop or the doubling
+    probes reach it; the cache, keyed by span, also holds it when the last
+    probe's slab has the same points. A plane, lossless on every side under
+    best-plane, makes the gallop run out to theta. One layer is lossless, so
+    only at threshold 0.2, where a wider slab is the narrowest eligible one,
+    does the search start at a lossy width and double past it.
     """
     clouds = [random_cloud(rng, max_points=300, extent_range=(4, 14)) for _ in range(6)]
     clouds.append(gen_synthetic("plane", {"extent": 9}))
-    for cloud in clouds:
+    for cloud, threshold in itertools.product(clouds, ["0", "0.2"]):
         for side in SIDES:
             for theta in range(1, extent(cloud, side.axis) + 1):
-                config = cfg(theta=theta, threshold="0", plane_rule=plane_rule)
+                config = cfg(theta=theta, threshold=threshold, plane_rule=plane_rule)
                 state = _PlanState(cloud, config, len(cloud))
                 best_width(state, side)
                 cache = state.losses
-                _, widest = slab(cloud, side, theta)
-                if len(widest) >= MIN_SLICE_POINTS:
-                    narrowest = next(
-                        sub for w in range(1, theta + 1)
-                        if len((sub := slab(cloud, side, w)[1])) >= MIN_SLICE_POINTS
-                    )
-                    if slab_lost(narrowest, side, plane_rule) or not slab_lost(
-                        widest, side, plane_rule
-                    ):
-                        span = widest.coords[:, side.axis]
-                        assert (side.axis, int(span.min()), int(span.max())) in cache
+                probes = _probes(cloud, side, theta, plane_rule, state.min_points)
+                if probes is not None:
+                    last, counts = probes
+                    span = slab(cloud, side, theta)[1].coords[:, side.axis]
+                    key = (side.axis, int(span.min()), int(span.max()))
+                    assert (key in cache) == (counts[last - 1] == counts[-1])
                 for (axis, lo, hi), (count, lost) in cache.items():
                     sub = extract_range(cloud, AxisRange(axis, lo, hi + 1))
                     assert (len(sub), lost) == (count, slab_lost(sub, side, plane_rule))
