@@ -14,8 +14,8 @@ Those two tables are the whole record layout: the writer and the parser
 read them, and `stream_budget` sizes records by the parser's rule. Fields
 travel as words, never one bit at a time: the header is one Python int, a
 point's (offset, u, v) one uint64 word of at most 48 bits, kept by
-`DecodedRecord` (split by `coords`, ordered by `_rising`), and its color a
-second, moved in and out through eight strided 64-bit views (`_phases`).
+`DecodedRecord` (split by `coords`, checked to rise by `_parse_record`), and its
+color a second, moved in and out through eight strided 64-bit views (`_phases`).
 
 The 7-bit width field holds the extended width when it fits (1..127);
 value 0 marks a wide record (terminal residues can span the whole grid)
@@ -118,11 +118,6 @@ def first_occurrences(keys: np.ndarray) -> np.ndarray:
     return order[run_starts(keys.take(order))]
 
 
-def _rising(words) -> bool:
-    """Whether a record's points strictly increase in (offset, u, v) order, as its words do."""
-    return bool((words[1:] > words[:-1]).all())
-
-
 @dataclass(frozen=True)
 class DecodedRecord:
     """One slice as stored: raw header fields plus points in stream order."""
@@ -162,36 +157,25 @@ class DecodedStream:
 
     @property
     def cloud(self) -> PointCloud:
-        """The records' points in stream order, each voxel at its first occurrence. `decode`
-        admits only records whose words strictly increase, so when every record slices one
-        axis a repeat lies in two records' depth ranges: only those rows are deduplicated. A
-        stream on several axes, or one that breaks a premise, merges all rows at once."""
+        """The records' points in stream order, each voxel at its first occurrence. Every
+        stored row is keyed once by (coordinate on record 0's axis, u, v) and one stable
+        argsort keeps each key's first row; a record on that axis stores its rows in key order,
+        so the sort merges ascending runs. A stream the cloud's checks refuse goes to them."""
         records, bit_depth = self.records, self.bit_depth
         coords = np.concatenate([r.coords(bit_depth) for r in records]
                                 or [np.empty((0, 3), np.int32)])
         colors = None
         if records and records[0].color_flag:  # decode admits one flag for all records
             colors = np.asarray(np.concatenate([r.colors for r in records]), np.uint8)
-        n, bounds = len(coords), np.cumsum([0] + [r.point_count for r in records])
-        if (not n or len({r.axis for r in records}) > 1
-                or bit_depth not in range(MIN_BIT_DEPTH, MAX_BIT_DEPTH + 1)
+        if (not len(coords) or bit_depth not in range(MIN_BIT_DEPTH, MAX_BIT_DEPTH + 1)
                 or colors is not None and colors.shape != coords.shape
                 or coords.min() < 0 or coords.max() >> bit_depth):
             return PointCloud(coords, colors, bit_depth=bit_depth)  # its checks decide
-        depth = coords[:, records[0].axis]
-        starts = bounds[:-1][np.diff(bounds) > 0]  # of the records that hold points
-        cover = np.zeros((1 << bit_depth) + 1, np.int32)  # a difference array over depth
-        np.add.at(cover, np.minimum.reduceat(depth, starts), 1)
-        np.add.at(cover, np.maximum.reduceat(depth, starts) + 1, -1)
-        repeats = (cover.cumsum() > 1).take(depth)  # in two records' depth ranges
-        rows = np.flatnonzero(repeats)
-        # merging every row costs less than checking the rest; a record may repeat its own point
-        if 3 * len(rows) > n or not all(_rising(r.words) for r in records):
-            return PointCloud(coords, colors, bit_depth=bit_depth)
-        # keyed by (depth, u, v), as records store them, the rows come in ascending runs
-        u, v = (coords[:, col].take(rows) for col in PLANE_COLS[records[0].axis])
-        repeats[rows[first_occurrences(voxel_keys(depth.take(rows), u, v))]] = False
-        kept, merged = ~repeats, int(np.count_nonzero(repeats))
+        axis = records[0].axis
+        u, v = PLANE_COLS[axis]
+        kept = np.zeros(len(coords), bool)
+        kept[first_occurrences(voxel_keys(coords[:, axis], coords[:, u], coords[:, v]))] = True
+        merged = len(coords) - int(np.count_nonzero(kept))
         colors = None if colors is None else colors.compress(kept, axis=0)
         return PointCloud._from_trusted(coords.compress(kept, axis=0), colors, bit_depth, merged)
 
@@ -406,7 +390,7 @@ def _parse_record(
     fault = None
     if data[start + record_bytes - 1] & ((1 << (-record_bits % 8)) - 1):
         fault = "nonzero padding bits"
-    elif not _rising(words[0]):
+    elif not (words[0][1:] > words[0][:-1]).all():  # words order as their fields do
         fault = "points not in strictly increasing (offset, u, v) order"
     return record, start + record_bytes, fault
 

@@ -288,8 +288,7 @@ def best_width(
     1976), and each probe adds its gap to the bisection.
     """
     config, axis = state.config, side.axis
-    column = state.ascending[axis]
-    lo, hi = int(column[0]), int(column[-1])
+    column, (lo, hi) = state.ascending[axis], state.span(axis)
     w_max = min(config.theta, hi - lo + 1)
     widths = np.arange(1, w_max + 1)
     if side.positive:
@@ -326,16 +325,12 @@ def best_width(
             best = Candidate(side, width, count, lost[width])
 
     evaluate(first)
-    a, b, step = first, first, 1
-    while lost[b] == 0 and b < w_max:  # gallop out to a lossy width
-        a, b, step = b, min(b + step, w_max), step * 2
-        evaluate(b)
-    pending = [(a, b)]
-    # double past b while a width in (b, w_max] may win
+    b, step, pending = first, 1, []
+    # gallop out to a lossy width, then double past it while a width in (b, w_max] may win
     while b < w_max and _beats(lost[b], counts[w_max - 1], w_max, side, best):
-        a, b = b, min(2 * b, w_max)
+        a, b, step = b, min(b + step if lost[b] == 0 else 2 * b, w_max), step * 2
         evaluate(b)
-        pending.append((a, b))
+        pending.append((a, b))  # a gap between two lossless widths is skipped below
     while pending:
         a, b = pending.pop()
         if b - a < 2 or lost[a] == lost[b] or not _beats(lost[a], counts[b - 2], b - 1, side, best):

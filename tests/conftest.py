@@ -24,7 +24,7 @@ sorted-key pair oracle is `neighbor_pairs`' earlier one search per
 half-neighborhood offset, whose (src, dst) arrays the library's one search
 per neighbor column must match element for element.
 The decoded-cloud oracle merges a stream's records one point at a time
-through a dict, which the library's covered-rows merge must match in
+through a dict, which the library's one stable-sort merge must match in
 points, order, colors and merge count. The oracles that build or read a
 record's (offset, u, v) words do it with Python-int shifts and masks one
 point at a time (`pack_words`, `unpack_words`), not with the codec's

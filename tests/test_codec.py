@@ -326,23 +326,17 @@ class TestRecordWords:
         stream = hand_stream(hand_record(Axis.Z, 0, points, colors), other)
         keyed = TestDecodedCloud.record_keyed(monkeypatch)
         cloud = stream.cloud
-        assert keyed == []  # no depth is in two records' ranges: only the order check refuses
+        assert keyed == ([len(points) + 2],) * 2  # every stored row, out of order or not
         assert_cloud_matches_oracle(stream)
         assert len(cloud) + cloud.duplicates_merged == len(points) + 2
 
-    def test_cloud_keys_only_the_rows_it_merges(self, monkeypatch):
-        """The order premise is read from the words: no voxel key is built for it."""
+    def test_cloud_keys_every_stored_row_once(self, monkeypatch):
+        """One voxel key per stored row, built in one call: none for the records' order."""
         cloud = gen_synthetic("uniform-random", {"extent": 64, "count": 4000}, seed=3)
         stream = decode(encode(cloud, slab_plan(cloud, Axis.Z, 16, 2)))
-        keyed, voxel_keys = [], codec.voxel_keys
-
-        def recording(*columns):
-            keyed.append(len(columns[0]))
-            return voxel_keys(*columns)
-
-        monkeypatch.setattr(codec, "voxel_keys", recording)
+        keyed = TestDecodedCloud.record_keyed(monkeypatch)
         merged = stream.cloud.duplicates_merged
-        assert merged > 0 and keyed == [2 * merged]
+        assert merged > 0 and keyed == ([len(cloud) + merged],) * 2
 
 
 @st.composite
@@ -469,8 +463,13 @@ def hand_stream(*records: DecodedRecord, bit_depth: int = 10) -> DecodedStream:
     return DecodedStream(bit_depth=bit_depth, theta=64, overlap=2, records=records)
 
 
+def stored_rows(stream: DecodedStream) -> int:
+    return sum(r.point_count for r in stream.records)
+
+
 class TestDecodedCloud:
-    """`DecodedStream.cloud` keys only the rows two records can share; the oracle keys all."""
+    """`DecodedStream.cloud` keys every stored row once and merges them in one stable sort;
+    the oracle merges them one point at a time."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -507,40 +506,41 @@ class TestDecodedCloud:
                 plan = build_plan(cloud, SlicerConfig(overlap=overlap, plane_rule=rule))
                 assert_cloud_matches_oracle(decode(encode(cloud, plan)))
 
-    def test_slab_stream_keys_only_the_overlap_bands(self, monkeypatch):
+    def test_slab_stream_merges_the_overlap_bands_keying_every_row_once(self, monkeypatch):
         cloud = gen_synthetic("uniform-random", {"extent": 64, "count": 4000}, seed=3)
         stream = decode(encode(cloud, slab_plan(cloud, Axis.Z, 16, 2)))
-        keyed = []
-        first_occurrences = codec.first_occurrences
-
-        def recording(keys):
-            keyed.append(len(keys))
-            return first_occurrences(keys)
-
-        monkeypatch.setattr(codec, "first_occurrences", recording)
+        keyed = self.record_keyed(monkeypatch)
         merged = stream.cloud.duplicates_merged
         # z 16-17, 32-33 and 48-49 lie in two slabs; each of their points is stored twice
         band = np.isin(cloud.coords[:, Axis.Z], [16, 17, 32, 33, 48, 49])
         assert merged == np.count_nonzero(band) > 0
-        assert keyed == [2 * merged]
+        assert keyed == ([len(cloud) + merged],) * 2
 
-    def test_stream_that_keys_most_rows_merges_them_all_at_once(self, monkeypatch):
+    def test_stream_storing_every_row_twice_merges_like_the_oracle(self, monkeypatch):
         cloud = gen_synthetic("uniform-random", {"extent": 32, "count": 2000}, seed=3)
         stream = decode(encode(cloud, slab_plan(cloud, Axis.Z, 2, 2)))  # every row in two slabs
-        monkeypatch.setattr(codec, "first_occurrences", None)  # the covered-rows merge is skipped
+        keyed = self.record_keyed(monkeypatch)
         assert_cloud_matches_oracle(stream)
+        assert keyed == ([stored_rows(stream)],) * 2
 
     @staticmethod
-    def record_keyed(monkeypatch) -> list:
-        """The number of rows of each `first_occurrences` call `DecodedStream.cloud` makes."""
-        keyed, first_occurrences = [], codec.first_occurrences
+    def record_keyed(monkeypatch) -> tuple[list, list]:
+        """The rows of each `first_occurrences` call and of each `voxel_keys` call that
+        `DecodedStream.cloud` makes."""
+        merges, keys = [], []
+        first_occurrences, voxel_keys = codec.first_occurrences, codec.voxel_keys
 
-        def recording(keys):
-            keyed.append(len(keys))
-            return first_occurrences(keys)
+        def merging(keyed):
+            merges.append(len(keyed))
+            return first_occurrences(keyed)
 
-        monkeypatch.setattr(codec, "first_occurrences", recording)
-        return keyed
+        def keying(*columns):
+            keys.append(len(columns[0]))
+            return voxel_keys(*columns)
+
+        monkeypatch.setattr(codec, "first_occurrences", merging)
+        monkeypatch.setattr(codec, "voxel_keys", keying)
+        return merges, keys
 
     def test_one_axis_hand_stream_with_empty_and_wide_records(self, monkeypatch):
         empty = [hand_record(Axis.Y, base, []) for base in (0, 10, 400)]
@@ -553,8 +553,7 @@ class TestDecodedCloud:
         stream = hand_stream(empty[0], layers, empty[1], seam, wide, empty[2])
         keyed = self.record_keyed(monkeypatch)
         cloud = stream.cloud
-        # depths 4 and 5 lie in two records' ranges; empty records cover none
-        assert keyed == [4]
+        assert keyed == ([22],) * 2  # every stored row; empty records store none
         want = [[x, y, 0] for y in range(4) for x in range(3)] + [[0, 4, 0], [1, 5, 0], [2, 5, 2]]
         assert cloud.coords.tolist() == want + [[x, 300, 0] for x in range(6)]
         assert cloud.duplicates_merged == 1
@@ -585,7 +584,7 @@ class TestDecodedCloud:
         merged = stream.cloud.duplicates_merged
         # z 50-51 lie in slices 1 and 3, and z 140-141 in slices 3 and 4
         assert merged == int(n[[50, 51, 140, 141]].sum()) > 0
-        assert keyed == [2 * merged]
+        assert keyed == ([len(cloud) + merged],) * 2
         assert_cloud_matches_oracle(stream)
         assert stream.cloud.same_points(cloud)
 
@@ -597,8 +596,7 @@ class TestDecodedCloud:
         stream = hand_stream(hand_record(Axis.Z, 0, points, colors), other)
         keyed = self.record_keyed(monkeypatch)
         cloud = stream.cloud
-        # the depth ranges share no row, so only the order check finds the repeat
-        assert keyed == []
+        assert keyed == ([5],) * 2  # the repeat within a record is keyed like any other row
         assert cloud.coords.tolist() == [[1, 2, 3], [4, 5, 6], [0, 0, 9], [7, 7, 100]]
         assert cloud.duplicates_merged == 1
         assert_cloud_matches_oracle(stream)
@@ -607,9 +605,25 @@ class TestDecodedCloud:
         cloud = gen_synthetic("folded-sheet", {"extent": 32, "amplitude": 8, "period": 16}, seed=7)
         stream = decode(encode(cloud, build_plan(cloud, SlicerConfig(overlap=1))))
         assert len({r.axis for r in stream.records}) == 2
-        monkeypatch.setattr(codec, "first_occurrences", None)  # the covered-rows merge is skipped
+        keyed = self.record_keyed(monkeypatch)
         assert stream.cloud.duplicates_merged > 0
+        assert keyed == ([stored_rows(stream)],) * 2
         assert_cloud_matches_oracle(stream)
+
+    def test_frame_slab_stream_work(self, monkeypatch):
+        """bulk-codec's frame: the records `encode` writes and the rows the cloud keys."""
+        frame = gen_synthetic("uniform-random", {"extent": 256, "count": 200_000}, seed=1)
+        written, serialize = [], codec._serialize_record
+
+        def counted(bit_depth, index, record):
+            written.append(index)
+            return serialize(bit_depth, index, record)
+
+        monkeypatch.setattr(codec, "_serialize_record", counted)
+        stream = decode(encode(frame, slab_plan(frame, Axis.Z, 16, 2)))
+        keyed = self.record_keyed(monkeypatch)
+        assert stream.cloud.same_points(frame)
+        assert (len(written), keyed) == (16, ([223_461],) * 2)
 
     def test_repeat_in_non_adjacent_records_on_different_axes_keeps_the_first_color(self):
         stream = hand_stream(
@@ -657,7 +671,7 @@ class TestDecodedCloud:
         ],
     )
     def test_stream_the_cloud_rejects_raises_its_error(self, bit_depth, color_width, message):
-        # sorted records with disjoint depth ranges: nothing to key, so only the checks can refuse
+        # sorted records with disjoint depth ranges and no repeat, so only the checks can refuse
         colors = [[1] * color_width] * 2
         records = (
             hand_record(Axis.X, 0, [(1, 1, 1), (2, 2, 2)], colors, bit_depth),

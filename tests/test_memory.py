@@ -8,8 +8,9 @@ chunks and the int64/float64 copies of the cloud went, the same steps held
 90 (sparse labeling), 78 (decoded cloud) and 52 (same_points) bytes per
 point, so each budget fails on that code. Decoding the frame's slab stream
 held 28.7 bytes per point while its records kept int64 fields, and its
-decoded cloud 48.4 while the merge sorted every stored row; decoding held
-19.0 while its records split each point's word into three int32 fields,
+decoded cloud 48.4 while the merge sorted every stored row, 39.4 while
+it keyed only the rows two records' depth ranges share, and 42.5 with
+every stored row keyed once in record order; decoding held 19.0 while its records split each point's word into three int32 fields,
 and holds 12.6 with the words kept as stored. The ASCII read
 held 39.4 bytes per point while it built token values digit by digit,
 and 46.9 while it read eight digits a word for every token, mostly the
@@ -32,7 +33,10 @@ surface like a frame's, whose plan the slicer tests pin. `build_plan` held
 positions over the whole planned cloud; the budget sits just above that,
 so the per-axis rank tables that replaced the scatter cannot grow the
 planner's peak unseen. With the pair list built before those tables, it
-holds 382.7.
+holds 382.7. The decoded cloud of that plan's stream, whose records slice
+all three axes, held 53.6 bytes per point while such a stream went through
+the cloud's own dedup, and holds 47.6 with the one stable-sort merge; the
+budget sits just above that.
 """
 
 import numpy as np
@@ -122,9 +126,21 @@ def test_same_points_budget(frame):
     assert per_point(peak) <= 32
 
 
+SHELL_128 = ("sphere-shell", {"extent": 128}, 0)
+SHELL_CONFIG = SlicerConfig(theta=64, threshold_frac="0.05", overlap=2)
+
+
 def test_plan_budget():
-    shell = gen_synthetic("sphere-shell", {"extent": 128}, 0)
-    config = SlicerConfig(theta=64, threshold_frac="0.05", overlap=2)
-    plan, peak = traced_peak(build_plan, shell, config)
+    shell = gen_synthetic(*SHELL_128)
+    plan, peak = traced_peak(build_plan, shell, SHELL_CONFIG)
     assert sum(s.point_count for s in plan.slices) == len(shell) == 50_768
     assert peak / len(shell) <= 402
+
+
+def test_planner_stream_decoded_cloud_budget():
+    shell = gen_synthetic(*SHELL_128)
+    decoded = codec.decode(codec.encode(shell, build_plan(shell, SHELL_CONFIG)))
+    assert len({r.axis for r in decoded.records}) == 3
+    cloud, peak = traced_peak(lambda: decoded.cloud)
+    assert cloud.same_points(shell)
+    assert peak / len(shell) <= 48

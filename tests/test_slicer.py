@@ -22,7 +22,7 @@ from sliceseg import (
     plan_from_json,
     plan_to_json,
 )
-from sliceseg import slicer
+from sliceseg import projection, slicer
 from sliceseg.cloud import SIDES, Axis, AxisRange, Side, extract_range, remove_range
 from sliceseg.projection import neighbor_pairs, pixel_keys
 from sliceseg.slicer import _PlanState, best_width, select_slice
@@ -569,27 +569,36 @@ def test_plan_bytes_are_pinned(name):
 
 # Work of planning three frame-scale pinned inputs, the terminal residue
 # included: prefixes labeled (pixel_areas calls), points labeled (the sum of
-# their counts) and slabs built (_PlanState.slab calls).
+# their counts), slabs built (_PlanState.slab calls), pairs gathered into
+# those slabs (their src lengths) and keys sorted in `distinct`.
 _FRAME_WORK = {
-    "folded-sheet-64": (114, 421_820, 52),
-    "uniform-random-48-20k": (311, 795_721, 86),
-    "sphere-shell-128": (392, 1_908_539, 67),
+    "folded-sheet-64": (114, 421_820, 52, 2_451_564, 1_265_460),
+    "uniform-random-48-20k": (311, 795_721, 86, 2_072_403, 2_387_163),
+    "sphere-shell-128": (392, 1_908_539, 67, 4_098_270, 5_725_617),
 }
 
 
 @pytest.mark.parametrize("name", _FRAME_WORK)
 def test_frame_plans_do_no_more_work(monkeypatch, name):
-    """A plan that labels or builds more than these bounds has lost a pruning rule."""
+    """A plan that labels, builds, gathers or sorts more than these bounds has lost a
+    pruning rule."""
     kind, params, seed, plane_rule, _ = PINNED_PLAN_SHA256[name]
     labeled, slabs, slab = _labeled_prefixes(monkeypatch), [], _PlanState.slab
+    sorted_keys, distinct = [], projection.distinct
 
     def counted(state, side, count):
-        slabs.append(count)
-        return slab(state, side, count)
+        built = slab(state, side, count)
+        slabs.append(len(built.src))
+        return built
+
+    def counted_distinct(keys):
+        sorted_keys.append(len(keys))
+        return distinct(keys)
 
     monkeypatch.setattr(_PlanState, "slab", counted)
+    monkeypatch.setattr(projection, "distinct", counted_distinct)
     build_plan(gen_synthetic(kind, params, seed=seed), cfg(overlap=2, plane_rule=plane_rule))
-    work = (len(labeled), sum(labeled), len(slabs))
+    work = (len(labeled), sum(labeled), len(slabs), sum(slabs), sum(sorted_keys))
     assert all(got <= bound for got, bound in zip(work, _FRAME_WORK[name])), work
 
 
