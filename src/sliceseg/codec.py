@@ -1,10 +1,9 @@
 """Lossless base+offset geometry bitstream (SWSG container).
 
-Per slice, the depth coordinate is stored as a small offset from the
-slice's base (the extended range's low end) in d = ceil(log2(width)) bits
-instead of the full B bits; the in-plane coordinates stay at B bits. With
-the default 64-voxel max width on a 10-bit grid that cuts the depth field
-from 10 to 6 bits.
+A record stores its slice's core, each point once: the depth coordinate is
+an offset from the base (the core's low end) in d = ceil(log2(width)) bits
+instead of B; the in-plane coordinates stay at B bits. With the default
+64-voxel max width on a 10-bit grid that cuts the depth field from 10 to 6.
 
 A stream is the `_STREAM_HEADER` struct (little-endian) followed by one
 record per slice. A record is a header of `_header_widths` bit fields, then
@@ -17,14 +16,14 @@ point's (offset, u, v) one uint64 word of at most 48 bits, kept by
 `DecodedRecord` (split by `coords`, checked to rise by `_parse_record`), and its
 color a second, moved in and out through eight strided 64-bit views (`_phases`).
 
-The 7-bit width field holds the extended width when it fits (1..127);
+The 7-bit width field holds the core's width when it fits (1..127);
 value 0 marks a wide record (terminal residues can span the whole grid)
-whose offsets are bounded by 2^d instead. Only the canonical form that
-`encode` writes decodes: nonzero padding, color flags that differ between
-records, points out of strictly increasing (offset, u, v) order (so also
-repeated points), a terminal flag on any record but the last and a wide
-record with d < 7 (its width would fit the field) raise a "noncanonical"
-error.
+whose offsets are bounded by 2^d instead. Nonzero padding, color flags
+that differ between records, points out of strictly increasing (offset,
+u, v) order (so also a point repeated within a record), a terminal flag on
+any record but the last and a wide record with d < 7 (its width would fit
+the field) raise a "noncanonical" error. A point stored in two records, as
+streams that stored the overlap bands have it, decodes once: the first.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from typing import Optional
 import numpy as np
 
 from .cloud import MAX_BIT_DEPTH, MIN_BIT_DEPTH, PLANE_COLS, Axis, PointCloud
-from .cloud import run_starts, voxel_keys
 from .slicer import SlicePlan, SliceSpec, extract_slices
 
 MAGIC = b"SWSG"
@@ -111,13 +109,6 @@ def _phases(buffer, first_bit: int, point_bits: int, count: int):
         yield view, bit & 7, slice(j, None, 8)
 
 
-def first_occurrences(keys: np.ndarray) -> np.ndarray:
-    """Index of each distinct key's first occurrence, in key order. A stable argsort keeps
-    equal keys in index order, and on keys that come in ascending runs it merges the runs."""
-    order = np.argsort(keys, kind="stable")
-    return order[run_starts(keys.take(order))]
-
-
 @dataclass(frozen=True)
 class DecodedRecord:
     """One slice as stored: raw header fields plus points in stream order."""
@@ -157,33 +148,22 @@ class DecodedStream:
 
     @property
     def cloud(self) -> PointCloud:
-        """The records' points in stream order, each voxel at its first occurrence. Every
-        stored row is keyed once by (coordinate on record 0's axis, u, v) and one stable
-        argsort keeps each key's first row; a record on that axis stores its rows in key order,
-        so the sort merges ascending runs. A stream the cloud's checks refuse goes to them."""
-        records, bit_depth = self.records, self.bit_depth
-        coords = np.concatenate([r.coords(bit_depth) for r in records]
+        """The records' points in stream order, through `PointCloud`'s checks and dedup: a
+        point stored twice (as streams with overlap bands did) keeps its first occurrence."""
+        records = self.records
+        coords = np.concatenate([r.coords(self.bit_depth) for r in records]
                                 or [np.empty((0, 3), np.int32)])
         colors = None
         if records and records[0].color_flag:  # decode admits one flag for all records
-            colors = np.asarray(np.concatenate([r.colors for r in records]), np.uint8)
-        if (not len(coords) or bit_depth not in range(MIN_BIT_DEPTH, MAX_BIT_DEPTH + 1)
-                or colors is not None and colors.shape != coords.shape
-                or coords.min() < 0 or coords.max() >> bit_depth):
-            return PointCloud(coords, colors, bit_depth=bit_depth)  # its checks decide
-        axis = records[0].axis
-        u, v = PLANE_COLS[axis]
-        kept = np.zeros(len(coords), bool)
-        kept[first_occurrences(voxel_keys(coords[:, axis], coords[:, u], coords[:, v]))] = True
-        merged = len(coords) - int(np.count_nonzero(kept))
-        colors = None if colors is None else colors.compress(kept, axis=0)
-        return PointCloud._from_trusted(coords.compress(kept, axis=0), colors, bit_depth, merged)
+            colors = np.concatenate([r.colors for r in records])
+        return PointCloud(coords, colors, bit_depth=self.bit_depth)
 
 
 def _record(spec: SliceSpec, slice_cloud: PointCloud, bit_depth: int) -> DecodedRecord:
-    """The record encode() writes for one extracted slice."""
-    base = spec.extended.lo
-    width = spec.extended.width
+    """The record encode() writes for one extracted slice: its core's points, as offsets
+    from the core's low end. The overlap band is the next slices' to store."""
+    base = spec.core.lo
+    width = spec.core.width
     if spec.extended.hi > (1 << bit_depth):  # lo < hi, so this bounds the base too
         raise EncodeError(
             f"slice {spec.index}: range [{spec.extended.lo}, {spec.extended.hi}) "
@@ -193,11 +173,10 @@ def _record(spec: SliceSpec, slice_cloud: PointCloud, bit_depth: int) -> Decoded
     column = c[:, spec.side.axis]
     if not spec.extended.holds(column).all():
         raise EncodeError(f"slice {spec.index}: point outside its extended range")
-    if len(slice_cloud) > 0xFFFFFFFF:
-        raise EncodeError("slice point count exceeds 32 bits")
     u_col, v_col = PLANE_COLS[spec.side.axis]
     widths = _payload_widths(offset_bits_for(width), bit_depth, False)[0]
-    # voxels are unique, so within a slice the (offset, u, v) words are too
+    # voxels are unique, so within a slice the (offset, u, v) words are too; sorted, they
+    # order by offset, so the core's points (offsets 0 .. width - 1) are one run of them
     word = _join(np.subtract(column, base, dtype=np.int64), (c[:, u_col], c[:, v_col]), widths[1:])
     colors = slice_cloud.colors
     if colors is None:
@@ -205,6 +184,10 @@ def _record(spec: SliceSpec, slice_cloud: PointCloud, bit_depth: int) -> Decoded
     else:
         order = np.argsort(word)
         word, colors = word[order], colors[order]
+    core = slice(*np.searchsorted(word, (0, width << sum(widths[1:]))))
+    word, colors = word[core], None if colors is None else colors[core]
+    if len(word) > 0xFFFFFFFF:
+        raise EncodeError("slice point count exceeds 32 bits")
     return DecodedRecord(
         axis=spec.side.axis,
         sign=spec.side.sign,
@@ -424,8 +407,8 @@ class BitBudget:
 def stream_budget(stream: DecodedStream, original_size: int) -> BitBudget:
     """Bits of the stream's records, and the naive cost of `original_size` points.
 
-    The naive cost is 3*B bits per point of the original cloud, so overlap
-    duplication shows up as payload, not as naive inflation.
+    The naive cost is 3*B bits per point of the original cloud. A stream that stores
+    a point twice, as one with overlap bands does, pays for it in payload.
     """
     bit_depth = stream.bit_depth
     return BitBudget(

@@ -24,8 +24,10 @@ sorted-key pair oracle is `neighbor_pairs`' earlier one search per
 half-neighborhood offset, whose (src, dst) arrays the library's one search
 per neighbor column must match element for element.
 The decoded-cloud oracle merges a stream's records one point at a time
-through a dict, which the library's one stable-sort merge must match in
-points, order, colors and merge count. The oracles that build or read a
+through a dict, which the cloud's one dedup must match in points, order,
+colors and merge count. `band_stream` writes the records of an encoder
+that stores each slice's whole extended band, for streams that store a
+point twice. The oracles that build or read a
 record's (offset, u, v) words do it with Python-int shifts and masks one
 point at a time (`pack_words`, `unpack_words`), not with the codec's
 `_join` and `_split`.
@@ -41,6 +43,7 @@ streams, so that the draws reach past the magic checks.
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 import tracemalloc
 from fractions import Fraction
@@ -74,6 +77,7 @@ from sliceseg.cloud import (
     remove_range,
     voxel_keys,
 )
+from sliceseg import codec
 from sliceseg.codec import DecodedRecord
 from sliceseg.ply import PlyParseError
 from sliceseg.slicer import Candidate, PlanMismatchError
@@ -408,6 +412,17 @@ def oracle_stream_cloud(stream: DecodedStream):
     if stream.records and stream.records[0].color_flag:
         colors = np.array(list(first.values()), dtype=np.uint8).reshape(-1, 3)
     return coords, colors, stored - len(first)
+
+
+def band_stream(cloud: PointCloud, plan: SlicePlan) -> DecodedStream:
+    """The stream of an encoder that stores each slice's whole extended band, as `encode`
+    did before records held only cores: a record's base is `extended.lo` and its width the
+    extended width, so every point of an overlap band is stored in two records."""
+    records = tuple(
+        codec._record(dataclasses.replace(spec, core=spec.extended), sub, cloud.bit_depth)
+        for spec, sub in extract_slices(cloud, plan)
+    )
+    return DecodedStream(cloud.bit_depth, plan.config.theta, plan.config.overlap, records)
 
 
 def oracle_extract_slices(cloud: PointCloud, plan: SlicePlan):

@@ -619,9 +619,9 @@ def test_readme_quick_start_numbers(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("encode", "--input", sheet, "--plan", plan, "--out", stream) == 0
     assert capsys.readouterr().out == (
-        "encoded 3200 points in 4 slices: 12433 bytes (payload 99104 bits, naive 96000 bits)\n"
+        "encoded 3200 points in 4 slices: 9589 bytes (payload 76352 bits, naive 96000 bits)\n"
     )
-    assert len(stream.read_bytes()) == 12433
+    assert len(stream.read_bytes()) == 9589
     assert run_cli(
         "compare", "--input", sheet, "--baseline", "single,dual", "--out", report
     ) == 0

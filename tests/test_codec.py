@@ -19,6 +19,7 @@ from sliceseg import (
     extract_slices,
     reencode,
 )
+from sliceseg import cloud as cloud_module
 from sliceseg import codec
 from sliceseg.cloud import Axis, AxisRange, PointCloud, Side
 from sliceseg.codec import (
@@ -36,6 +37,7 @@ from sliceseg.codec import (
 from sliceseg.synthetic import gen_synthetic
 
 from conftest import (
+    band_stream,
     cube_cloud,
     layout_header_bits,
     layout_payload_bits,
@@ -333,10 +335,12 @@ class TestRecordWords:
     def test_cloud_keys_every_stored_row_once(self, monkeypatch):
         """One voxel key per stored row, built in one call: none for the records' order."""
         cloud = gen_synthetic("uniform-random", {"extent": 64, "count": 4000}, seed=3)
-        stream = decode(encode(cloud, slab_plan(cloud, Axis.Z, 16, 2)))
+        plan = slab_plan(cloud, Axis.Z, 16, 2)
+        stream, bands = decode(encode(cloud, plan)), decode(reencode(band_stream(cloud, plan)))
         keyed = TestDecodedCloud.record_keyed(monkeypatch)
-        merged = stream.cloud.duplicates_merged
-        assert merged > 0 and keyed == ([len(cloud) + merged],) * 2
+        assert stream.cloud.duplicates_merged == 0 and stored_rows(stream) == len(cloud)
+        merged = bands.cloud.duplicates_merged
+        assert merged > 0 and keyed == ([len(cloud), len(cloud) + merged],) * 2
 
 
 @st.composite
@@ -380,6 +384,14 @@ class TestDeltaExample:
         assert point_set(ds.cloud) == {(100, 200, 228)}
 
 
+def assert_records_hold_cores(stream: DecodedStream, plan: SlicePlan) -> None:
+    """Each record stores its slice's core points, based and sized by the core."""
+    for record, spec in zip(stream.records, plan.slices, strict=True):
+        assert (record.point_count, record.base) == (spec.point_count, spec.core.lo)
+        assert record.width_field in (spec.core.width, 0)
+        assert record.d == offset_bits_for(spec.core.width)
+
+
 class TestLossless:
     @pytest.mark.parametrize("overlap", [0, 1, 2])
     def test_synthetic_kinds(self, overlap):
@@ -394,6 +406,7 @@ class TestLossless:
             plan = build_plan(cloud, SlicerConfig(overlap=overlap))
             stream = encode(cloud, plan)
             assert decode(stream).cloud.same_points(cloud)
+            assert_records_hold_cores(decode(stream), plan)
 
     @pytest.mark.parametrize("overlap", [0, 1, 2])
     def test_random_clouds(self, overlap, rng):
@@ -402,13 +415,16 @@ class TestLossless:
             plan = build_plan(cloud, SlicerConfig(overlap=overlap))
             stream = encode(cloud, plan)
             assert decode(stream).cloud.same_points(cloud)
+            assert_records_hold_cores(decode(stream), plan)
 
     def test_overlap_duplicates_merge_on_decode(self):
         plan = build_plan(cube_cloud(), SlicerConfig(overlap=1))
         slices = extract_slices(cube_cloud(), plan)
-        stored = sum(len(sc) for _, sc in slices)
-        assert stored > 8  # duplicates exist in the stream
-        assert len(decode(encode(cube_cloud(), plan)).cloud) == 8
+        assert sum(len(sc) for _, sc in slices) > 8  # the extended bands overlap
+        stream = decode(encode(cube_cloud(), plan))
+        assert stored_rows(stream) == len(stream.cloud) == 8  # encode stores each point once
+        bands = decode(reencode(band_stream(cube_cloud(), plan)))
+        assert stored_rows(bands) > 8 and len(bands.cloud) == 8  # stored twice, merged on decode
 
     def test_colors_carried(self):
         rng = np.random.default_rng(4)
@@ -468,8 +484,8 @@ def stored_rows(stream: DecodedStream) -> int:
 
 
 class TestDecodedCloud:
-    """`DecodedStream.cloud` keys every stored row once and merges them in one stable sort;
-    the oracle merges them one point at a time."""
+    """`DecodedStream.cloud` keys every stored row once and merges them in the `PointCloud`
+    dedup; the oracle merges them one point at a time."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -507,28 +523,36 @@ class TestDecodedCloud:
                 assert_cloud_matches_oracle(decode(encode(cloud, plan)))
 
     def test_slab_stream_merges_the_overlap_bands_keying_every_row_once(self, monkeypatch):
+        """`encode` stores each point once; a stream that stores the bands, as `encode` did
+        before records held only cores, merges their repeats."""
         cloud = gen_synthetic("uniform-random", {"extent": 64, "count": 4000}, seed=3)
-        stream = decode(encode(cloud, slab_plan(cloud, Axis.Z, 16, 2)))
+        plan = slab_plan(cloud, Axis.Z, 16, 2)
+        stream, bands = decode(encode(cloud, plan)), decode(reencode(band_stream(cloud, plan)))
         keyed = self.record_keyed(monkeypatch)
-        merged = stream.cloud.duplicates_merged
-        # z 16-17, 32-33 and 48-49 lie in two slabs; each of their points is stored twice
+        assert stream.cloud.duplicates_merged == 0 and stored_rows(stream) == len(cloud)
+        merged = bands.cloud.duplicates_merged
+        # z 16-17, 32-33 and 48-49 lie in two slabs' bands; each of their points is stored twice
         band = np.isin(cloud.coords[:, Axis.Z], [16, 17, 32, 33, 48, 49])
         assert merged == np.count_nonzero(band) > 0
-        assert keyed == ([len(cloud) + merged],) * 2
+        assert keyed == ([len(cloud), len(cloud) + merged],) * 2
+        assert_cloud_matches_oracle(bands)
+        assert bands.cloud.same_points(cloud)
 
     def test_stream_storing_every_row_twice_merges_like_the_oracle(self, monkeypatch):
         cloud = gen_synthetic("uniform-random", {"extent": 32, "count": 2000}, seed=3)
-        stream = decode(encode(cloud, slab_plan(cloud, Axis.Z, 2, 2)))  # every row in two slabs
+        stream = decode(encode(cloud, slab_plan(cloud, Axis.Z, 2, 2)))
+        twice = decode(reencode(dataclasses.replace(stream, records=stream.records * 2)))
         keyed = self.record_keyed(monkeypatch)
-        assert_cloud_matches_oracle(stream)
-        assert keyed == ([stored_rows(stream)],) * 2
+        assert twice.cloud.duplicates_merged == len(cloud)
+        assert keyed == ([stored_rows(twice)],) * 2 and stored_rows(twice) == 2 * len(cloud)
+        assert_cloud_matches_oracle(twice)
 
     @staticmethod
     def record_keyed(monkeypatch) -> tuple[list, list]:
         """The rows of each `first_occurrences` call and of each `voxel_keys` call that
-        `DecodedStream.cloud` makes."""
+        `DecodedStream.cloud` makes, through the `PointCloud` dedup."""
         merges, keys = [], []
-        first_occurrences, voxel_keys = codec.first_occurrences, codec.voxel_keys
+        first_occurrences, voxel_keys = cloud_module.first_occurrences, cloud_module.voxel_keys
 
         def merging(keyed):
             merges.append(len(keyed))
@@ -538,8 +562,8 @@ class TestDecodedCloud:
             keys.append(len(columns[0]))
             return voxel_keys(*columns)
 
-        monkeypatch.setattr(codec, "first_occurrences", merging)
-        monkeypatch.setattr(codec, "voxel_keys", keying)
+        monkeypatch.setattr(cloud_module, "first_occurrences", merging)
+        monkeypatch.setattr(cloud_module, "voxel_keys", keying)
         return merges, keys
 
     def test_one_axis_hand_stream_with_empty_and_wide_records(self, monkeypatch):
@@ -576,17 +600,19 @@ class TestDecodedCloud:
             for i, (core, ext) in enumerate(bands)
         )
         plan = SlicePlan(config=SlicerConfig(overlap=2), original_size=len(cloud), slices=specs)
-        stream = decode(encode(cloud, plan))
-        records = stream.records
-        assert [r.point_count == 0 for r in records] == [True, False, True, False, False, True]
-        assert records[4].width_field == 0  # 160 voxels: the wide form
+        stream, bands = decode(encode(cloud, plan)), decode(reencode(band_stream(cloud, plan)))
+        for records in (stream.records, bands.records):
+            assert [r.point_count == 0 for r in records] == [True, False, True, False, False, True]
+            assert records[4].width_field == 0  # 160 voxels: the wide form
         keyed = self.record_keyed(monkeypatch)
-        merged = stream.cloud.duplicates_merged
-        # z 50-51 lie in slices 1 and 3, and z 140-141 in slices 3 and 4
+        assert stream.cloud.duplicates_merged == 0 and stored_rows(stream) == len(cloud)
+        merged = bands.cloud.duplicates_merged
+        # z 50-51 lie in slices 1 and 3's bands, and z 140-141 in slices 3 and 4's
         assert merged == int(n[[50, 51, 140, 141]].sum()) > 0
-        assert keyed == ([len(cloud) + merged],) * 2
-        assert_cloud_matches_oracle(stream)
-        assert stream.cloud.same_points(cloud)
+        assert keyed == ([len(cloud), len(cloud) + merged],) * 2
+        for decoded in (stream, bands):
+            assert_cloud_matches_oracle(decoded)
+            assert decoded.cloud.same_points(cloud)
 
     @pytest.mark.parametrize("colored", [False, True])
     def test_one_axis_record_repeating_its_own_point(self, monkeypatch, colored):
@@ -603,12 +629,15 @@ class TestDecodedCloud:
 
     def test_multi_axis_planner_stream_merges_all_rows_at_once(self, monkeypatch):
         cloud = gen_synthetic("folded-sheet", {"extent": 32, "amplitude": 8, "period": 16}, seed=7)
-        stream = decode(encode(cloud, build_plan(cloud, SlicerConfig(overlap=1))))
+        plan = build_plan(cloud, SlicerConfig(overlap=1))
+        stream, bands = decode(encode(cloud, plan)), decode(reencode(band_stream(cloud, plan)))
         assert len({r.axis for r in stream.records}) == 2
         keyed = self.record_keyed(monkeypatch)
-        assert stream.cloud.duplicates_merged > 0
-        assert keyed == ([stored_rows(stream)],) * 2
-        assert_cloud_matches_oracle(stream)
+        assert stream.cloud.duplicates_merged == 0 and stored_rows(stream) == len(cloud)
+        assert bands.cloud.duplicates_merged > 0
+        assert keyed == ([len(cloud), stored_rows(bands)],) * 2
+        for decoded in (stream, bands):
+            assert_cloud_matches_oracle(decoded)
 
     def test_frame_slab_stream_work(self, monkeypatch):
         """bulk-codec's frame: the records `encode` writes and the rows the cloud keys."""
@@ -622,8 +651,9 @@ class TestDecodedCloud:
         monkeypatch.setattr(codec, "_serialize_record", counted)
         stream = decode(encode(frame, slab_plan(frame, Axis.Z, 16, 2)))
         keyed = self.record_keyed(monkeypatch)
-        assert stream.cloud.same_points(frame)
-        assert (len(written), keyed) == (16, ([223_461],) * 2)
+        cloud = stream.cloud
+        assert (len(written), keyed) == (16, ([200_000],) * 2)
+        assert cloud.duplicates_merged == 0 and cloud.same_points(frame)
 
     def test_repeat_in_non_adjacent_records_on_different_axes_keeps_the_first_color(self):
         stream = hand_stream(
@@ -1135,6 +1165,25 @@ class TestBitBudget:
             cloud = PointCloud(random_cloud(rng, max_points=300).coords, bit_depth=bit_depth)
             plan = build_plan(cloud, SlicerConfig(overlap=overlap))
             self.assert_budget_matches_stream(plan, cloud)
+
+    @pytest.mark.parametrize(
+        "kind, params, seed, bits",
+        [
+            ("folded-sheet", {"extent": 32, "amplitude": 8, "period": 16}, 7, 76_352),
+            ("folded-sheet", {"extent": 64, "amplitude": 16, "period": 32}, 7, 449_024),
+            ("sphere-shell", {"extent": 64}, 0, 287_488),
+            ("uniform-random", {"extent": 48, "count": 20_000}, 1, 444_216),
+        ],
+        ids=["readme-sheet", "sheet-64", "shell-64", "random-20k"],
+    )
+    def test_default_plan_stream_beats_naive_storage(self, kind, params, seed, bits):
+        """Each point is stored once, so the stream, headers and padding included, costs
+        less than B bits for each of a point's three coordinates."""
+        cloud = gen_synthetic(kind, params, seed=seed)
+        budget, stream, ds = self.assert_budget_matches_stream(build_plan(cloud), cloud)
+        assert budget.payload_bits == bits
+        assert sum(r.point_count for r in ds.records) == len(cloud)
+        assert 8 * len(stream) < budget.naive_bits
 
     def test_color_payload_counted(self):
         colors = np.array([[1, 2, 3]], dtype=np.uint8)

@@ -4,7 +4,7 @@ These pin the external formats: any layout change must be deliberate and
 show up here, not as silent drift.
 """
 
-from sliceseg import SlicerConfig, build_plan, decode, encode, plan_to_json
+from sliceseg import SlicerConfig, build_plan, decode, encode, plan_to_json, reencode
 from sliceseg.synthetic import gen_synthetic
 
 GOLDEN_CUBE_STREAM = bytes.fromhex(
@@ -12,6 +12,24 @@ GOLDEN_CUBE_STREAM = bytes.fromhex(
     "00000002000000000010020000100460"
     "00100000000200000000001800004000"
     "04"
+)
+
+# The same cube at overlap 2: slice 0's band widens to x 0..1 and each record still
+# stores its core, so only the header's overlap byte differs from the stream above.
+GOLDEN_CUBE_OVERLAP_2_STREAM = bytes.fromhex(
+    "53575347010a40000202000000200408"
+    "00000002000000000010020000100460"
+    "00100000000200000000001800004000"
+    "04"
+)
+
+# The same plan as written while records stored each slice's whole extended band:
+# record 0 holds the 8 points of x 0..1 (base 0, width 2), 4 of them also in record 1.
+BAND_CUBE_OVERLAP_2_STREAM = bytes.fromhex(
+    "53575347010a40000202000000200010"
+    "00000004000000000010020000100600"
+    "00100001802004010040600010000000"
+    "020000000000180000400004"
 )
 
 GOLDEN_CUBE_PLAN = """\
@@ -51,9 +69,9 @@ GOLDEN_CUBE_PLAN = """\
 """
 
 
-def cube_plan():
+def cube_plan(overlap=0):
     cube = gen_synthetic("cube", {"extent": 2})
-    return cube, build_plan(cube, SlicerConfig(theta=64, threshold_frac="0.05", overlap=0))
+    return cube, build_plan(cube, SlicerConfig(theta=64, threshold_frac="0.05", overlap=overlap))
 
 
 def test_golden_stream_bytes():
@@ -66,6 +84,22 @@ def test_golden_stream_decodes():
     cube, _ = cube_plan()
     assert ds.cloud.same_points(cube)
     assert [r.point_count for r in ds.records] == [4, 4]
+
+
+def test_golden_overlap_2_stream_stores_each_point_once():
+    cube, plan = cube_plan(overlap=2)
+    assert encode(cube, plan) == GOLDEN_CUBE_OVERLAP_2_STREAM
+    ds = decode(GOLDEN_CUBE_OVERLAP_2_STREAM)
+    assert [r.point_count for r in ds.records] == [4, 4]
+    assert ds.cloud.same_points(cube) and ds.cloud.duplicates_merged == 0
+
+
+def test_band_storing_overlap_2_stream_still_decodes():
+    ds = decode(BAND_CUBE_OVERLAP_2_STREAM)
+    cube, _ = cube_plan()
+    assert [r.point_count for r in ds.records] == [8, 4]
+    assert ds.cloud.same_points(cube) and ds.cloud.duplicates_merged == 4
+    assert reencode(ds) == BAND_CUBE_OVERLAP_2_STREAM
 
 
 def test_golden_plan_json():

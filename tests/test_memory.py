@@ -10,8 +10,13 @@ point, so each budget fails on that code. Decoding the frame's slab stream
 held 28.7 bytes per point while its records kept int64 fields, and its
 decoded cloud 48.4 while the merge sorted every stored row, 39.4 while
 it keyed only the rows two records' depth ranges share, and 42.5 with
-every stored row keyed once in record order; decoding held 19.0 while its records split each point's word into three int32 fields,
-and holds 12.6 with the words kept as stored. The ASCII read
+every stored row keyed once in record order; with each point stored once
+(records hold slice cores, not overlap bands) it goes through the
+cloud's own dedup and holds 29.0. Decoding held 19.0 while its records
+split each point's word into three int32 fields, 12.6 with the words kept
+as stored while the 223,461 rows of the overlap bands were stored, and
+holds 11.2 with the 200,000 rows of the cores; both budgets sit just
+above the new figures. The ASCII read
 held 39.4 bytes per point while it built token values digit by digit,
 and 46.9 while it read eight digits a word for every token, mostly the
 copy `take` makes of the chunk's unaligned word view (8 bytes a chunk
@@ -35,7 +40,8 @@ so the per-axis rank tables that replaced the scatter cannot grow the
 planner's peak unseen. With the pair list built before those tables, it
 holds 382.7. The decoded cloud of that plan's stream, whose records slice
 all three axes, held 53.6 bytes per point while such a stream went through
-the cloud's own dedup, and holds 47.6 with the one stable-sort merge; the
+the cloud's own dedup, and 47.6 with the one stable-sort merge. With each
+point stored once it goes through that dedup again and holds 29.3, and the
 budget sits just above that.
 """
 
@@ -108,15 +114,15 @@ def test_pair_heavy_labeling_budget():
 def test_decode_budget(frame):
     stream = codec.encode(frame, slab_plan(frame, Axis.Z, 16, 2))
     decoded, peak = traced_peak(codec.decode, stream)
-    assert sum(r.point_count for r in decoded.records) > POINTS  # the overlap is stored twice
-    assert per_point(peak) <= 15
+    assert sum(r.point_count for r in decoded.records) == POINTS  # each point stored once
+    assert per_point(peak) <= 12
 
 
 def test_decoded_cloud_budget(frame):
     decoded = codec.decode(codec.encode(frame, slab_plan(frame, Axis.Z, 16, 2)))
     cloud, peak = traced_peak(lambda: decoded.cloud)
     assert cloud.same_points(frame)
-    assert per_point(peak) <= 45
+    assert per_point(peak) <= 30
 
 
 def test_same_points_budget(frame):
@@ -143,4 +149,4 @@ def test_planner_stream_decoded_cloud_budget():
     assert len({r.axis for r in decoded.records}) == 3
     cloud, peak = traced_peak(lambda: decoded.cloud)
     assert cloud.same_points(shell)
-    assert peak / len(shell) <= 48
+    assert peak / len(shell) <= 30

@@ -699,3 +699,19 @@ def test_any_bytes_read_alike_in_tiny_chunks(data):
         warnings.simplefilter("always")
         assert read_outcome(data) == whole
     assert caught == []
+
+
+def test_frame_ascii_read_work(monkeypatch):
+    """bulk-codec's frame: the chunks `_read_ascii_body` yields for the 200,000-point ASCII
+    body, each the whole lines within the next `_CHUNK_BYTES`, and the rows they hold."""
+    frame = gen_synthetic("uniform-random", {"extent": 256, "count": 200_000}, seed=1)
+    data, chunks, body = write_ply(frame, "ascii"), [], ply._read_ascii_body
+
+    def counted(*args):
+        for columns in body(*args):
+            chunks.append(len(columns["x"]))
+            yield columns
+
+    monkeypatch.setattr(ply, "_read_ascii_body", counted)
+    assert read_ply(data).same_points(frame)
+    assert (len(chunks), sum(chunks)) == (9, 200_000)  # a 2.1 MB body in 256 KiB chunks

@@ -262,6 +262,27 @@ def _labeled_prefixes(monkeypatch) -> list[int]:
     return counts
 
 
+def _plan_work(monkeypatch) -> tuple[list[int], list[int], list[int]]:
+    """Lists that fill as plans run from now on: the point count of each labeled prefix,
+    the pair count of each slab built (`_PlanState.slab` calls) and the key count of each
+    `distinct` call."""
+    labeled, slabs, sorted_keys = _labeled_prefixes(monkeypatch), [], []
+    slab, distinct = _PlanState.slab, projection.distinct
+
+    def counted(state, side, count):
+        built = slab(state, side, count)
+        slabs.append(len(built.src))
+        return built
+
+    def counted_distinct(keys):
+        sorted_keys.append(len(keys))
+        return distinct(keys)
+
+    monkeypatch.setattr(_PlanState, "slab", counted)
+    monkeypatch.setattr(projection, "distinct", counted_distinct)
+    return labeled, slabs, sorted_keys
+
+
 @pytest.mark.parametrize("plane_rule", ["best-plane", "fixed-plane"])
 def test_incumbents_from_the_exhaustive_loop(monkeypatch, rng, plane_rule):
     """best_width against an incumbent: the exhaustive best where that beats it, else None.
@@ -309,20 +330,30 @@ def test_incumbents_from_the_exhaustive_loop(monkeypatch, rng, plane_rule):
     assert seen == {(lossless, order) for lossless in (True, False) for order in (-1, 0, 1)}
 
 
-# The benchmark's plan-suite inputs at seed 1 and the prefixes planning each
-# labels (pixel_areas calls) with doubling probes past a side's lossy width
-# and the previous round's winning side searched first.
+# The benchmark's plan-suite inputs at seed 1 and the work of planning each, with
+# doubling probes past a side's lossy width and the previous round's winning side
+# searched first: prefixes labeled (pixel_areas calls) before the terminal residue,
+# then, the terminal included, points labeled, slabs built, pairs gathered into those
+# slabs and keys sorted in `distinct` (as in _FRAME_WORK).
 _PLAN_SUITE = {
-    "folded-sheet-32": ("folded-sheet", {"extent": 32, "amplitude": 8, "period": 16}, 7, 34),
-    "sphere-shell-20": ("sphere-shell", {"extent": 20}, 0, 115),
-    "sphere-shell-20-fixed": ("sphere-shell", {"extent": 20}, 0, 107),
-    "uniform-random-48": ("uniform-random", {"extent": 48, "count": 1000}, 1, 7),
+    "folded-sheet-32": (
+        "folded-sheet", {"extent": 32, "amplitude": 8, "period": 16}, 7,
+        (34, 27_311, 15, 150_299, 81_933),
+    ),
+    "sphere-shell-20": ("sphere-shell", {"extent": 20}, 0, (115, 11_608, 60, 121_514, 34_824)),
+    "sphere-shell-20-fixed": (
+        "sphere-shell", {"extent": 20}, 0, (107, 10_360, 63, 121_862, 10_360),
+    ),
+    "uniform-random-48": (
+        "uniform-random", {"extent": 48, "count": 1000}, 1, (7, 2_621, 1, 126, 7_863),
+    ),
 }
 
 
 @pytest.mark.parametrize("name", _PLAN_SUITE)
 def test_plan_suite_labels_no_more_prefixes(monkeypatch, name):
-    """A width search that labels more prefixes than these bounds has lost a pruning rule.
+    """A width search that labels, builds, gathers or sorts more than these bounds has lost
+    a pruning rule.
 
     The terminal residue, if any, is labeled once more, as one prefix of all its points.
     """
@@ -330,7 +361,7 @@ def test_plan_suite_labels_no_more_prefixes(monkeypatch, name):
     cloud = gen_synthetic(kind, params, seed=seed)
     rule = "fixed-plane" if name.endswith("fixed") else "best-plane"
     config = SlicerConfig(theta=64, threshold_frac="0.05", overlap=2, plane_rule=rule)
-    labeled = _labeled_prefixes(monkeypatch)
+    labeled, slabs, sorted_keys = _plan_work(monkeypatch)
     terminal, by_terminal = slicer._terminal_spec, []
 
     def counted(state, index):
@@ -344,7 +375,8 @@ def test_plan_suite_labels_no_more_prefixes(monkeypatch, name):
     plan = build_plan(cloud, config)
     last = plan.slices[-1]
     assert by_terminal == ([last.point_count] if last.terminal else [])
-    assert len(labeled) <= bound
+    work = (len(labeled), sum(labeled + by_terminal), len(slabs), sum(slabs), sum(sorted_keys))
+    assert all(got <= most for got, most in zip(work, bound)), work
 
 
 @pytest.mark.parametrize("name", _PLAN_SUITE)
@@ -583,20 +615,7 @@ def test_frame_plans_do_no_more_work(monkeypatch, name):
     """A plan that labels, builds, gathers or sorts more than these bounds has lost a
     pruning rule."""
     kind, params, seed, plane_rule, _ = PINNED_PLAN_SHA256[name]
-    labeled, slabs, slab = _labeled_prefixes(monkeypatch), [], _PlanState.slab
-    sorted_keys, distinct = [], projection.distinct
-
-    def counted(state, side, count):
-        built = slab(state, side, count)
-        slabs.append(len(built.src))
-        return built
-
-    def counted_distinct(keys):
-        sorted_keys.append(len(keys))
-        return distinct(keys)
-
-    monkeypatch.setattr(_PlanState, "slab", counted)
-    monkeypatch.setattr(projection, "distinct", counted_distinct)
+    labeled, slabs, sorted_keys = _plan_work(monkeypatch)
     build_plan(gen_synthetic(kind, params, seed=seed), cfg(overlap=2, plane_rule=plane_rule))
     work = (len(labeled), sum(labeled), len(slabs), sum(slabs), sum(sorted_keys))
     assert all(got <= bound for got, bound in zip(work, _FRAME_WORK[name])), work
