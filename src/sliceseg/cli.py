@@ -33,6 +33,7 @@ from .slicer import (
     SlicerConfig,
     as_fraction,
     build_plan,
+    core_slices,
     extract_slices,
     plan_from_json,
     plan_to_json,
@@ -203,7 +204,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     }
     if args.plan:
         plan = plan_from_json(Path(args.plan).read_bytes())
-        extract_slices(cloud, plan)  # replay: PlanMismatchError unless the plan fits
+        core_slices(cloud, plan)  # replay: PlanMismatchError unless the plan fits
         doc["slices"] = [
             {"index": s.index, "points": s.point_count, "psi": s.psi, "terminal": s.terminal}
             for s in plan.slices
@@ -235,7 +236,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         plan = plan_from_json(plan_path.read_bytes())
     else:
         plan = build_plan(cloud, _slicer_config(args))
-    built = build_stream(plan, cloud.bit_depth, extract_slices(cloud, plan))
+    built = build_stream(plan, cloud.bit_depth, core_slices(cloud, plan))
     stream = reencode(built)
     if not saved:  # only a plan that encodes is kept
         plan_path.write_text(plan_to_json(plan))

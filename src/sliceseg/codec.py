@@ -4,6 +4,7 @@ A record stores its slice's core, each point once: the depth coordinate is
 an offset from the base (the core's low end) in d = ceil(log2(width)) bits
 instead of B; the in-plane coordinates stay at B bits. With the default
 64-voxel max width on a 10-bit grid that cuts the depth field from 10 to 6.
+`encode` takes the cores from `core_slices`' one-pass replay, never the bands.
 
 A stream is the `_STREAM_HEADER` struct (little-endian) followed by one
 record per slice. A record is a header of `_header_widths` bit fields, then
@@ -35,7 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .cloud import MAX_BIT_DEPTH, MIN_BIT_DEPTH, PLANE_COLS, Axis, PointCloud
-from .slicer import SlicePlan, SliceSpec, extract_slices
+# extract_slices is unused here but stays bound: bench/layers.py wraps codec.extract_slices
+from .slicer import SlicePlan, SliceSpec, core_slices, extract_slices  # noqa: F401
 
 MAGIC = b"SWSG"
 VERSION = 1
@@ -160,8 +162,8 @@ class DecodedStream:
 
 
 def _record(spec: SliceSpec, slice_cloud: PointCloud, bit_depth: int) -> DecodedRecord:
-    """The record encode() writes for one extracted slice: its core's points, as offsets
-    from the core's low end. The overlap band is the next slices' to store."""
+    """The record encode() writes for one slice, core or extended: its core's points, as
+    offsets from the core's low end. The overlap band is the next slices' to store."""
     base = spec.core.lo
     width = spec.core.width
     if spec.extended.hi > (1 << bit_depth):  # lo < hi, so this bounds the base too
@@ -242,7 +244,7 @@ def _serialize_record(bit_depth: int, index: int, record: DecodedRecord) -> byte
 def build_stream(
     plan: SlicePlan, bit_depth: int, slices: list[tuple[SliceSpec, PointCloud]]
 ) -> DecodedStream:
-    """The stream encode() writes for the plan's extracted slices, as records."""
+    """The stream encode() writes for the plan's core or extracted slices, as records."""
     return DecodedStream(
         bit_depth=bit_depth,
         theta=plan.config.theta,
@@ -252,8 +254,8 @@ def build_stream(
 
 
 def encode(cloud: PointCloud, plan: SlicePlan) -> bytes:
-    """Serialize the plan's slices; decoding recovers the cloud exactly."""
-    return reencode(build_stream(plan, cloud.bit_depth, extract_slices(cloud, plan)))
+    """Serialize the plan's slice cores (`core_slices`); decoding recovers the cloud exactly."""
+    return reencode(build_stream(plan, cloud.bit_depth, core_slices(cloud, plan)))
 
 
 def decode(data: bytes) -> DecodedStream:

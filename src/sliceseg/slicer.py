@@ -408,6 +408,21 @@ def build_plan(cloud: PointCloud, config: SlicerConfig = SlicerConfig()) -> Slic
     return SlicePlan(config=config, original_size=len(cloud), slices=tuple(slices))
 
 
+def _check_replay(plan: SlicePlan, size: int, core_counts=(), uncovered: int = 0) -> None:
+    """Raise PlanMismatchError at the replay's first disagreement with `plan`: the cloud's
+    `size`, a (spec, count) pair of `core_counts`, then `uncovered` points in no core."""
+    if plan.original_size != size:
+        raise PlanMismatchError(f"plan was built for {plan.original_size} points, cloud has {size}")
+    for spec, count in core_counts:
+        if count != spec.point_count:
+            raise PlanMismatchError(
+                f"slice {spec.index}: plan expects {spec.point_count} core points, "
+                f"replay found {count}"
+            )
+    if uncovered:
+        raise PlanMismatchError(f"plan leaves {uncovered} points uncovered")
+
+
 def extract_slices(
     cloud: PointCloud, plan: SlicePlan
 ) -> list[tuple[SliceSpec, PointCloud]]:
@@ -416,10 +431,7 @@ def extract_slices(
     Cores are removed in construction order, so core membership stays unique
     while the overlap margins doubly cover each inter-slice seam.
     """
-    if plan.original_size != len(cloud):
-        raise PlanMismatchError(
-            f"plan was built for {plan.original_size} points, cloud has {len(cloud)}"
-        )
+    _check_replay(plan, len(cloud))
     out: list[tuple[SliceSpec, PointCloud]] = []
     columns = np.ascontiguousarray(cloud.coords.T)  # one contiguous row per axis
     working = np.arange(len(cloud))  # indices of the points in no earlier core
@@ -427,17 +439,32 @@ def extract_slices(
         column = columns[spec.core.axis].take(working)
         in_core = spec.core.holds(column)
         in_extended = spec.extended.holds(column)
-        core_count = int(np.count_nonzero(in_core))
-        if core_count != spec.point_count:
-            raise PlanMismatchError(
-                f"slice {spec.index}: plan expects {spec.point_count} core points, "
-                f"replay found {core_count}"
-            )
+        _check_replay(plan, len(cloud), [(spec, int(np.count_nonzero(in_core)))])
         out.append((spec, cloud.subset(working.compress(in_extended))))
         working = working.compress(~in_core)
-    if len(working) != 0:
-        raise PlanMismatchError(f"plan leaves {len(working)} points uncovered")
+    _check_replay(plan, len(cloud), uncovered=len(working))
     return out
+
+
+def core_slices(cloud: PointCloud, plan: SlicePlan) -> list[tuple[SliceSpec, PointCloud]]:
+    """Replay the plan in one pass: per slice, its core's points in ascending index order.
+
+    A point lies in the first slice whose core holds its coordinate, as in
+    `extract_slices`. Per axis a table over the grid holds that first slice
+    (k, the slice count, for none); a point's label is the least of its
+    entries, and one stable sort, a radix sort at uint8/uint16, groups them.
+    """
+    k = len(plan.slices)
+    tables = np.full((3, 1 << cloud.bit_depth), k, dtype=np.min_scalar_type(k))
+    for spec in reversed(plan.slices):  # earlier slices overwrite later ones
+        tables[spec.core.axis, spec.core.lo : spec.core.hi] = spec.index
+    labels = np.full(len(cloud), k, dtype=tables.dtype)
+    for axis in sorted({spec.core.axis for spec in plan.slices}):  # the rest label nothing
+        np.minimum(labels, tables[axis].take(cloud.coords[:, axis]), out=labels)
+    counts = np.bincount(labels, minlength=k + 1)
+    _check_replay(plan, len(cloud), zip(plan.slices, counts.tolist()), int(counts[k]))
+    cores = np.split(np.argsort(labels, kind="stable"), np.cumsum(counts[:k]))
+    return [(spec, cloud.subset(members)) for spec, members in zip(plan.slices, cores)]
 
 
 # The keys plan_to_json writes, in written order; plan_from_json rejects any other.

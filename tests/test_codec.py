@@ -20,7 +20,7 @@ from sliceseg import (
     reencode,
 )
 from sliceseg import cloud as cloud_module
-from sliceseg import codec
+from sliceseg import codec, slicer
 from sliceseg.cloud import Axis, AxisRange, PointCloud, Side
 from sliceseg.codec import (
     STREAM_HEADER_BYTES,
@@ -654,6 +654,33 @@ class TestDecodedCloud:
         cloud = stream.cloud
         assert (len(written), keyed) == (16, ([200_000],) * 2)
         assert cloud.duplicates_merged == 0 and cloud.same_points(frame)
+
+    def test_frame_slab_encode_work(self, monkeypatch):
+        """bulk-codec's frame: `encode` replays the cores alone and gathers each point once."""
+        frame = gen_synthetic("uniform-random", {"extent": 256, "count": 200_000}, seed=1)
+        plan = slab_plan(frame, Axis.Z, 16, 2)
+        extracted, gathered = [], []
+        extract, subset = codec.extract_slices, PointCloud.subset
+
+        def extracting(*args):
+            extracted.append(args)
+            return extract(*args)
+
+        def gathering(cloud, picked):
+            rows = subset(cloud, picked)
+            gathered.append(len(rows))
+            return rows
+
+        for module in (codec, slicer):
+            monkeypatch.setattr(module, "extract_slices", extracting)
+        monkeypatch.setattr(PointCloud, "subset", gathering)
+        work = []
+        for _ in range(2):
+            encode(frame, plan)
+            work.append((len(extracted), len(gathered), sum(gathered)))
+            extracted.clear()
+            gathered.clear()
+        assert work == [(0, 16, 200_000)] * 2
 
     def test_repeat_in_non_adjacent_records_on_different_axes_keeps_the_first_color(self):
         stream = hand_stream(

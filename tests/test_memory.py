@@ -43,6 +43,11 @@ all three axes, held 53.6 bytes per point while such a stream went through
 the cloud's own dedup, and 47.6 with the one stable-sort merge. With each
 point stored once it goes through that dedup again and holds 29.3, and the
 budget sits just above that.
+
+Encoding held 42.9 bytes per point on the frame and 43.0 on that shell
+plan while it replayed the plan through `extract_slices`, building every
+extended slice to keep only its core; the one-pass core replay holds 21.1
+and 21.2, and the budget of 22 sits just above both.
 """
 
 import numpy as np
@@ -141,6 +146,15 @@ def test_plan_budget():
     plan, peak = traced_peak(build_plan, shell, SHELL_CONFIG)
     assert sum(s.point_count for s in plan.slices) == len(shell) == 50_768
     assert peak / len(shell) <= 402
+
+
+def test_encode_budget(frame):
+    shell = gen_synthetic(*SHELL_128)
+    for cloud, plan in ((frame, slab_plan(frame, Axis.Z, 16, 2)),
+                        (shell, build_plan(shell, SHELL_CONFIG))):
+        stream, peak = traced_peak(codec.encode, cloud, plan)
+        assert codec.decode(stream).cloud.same_points(cloud)
+        assert peak / len(cloud) <= 22
 
 
 def test_planner_stream_decoded_cloud_budget():

@@ -25,7 +25,7 @@ from sliceseg import (
 from sliceseg import projection, slicer
 from sliceseg.cloud import SIDES, Axis, AxisRange, Side, extract_range, remove_range
 from sliceseg.projection import neighbor_pairs, pixel_keys
-from sliceseg.slicer import _PlanState, best_width, select_slice
+from sliceseg.slicer import _PlanState, best_width, core_slices, select_slice
 from sliceseg.synthetic import gen_synthetic
 
 from conftest import (
@@ -858,18 +858,13 @@ def replay_cases(draw):
     return cloud, plan
 
 
-@settings(max_examples=200, deadline=None)
-@given(replay_cases())
-def test_extract_slices_matches_replay_oracle(case):
-    cloud, plan = case
-    try:
-        want = oracle_extract_slices(cloud, plan)
-    except PlanMismatchError as expected:
-        with pytest.raises(PlanMismatchError) as e:
-            extract_slices(cloud, plan)
-        assert str(e.value) == str(expected)
-        return
-    got = extract_slices(cloud, plan)
+def cores_of(slices):
+    """Each extended slice's core points, in the slice's order."""
+    return [(spec, sub.subset(spec.core.holds(sub.coords[:, spec.core.axis])))
+            for spec, sub in slices]
+
+
+def assert_same_slices(got, want, cloud):
     assert [spec for spec, _ in got] == [spec for spec, _ in want]
     for (_, ours), (_, theirs) in zip(got, want):
         assert np.array_equal(ours.coords, theirs.coords)
@@ -878,6 +873,22 @@ def test_extract_slices_matches_replay_oracle(case):
             assert ours.colors is None
         else:
             assert np.array_equal(ours.colors, theirs.colors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(replay_cases())
+def test_extract_slices_matches_replay_oracle(case):
+    cloud, plan = case
+    try:
+        want = oracle_extract_slices(cloud, plan)
+    except PlanMismatchError as expected:
+        for replay in (extract_slices, core_slices):
+            with pytest.raises(PlanMismatchError) as e:
+                replay(cloud, plan)
+            assert str(e.value) == str(expected)
+        return
+    assert_same_slices(extract_slices(cloud, plan), want, cloud)
+    assert_same_slices(core_slices(cloud, plan), cores_of(want), cloud)
 
 
 @pytest.mark.parametrize(
@@ -900,7 +911,7 @@ def test_extract_slices_mismatch_messages(fault, message):
         )
     else:
         plan = dataclasses.replace(plan, slices=plan.slices[:1])
-    for replay in (extract_slices, oracle_extract_slices):
+    for replay in (extract_slices, core_slices, oracle_extract_slices):
         with pytest.raises(PlanMismatchError, match=f"^{message}$"):
             replay(cube, plan)
 
@@ -920,13 +931,10 @@ def turning_plans():
 
 def test_extract_slices_matches_mask_replay_on_built_plans():
     for cloud, plan in turning_plans():
-        got, want = extract_slices(cloud, plan), mask_extract_slices(cloud, plan)
-        assert [spec for spec, _ in got] == [spec for spec, _ in want] == list(plan.slices)
-        for (_, ours), (_, theirs) in zip(got, want):
-            assert np.array_equal(ours.coords, theirs.coords)
-            assert ours.bit_depth == theirs.bit_depth
-            assert (ours.colors is None) == (cloud.colors is None)
-            assert cloud.colors is None or np.array_equal(ours.colors, theirs.colors)
+        want = mask_extract_slices(cloud, plan)
+        assert [spec for spec, _ in want] == list(plan.slices)
+        assert_same_slices(extract_slices(cloud, plan), want, cloud)
+        assert_same_slices(core_slices(cloud, plan), cores_of(want), cloud)
 
 
 @pytest.mark.parametrize("fault", ["size", "core count", "uncovered"])
@@ -942,9 +950,63 @@ def test_extract_slices_mismatch_text_matches_mask_replay(fault):
             plan = dataclasses.replace(plan, slices=tuple(specs[:-2]))
         with pytest.raises(PlanMismatchError) as expected:
             mask_extract_slices(cloud, plan)
-        with pytest.raises(PlanMismatchError) as e:
-            extract_slices(cloud, plan)
-        assert str(e.value) == str(expected.value)
+        for replay in (extract_slices, core_slices):
+            with pytest.raises(PlanMismatchError) as e:
+                replay(cloud, plan)
+            assert str(e.value) == str(expected.value)
+
+
+def hand_plan(cloud, cores):
+    """A plan of (axis, lo, hi) cores cut in that order, each counting the points it takes."""
+    specs, left = [], np.ones(len(cloud), dtype=bool)
+    for axis, lo, hi in cores:
+        core = AxisRange(axis, lo, hi)
+        held = core.holds(cloud.coords[:, axis]) & left
+        specs.append(SliceSpec(len(specs), Side(axis, -1), core, core, int(held.sum()), 0.0))
+        left &= ~held
+    return SlicePlan(config=cfg(), original_size=len(cloud), slices=tuple(specs))
+
+
+def line(xs, bit_depth):
+    """Points at `xs` along X, spread over Y and Z, one colour each."""
+    xs = np.asarray(xs)
+    rng = np.random.default_rng(len(xs))
+    coords = np.column_stack([xs, rng.integers(0, 4, len(xs)), rng.integers(0, 4, len(xs))])
+    return PointCloud(coords, colors=rng.integers(0, 256, size=(len(xs), 3)), bit_depth=bit_depth)
+
+
+def test_core_slices_label_dtype_steps():
+    """255 and 256 slices (uint8 to uint16 labels), and 65,536 width-1 slices of a 16-bit
+    line (uint32 labels, whose sentinel 65,536 no uint16 holds), cut in shuffled order."""
+    rng = np.random.default_rng(8)
+    short = line(rng.integers(0, 256, 2000), 10)
+    for k in (255, 256):
+        order = rng.permutation(256)[:k].tolist()
+        cores = [(Axis.X, 0, 256)] if k == 255 else []  # the last slice takes what is left
+        plan = hand_plan(short, [(Axis.X, x, x + 1) for x in order[:k - len(cores)]] + cores)
+        assert np.min_scalar_type(len(plan.slices)) == (np.uint8 if k == 255 else np.uint16)
+        assert_same_slices(core_slices(short, plan), cores_of(mask_extract_slices(short, plan)), short)
+    long = line(np.concatenate([[0, 65_535], rng.integers(0, 1 << 16, 400)]), 16)
+    plan = hand_plan(long, [(Axis.X, x, x + 1) for x in rng.permutation(1 << 16).tolist()])
+    assert np.min_scalar_type(len(plan.slices)) == np.uint32
+    assert_same_slices(core_slices(long, plan), cores_of(mask_extract_slices(long, plan)), long)
+
+
+@pytest.mark.parametrize(
+    "cores",
+    [
+        [(Axis.X, 1000, 1100), (Axis.X, 2000, 5000), (Axis.Y, 0, 1 << 12)],  # past the 2^10 grid
+        [(Axis.X, 3, 9), (Axis.X, 0, 6), (Axis.Z, 2, 4), (Axis.X, 5, 7), (Axis.Y, 0, 1024)],
+        [(Axis.Z, 0, 1024), (Axis.Z, 0, 1024)],  # the second core repeats the first: empty
+    ],
+)
+def test_core_slices_match_mask_replay_on_hand_plans(cores):
+    rng = np.random.default_rng(3)
+    cloud = PointCloud(np.column_stack([np.concatenate([rng.integers(0, 12, 300), [1023, 1000]]),
+                                        rng.integers(0, 12, 302), rng.integers(0, 12, 302)]))
+    plan = hand_plan(cloud, cores)
+    assert sum(s.point_count for s in plan.slices) == len(cloud)
+    assert_same_slices(core_slices(cloud, plan), cores_of(mask_extract_slices(cloud, plan)), cloud)
 
 
 class TestPlanJson:
